@@ -445,12 +445,6 @@ def _add_common_io(sub, records=True, taxonomy=True, out=True):
     if out:
         sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root random seed")
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count hint; results are identical for any value",
-    )
 
 
 def _add_feature_flags(sub):
@@ -537,8 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
     try:
         return args.func(args)
     except _ERRORS as exc:

@@ -67,10 +67,10 @@ def fit_boosting(
                 members = leaf_of == leaf
                 denom = denom_terms[members].sum()
                 if denom < 1e-150:
-                    tree.value[leaf] = [0.0]
+                    tree.value[leaf, 0] = 0.0
                 else:
-                    tree.value[leaf] = [factor * r[members].sum() / denom]
-            raw[:, c] += lr * np.array([tree.value[leaf][0] for leaf in leaf_of])
+                    tree.value[leaf, 0] = factor * r[members].sum() / denom
+            raw[:, c] += lr * tree.value[leaf_of, 0]
             stage.append(tree)
         stages.append(stage)
     meta = {"iterations": n_stages, "stopping_reason": "max-iterations"}

@@ -118,19 +118,57 @@ def load_model(text: str):
     body = {k: v for k, v in doc.items() if k != "digest"}
     if stored_digest != _digest(body):
         raise ModelFormatError("model digest mismatch: document corrupted or tampered")
-    fc = doc["feature_config"]
-    feature_config = FeatureConfig(
-        representation=fc["representation"],
-        use_active=bool(fc["use_active"]),
-        taxonomy_hash=fc["taxonomy_hash"],
-    )
-    return TrainedModel(
-        kind=doc["kind"],
-        classes=tuple(int(c) for c in doc["classes"]),
-        class_names=tuple(doc["class_names"]),
-        feature_dim=int(doc["feature_dim"]),
-        feature_config=feature_config,
-        hyperparameters=dict(doc["hyperparameters"]),
-        params=_params_from_document(doc["kind"], doc["parameters"]),
-        metadata=dict(doc["metadata"]),
-    )
+    # a document can be self-consistent and still not describe a model
+    try:
+        fc = doc["feature_config"]
+        feature_config = FeatureConfig(
+            representation=fc["representation"],
+            use_active=bool(fc["use_active"]),
+            taxonomy_hash=fc["taxonomy_hash"],
+        )
+        model = TrainedModel(
+            kind=doc["kind"],
+            classes=tuple(int(c) for c in doc["classes"]),
+            class_names=tuple(doc["class_names"]),
+            feature_dim=int(doc["feature_dim"]),
+            feature_config=feature_config,
+            hyperparameters=dict(doc["hyperparameters"]),
+            params=_params_from_document(doc["kind"], doc["parameters"]),
+            metadata=dict(doc["metadata"]),
+        )
+        _check_shapes(model)
+    except KeyError as exc:
+        raise ModelFormatError(f"malformed model document: missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"malformed model document: {exc}") from None
+    return model
+
+
+def _check_shapes(model) -> None:
+    """Raise ValueError unless the parameters fit the model's feature
+    dimension and class count, so that prediction cannot fail on them."""
+    d, k = model.feature_dim, len(model.classes)
+    params = model.params
+    expected, trees, width = {}, [], 0
+    if model.kind == "logreg":
+        expected = {"weights": (d, k), "bias": (k,)}
+    elif model.kind == "mlp":
+        hidden = len(params.b1)
+        expected = {"w1": (d, hidden), "b1": (hidden,), "w2": (hidden, k), "b2": (k,)}
+    elif model.kind == "random_forest":
+        if params.n_classes != k:
+            raise ValueError("forest n_classes differs from the class count")
+        trees, width = params.trees, k
+    else:
+        if any(len(stage) != k for stage in params.stages):
+            raise ValueError("boosting stage tree count differs from the class count")
+        expected = {"init_raw": (k,)}
+        trees, width = [tree for stage in params.stages for tree in stage], 1
+    for name, shape in expected.items():
+        if getattr(params, name).shape != shape:
+            raise ValueError(f"{model.kind} {name} has shape {getattr(params, name).shape}, not {shape}")
+    for tree in trees:
+        if tree.feature.max() >= d:
+            raise ValueError("tree feature index out of range")
+        if tree.value.shape[1] != width:
+            raise ValueError(f"tree leaf value width is not {width}")

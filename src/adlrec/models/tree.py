@@ -1,13 +1,21 @@
 """Flat decision trees: weighted-Gini classification and squared-error regression.
 
-Trees are stored as parallel arrays (feature == -1 marks a leaf) so they
-serialize directly and predict without recursion. Split search is exact:
-candidate thresholds are midpoints between consecutive distinct sorted
-values, scored vectorized across features, ties broken by lowest feature
-index then lowest threshold.
+A tree is a set of parallel numpy arrays indexed by node id (feature == -1
+marks a leaf). Children get their ids when their parent splits, in
+depth-first order, so a child's id is always greater than its parent's. In
+memory a leaf is its own left and right child, so `apply` can move every
+row one level per step for `depth` steps with no per-row work and no
+recursion; documents store -1 there instead.
+
+Both tree kinds share one exact split kernel, `_best_split`: it sorts a
+node's candidate columns once, takes prefix sums of per-row statistics along
+each sorted order (weighted class one-hots and weights for Gini, target and
+squared target for squared error), and scores every cut between consecutive
+distinct values at once. Candidate thresholds are the midpoints between
+those values; ties go to the lowest feature index, then the lowest threshold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,54 +24,125 @@ LEAF = -1
 
 @dataclass
 class Tree:
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[list[float]] = field(default_factory=list)
-
-    def add_node(self) -> int:
-        self.feature.append(LEAF)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append([])
-        return len(self.feature) - 1
+    feature: np.ndarray  # (nodes,) int64, LEAF at leaves
+    threshold: np.ndarray  # (nodes,) float64, 0.0 at leaves
+    left: np.ndarray  # (nodes,) int64, the node itself at leaves
+    right: np.ndarray  # (nodes,) int64, the node itself at leaves
+    value: np.ndarray  # (nodes, width) float64; rows of internal nodes are unused
+    depth: int  # edges on the longest root-to-leaf path
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id for each row."""
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for i, row in enumerate(X):
-            node = 0
-            while self.feature[node] != LEAF:
-                if row[self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = node
-        return out
+        rows = np.arange(X.shape[0])
+        nodes = np.zeros(X.shape[0], dtype=np.int64)
+        for _ in range(self.depth):
+            # rows already at a leaf read column -1 and stay where they are
+            go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
+            nodes = np.where(go_left, self.left[nodes], self.right[nodes])
+        return nodes
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
-        leaves = self.apply(X)
-        return np.array([self.value[n] for n in leaves], dtype=np.float64)
+        return self.value[self.apply(X)]
 
     def to_document(self) -> dict:
+        leaf = self.feature == LEAF
         return {
-            "feature": list(self.feature),
-            "threshold": [float(t) for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": [[float(v) for v in vals] for vals in self.value],
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": np.where(leaf, -1, self.left).tolist(),
+            "right": np.where(leaf, -1, self.right).tolist(),
+            "value": [vals if is_leaf else [] for vals, is_leaf in zip(self.value.tolist(), leaf.tolist())],
         }
 
     @classmethod
     def from_document(cls, doc: dict) -> "Tree":
+        """Rebuild a tree, raising ValueError for any document `apply` could
+        not walk: ragged arrays, children out of range or not after their
+        parent, or leaves of differing value widths."""
+        feature, threshold, left, right, values = (
+            doc[key] for key in ("feature", "threshold", "left", "right", "value")
+        )
+        n = len(feature)
+        if n == 0:
+            raise ValueError("tree has no nodes")
+        threshold = np.array(threshold, dtype=np.float64)
+        if threshold.shape != (n,) or any(len(items) != n for items in (left, right, values)):
+            raise ValueError("tree arrays differ in length")
+        if set(map(type, feature)) | set(map(type, left)) | set(map(type, right)) != {int}:
+            raise ValueError("tree feature and child ids must be integers")
+        # children follow their parents, so one pass in id order checks each
+        # node and finds its longest path from the root
+        depth = [0] * n
+        walk_left, walk_right = list(left), list(right)
+        widths = set()
+        for node in range(n):
+            if feature[node] == LEAF:
+                if left[node] != -1 or right[node] != -1:
+                    raise ValueError(f"tree leaf {node} has a child")
+                widths.add(len(values[node]))
+                walk_left[node] = walk_right[node] = node
+                continue
+            if feature[node] < 0:
+                raise ValueError(f"tree node {node} has a negative feature index")
+            if len(values[node]):
+                raise ValueError(f"tree internal node {node} carries a value")
+            for child in (left[node], right[node]):
+                if not node < child < n:
+                    raise ValueError(f"tree node {node}: child {child} out of range or not after it")
+                depth[child] = max(depth[child], depth[node] + 1)
+        if len(widths) != 1 or 0 in widths:
+            raise ValueError("tree leaves differ in value width")
+        unused = [0.0] * widths.pop()
+        value = np.array([v if len(v) else unused for v in values], dtype=np.float64)
+        if value.ndim != 2:
+            raise ValueError("tree leaf values must be lists of numbers")
         return cls(
-            feature=[int(f) for f in doc["feature"]],
-            threshold=[float(t) for t in doc["threshold"]],
-            left=[int(v) for v in doc["left"]],
-            right=[int(v) for v in doc["right"]],
-            value=[[float(v) for v in vals] for vals in doc["value"]],
+            feature=np.array(feature, dtype=np.int64),
+            threshold=threshold,
+            left=np.array(walk_left, dtype=np.int64),
+            right=np.array(walk_right, dtype=np.int64),
+            value=value,
+            depth=max(depth),
+        )
+
+
+class _Growth:
+    """Node arrays of a tree while it grows.
+
+    Every leaf holds at least one training row, so `rows` rows need at most
+    2 * rows - 1 nodes.
+    """
+
+    def __init__(self, rows: int, width: int):
+        size = max(1, 2 * rows - 1)
+        self.feature = np.full(size, LEAF, dtype=np.int64)
+        self.threshold = np.zeros(size)
+        self.left = np.arange(size)
+        self.right = np.arange(size)
+        self.value = np.zeros((size, width))
+        self.node_depth = np.zeros(size, dtype=np.int64)
+        self.size = 1  # the root
+
+    def split(self, node: int, feat: int, threshold: float) -> tuple[int, int]:
+        left, right = self.size, self.size + 1
+        self.size += 2
+        self.value[node] = 0.0  # only leaves carry a value
+        self.feature[node] = feat
+        self.threshold[node] = threshold
+        self.left[node] = left
+        self.right[node] = right
+        self.node_depth[left] = self.node_depth[right] = self.node_depth[node] + 1
+        return left, right
+
+    def tree(self) -> Tree:
+        n = self.size
+        return Tree(
+            feature=self.feature[:n].copy(),
+            threshold=self.threshold[:n].copy(),
+            left=self.left[:n].copy(),
+            right=self.right[:n].copy(),
+            value=self.value[:n].copy(),
+            depth=int(self.node_depth[:n].max()),
         )
 
 
@@ -71,53 +150,71 @@ def _pick_best(
     scores: np.ndarray,
     sorted_vals: np.ndarray,
     valid: np.ndarray,
-    candidates: np.ndarray,
+    features: np.ndarray,
 ) -> tuple[int, float] | None:
-    """Lexicographic (score, feature index, threshold) minimum over columns."""
-    best = None
-    for j, feat in enumerate(candidates):
-        col_scores = np.where(valid[:, j], scores[:, j], np.inf)
-        cut = int(np.argmin(col_scores))
-        if not np.isfinite(col_scores[cut]):
-            continue
-        threshold = 0.5 * (sorted_vals[cut, j] + sorted_vals[cut + 1, j])
-        # midpoint can collapse onto the upper value in float; fall back to
-        # the lower value so the <= test still separates the two sides
-        if threshold >= sorted_vals[cut + 1, j]:
-            threshold = sorted_vals[cut, j]
-        key = (float(col_scores[cut]), int(feat), float(threshold))
-        if best is None or key < best:
-            best = key
-    if best is None:
+    """Lexicographic (score, feature index, threshold) minimum over columns.
+
+    Column j holds feature `features[j]`; feature indices are distinct, so
+    the threshold only ranks cuts within a column, where the lowest cut of
+    equal score wins. None when no column has a finite valid score.
+    """
+    masked = np.where(valid, scores, np.inf)
+    cut = np.argmin(masked, axis=0)
+    column_best = masked[cut, np.arange(cut.size)]
+    finite = np.isfinite(column_best)
+    if not finite.any():
         return None
-    return best[1], best[2]
+    tied = np.flatnonzero(column_best == column_best[finite].min())
+    j = tied[np.argmin(features[tied])]
+    lower, upper = sorted_vals[cut[j], j], sorted_vals[cut[j] + 1, j]
+    threshold = 0.5 * (lower + upper)
+    # midpoint can collapse onto the upper value in float; fall back to
+    # the lower value so the <= test still separates the two sides
+    if threshold >= upper:
+        threshold = lower
+    return int(features[j]), float(threshold)
 
 
-def _split_classification(
-    cols: np.ndarray,
-    weighted_onehot: np.ndarray,
-    sample_weight: np.ndarray,
-    candidates: np.ndarray,
-) -> tuple[int, float] | None:
-    """Best (feature, threshold) by weighted sum of child Gini impurities.
+def _best_split(cols: np.ndarray, features: np.ndarray, stats: tuple, score):
+    """Best (feature, threshold) of one node, or None.
+
+    `cols` (m, k) holds the node's candidate columns and each array in
+    `stats` one per-row statistic, (m, ...). `score` maps the statistics'
+    prefix sums along each column's sorted order, (m, k, ...), to the cost of
+    cutting after each row, (m-1, k).
+    """
+    order = np.argsort(cols, axis=0, kind="stable")
+    sorted_vals = cols[order, np.arange(cols.shape[1])]
+    scores = score(*(np.cumsum(stat[order], axis=0) for stat in stats))
+    return _pick_best(scores, sorted_vals, sorted_vals[:-1] < sorted_vals[1:], features)
+
+
+def _gini_scores(cum: np.ndarray, cum_weight: np.ndarray, total_weight: float) -> np.ndarray:
+    """Weighted sum of child Gini impurities from prefix sums of weighted
+    class one-hots, (m, k, K), and of row weights, (m, k).
 
     Reductions over the class axis go through sorted values so that scores
     (and hence tree structure) are exactly label-permutation-equivariant.
     """
-    order = np.argsort(cols, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(cols, order, axis=0)
-    cum = np.cumsum(weighted_onehot[order], axis=0)  # (n, k, K)
-    totals = cum[-1]  # identical across features
     left = cum[:-1]
-    right = totals[None] - left
-    wl = np.cumsum(sample_weight[order], axis=0)[:-1]  # class-order-free
-    wr = float(sample_weight.sum()) - wl
+    right = cum[-1] - left
+    wl = cum_weight[:-1]
+    wr = total_weight - wl
     with np.errstate(divide="ignore", invalid="ignore"):
         gini_l = wl - np.sort(left**2, axis=2).sum(axis=2) / wl  # wl * gini(left)
         gini_r = wr - np.sort(right**2, axis=2).sum(axis=2) / wr
-    scores = gini_l + gini_r
-    valid = sorted_vals[:-1] < sorted_vals[1:]
-    return _pick_best(scores, sorted_vals, valid, candidates)
+    return gini_l + gini_r
+
+
+def _sse_scores(csum: np.ndarray, csqr: np.ndarray) -> np.ndarray:
+    """Total child sum of squared errors from prefix sums of target and target**2."""
+    counts_l = np.arange(1, csum.shape[0], dtype=np.float64)[:, None]
+    counts_r = csum.shape[0] - counts_l
+    sum_l = csum[:-1]
+    sum_r = csum[-1] - sum_l
+    sse_l = csqr[:-1] - sum_l**2 / counts_l
+    sse_r = (csqr[-1] - csqr[:-1]) - sum_r**2 / counts_r
+    return sse_l + sse_r
 
 
 def build_classification_tree(
@@ -140,62 +237,39 @@ def build_classification_tree(
     onehot[np.arange(n), y] = 1.0
     weighted_onehot = onehot * sample_weight[:, None]
 
-    tree = Tree()
-    root = tree.add_node()
-    stack = [(root, np.arange(n))]
+    growth = _Growth(n, n_classes)
+    stack = [(0, np.arange(n))]
     while stack:
         node, idx = stack.pop()
         woh = weighted_onehot[idx]
         class_totals = woh.sum(axis=0)
-        distribution = class_totals / class_totals.sum()
-        pure = np.count_nonzero(class_totals) <= 1
-        if pure or idx.size < min_samples_split:
-            tree.value[node] = distribution.tolist()
+        growth.value[node] = class_totals / class_totals.sum()
+        if np.count_nonzero(class_totals) <= 1 or idx.size < min_samples_split:
             continue
 
         Xn = X[idx]
         perm = rng.permutation(d)
-        non_constant = perm[Xn[:, perm].min(axis=0) < Xn[:, perm].max(axis=0)]
-        candidates = non_constant[:max_features]
-        best = (
-            _split_classification(Xn[:, candidates], woh, sample_weight[idx], candidates)
-            if candidates.size
-            else None
+        varies = Xn.min(axis=0) < Xn.max(axis=0)
+        candidates = perm[varies[perm]][:max_features]
+        if not candidates.size:
+            continue
+        weight = sample_weight[idx]
+        total_weight = float(weight.sum())
+        best = _best_split(
+            Xn[:, candidates],
+            candidates,
+            (woh, weight),
+            lambda cum, cum_weight: _gini_scores(cum, cum_weight, total_weight),
         )
         if best is None:
-            tree.value[node] = distribution.tolist()
             continue
 
         feat, threshold = best
         mask = Xn[:, feat] <= threshold
-        tree.feature[node] = feat
-        tree.threshold[node] = threshold
-        left = tree.add_node()
-        right = tree.add_node()
-        tree.left[node] = left
-        tree.right[node] = right
+        left, right = growth.split(node, feat, threshold)
         stack.append((right, idx[~mask]))
         stack.append((left, idx[mask]))
-    return tree
-
-
-def _split_regression(cols: np.ndarray, target: np.ndarray) -> tuple[int, float] | None:
-    """Best (feature, threshold) by total child sum of squared errors."""
-    n, d = cols.shape
-    order = np.argsort(cols, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(cols, order, axis=0)
-    sorted_target = target[order]
-    csum = np.cumsum(sorted_target, axis=0)
-    csqr = np.cumsum(sorted_target**2, axis=0)
-    counts_l = np.arange(1, n, dtype=np.float64)[:, None]
-    counts_r = n - counts_l
-    sum_l = csum[:-1]
-    sum_r = csum[-1] - sum_l
-    sse_l = csqr[:-1] - sum_l**2 / counts_l
-    sse_r = (csqr[-1] - csqr[:-1]) - sum_r**2 / counts_r
-    scores = sse_l + sse_r
-    valid = sorted_vals[:-1] < sorted_vals[1:]
-    return _pick_best(scores, sorted_vals, valid, np.arange(d))
+    return growth.tree()
 
 
 def build_regression_tree(
@@ -208,36 +282,30 @@ def build_regression_tree(
 
     Returns the tree and each training row's leaf id (for leaf re-estimation).
     """
-    n = X.shape[0]
-    tree = Tree()
-    root = tree.add_node()
+    n, d = X.shape
+    features = np.arange(d)
+    squared = target**2
+    growth = _Growth(n, 1)
     leaf_of = np.zeros(n, dtype=np.int64)
-    stack = [(root, np.arange(n), 0)]
+    stack = [(0, np.arange(n), 0)]
     while stack:
         node, idx, depth = stack.pop()
         values = target[idx]
-        mean = float(values.mean())
+        growth.value[node, 0] = np.add.reduce(values) / values.size  # == values.mean()
+        best = None
         if (
-            depth >= max_depth
-            or idx.size < min_samples_split
-            or values.min() == values.max()
+            depth < max_depth
+            and idx.size >= min_samples_split
+            and values.min() != values.max()
         ):
-            tree.value[node] = [mean]
-            leaf_of[idx] = node
-            continue
-        best = _split_regression(X[idx], values)
+            Xn = X[idx]
+            best = _best_split(Xn, features, (values, squared[idx]), _sse_scores)
         if best is None:
-            tree.value[node] = [mean]
             leaf_of[idx] = node
             continue
         feat, threshold = best
-        mask = X[idx, feat] <= threshold
-        tree.feature[node] = feat
-        tree.threshold[node] = threshold
-        left = tree.add_node()
-        right = tree.add_node()
-        tree.left[node] = left
-        tree.right[node] = right
+        mask = Xn[:, feat] <= threshold
+        left, right = growth.split(node, feat, threshold)
         stack.append((right, idx[~mask], depth + 1))
         stack.append((left, idx[mask], depth + 1))
-    return tree, leaf_of
+    return growth.tree(), leaf_of

@@ -1,6 +1,9 @@
 """Hand-built fixture constructors shared across test modules."""
 
+import hashlib
 import json
+
+import numpy as np
 
 from adlrec.records import (
     Box2D,
@@ -58,3 +61,50 @@ def record_line(
     }
     doc.update(overrides)
     return json.dumps(doc)
+
+
+def reference_pick_best(scores, sorted_vals, valid, candidates):
+    """Scalar split pick, one column at a time: the oracle for the tree kernel.
+
+    Lexicographic (score, feature index, threshold) minimum over columns;
+    None when no column has a finite valid score.
+    """
+    best = None
+    for j, feat in enumerate(candidates):
+        col_scores = np.where(valid[:, j], scores[:, j], np.inf)
+        cut = int(np.argmin(col_scores))
+        if not np.isfinite(col_scores[cut]):
+            continue
+        threshold = 0.5 * (sorted_vals[cut, j] + sorted_vals[cut + 1, j])
+        # midpoint can collapse onto the upper value in float; fall back to
+        # the lower value so the <= test still separates the two sides
+        if threshold >= sorted_vals[cut + 1, j]:
+            threshold = sorted_vals[cut, j]
+        key = (float(col_scores[cut]), int(feat), float(threshold))
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def reference_apply(tree, X):
+    """Leaf id of each row, walking the tree one row at a time."""
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for i, row in enumerate(X):
+        node = 0
+        while tree.feature[node] != -1:
+            if row[tree.feature[node]] <= tree.threshold[node]:
+                node = tree.left[node]
+            else:
+                node = tree.right[node]
+        out[i] = node
+    return out
+
+
+def redigest(doc: dict) -> str:
+    """A model document's text with its digest recomputed, so that a load
+    gets past the digest check and reaches the content checks."""
+    body = {k: v for k, v in doc.items() if k != "digest"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return json.dumps(dict(body, digest=hashlib.sha256(canonical.encode("utf-8")).hexdigest()))

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,10 @@ from adlrec.features import feature_matrix
 from adlrec.models import load_model
 from adlrec.records import load_corpus
 from adlrec.taxonomy import default_category_table
+
+from helpers import redigest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -279,3 +286,44 @@ def test_unknown_model_kind_fails(synth_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "unknown model kind" in capsys.readouterr().err
+
+
+def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path):
+    records = ["--records", str(synth_dir / "records.jsonl"),
+               "--manifest", str(synth_dir / "manifest.csv")]
+    assert main(["train", *records, "--model", "rf", "--out", str(tmp_path / "m")]) == 0
+    good = json.loads((tmp_path / "m" / "model.json").read_text())
+
+    def tree_edit(field, value):
+        def edit(doc):
+            doc["parameters"]["trees"][0][field] = value
+        return edit
+
+    def drop_threshold(doc):
+        del doc["parameters"]["trees"][3]["threshold"]
+
+    def drop_parameters(doc):
+        del doc["parameters"]
+
+    edits = [
+        drop_parameters,
+        drop_threshold,
+        tree_edit("left", [0] * len(good["parameters"]["trees"][0]["left"])),
+        tree_edit("feature", good["parameters"]["trees"][0]["feature"][:-1]),
+        tree_edit("feature", [2**70] * len(good["parameters"]["trees"][0]["feature"])),
+        tree_edit("value", [[0.5]] * len(good["parameters"]["trees"][0]["value"])),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for n, edit in enumerate(edits):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        bad = tmp_path / f"bad{n}.json"
+        bad.write_text(redigest(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "adlrec", "evaluate", *records, "--model", str(bad),
+             "--out", str(tmp_path / f"e{n}")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1, (edit, proc.stderr)
+        assert proc.stderr.startswith("error: malformed model document"), (edit, proc.stderr)
+        assert "Traceback" not in proc.stderr

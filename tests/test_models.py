@@ -27,6 +27,8 @@ from adlrec.records import SegmentKey
 from adlrec.rng import make_generator
 from adlrec.taxonomy import ADL_LABELS, PAPER_CLASS_COUNTS
 
+from helpers import redigest
+
 FC = FeatureConfig("binary", True, "f" * 64)
 
 FAST_HP = {
@@ -161,6 +163,23 @@ def test_tampered_digest_rejected():
     doc2["classes"] = [1, 0]  # content change without digest update
     with pytest.raises(ModelFormatError, match="digest"):
         load_model(json.dumps(doc2))
+
+
+def test_consistent_but_malformed_documents_rejected():
+    X, y, _ = blobs(n_classes=3, per_class=10, seed=2)
+    for kind in KINDS:
+        cfg = TrainConfig(kind=kind, seed=0, hyperparameters=FAST_HP[kind])
+        good = json.loads(save_model(train_matrix(X, y, cfg, FC)))
+        doc = json.loads(json.dumps(good))
+        del doc["feature_dim"]
+        with pytest.raises(ModelFormatError, match="missing field 'feature_dim'"):
+            load_model(redigest(doc))
+        for field, bad in (("classes", good["classes"] + [7]), ("feature_dim", 2),
+                           ("feature_config", "binary")):
+            doc = json.loads(json.dumps(good))
+            doc[field] = bad
+            with pytest.raises(ModelFormatError, match="malformed model document"):
+                load_model(redigest(doc))
 
 
 def test_unsupported_schema_version_rejected():

@@ -1,11 +1,26 @@
-import numpy as np
+import hashlib
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adlrec.cli import main
 from adlrec.features import FeatureConfig
-from adlrec.models import TrainConfig, train_matrix
+from adlrec.models import TrainConfig, train_matrix, tree as tree_module
 from adlrec.models.tree import Tree, build_classification_tree, build_regression_tree
 from adlrec.rng import make_generator
 
+from helpers import reference_apply, reference_pick_best
+
 FC = FeatureConfig("counts", False, "t" * 64)
+ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# few distinct values, so columns repeat values and tie; 1.0 and its float
+# successors have midpoints that round onto the upper value
+ONE_UP = np.nextafter(1.0, 2.0)
+VALUES = [-0.0, 0.0, 0.25, 0.5, 1.0, ONE_UP, np.nextafter(ONE_UP, 2.0), 3.0]
+SCORES = [-0.0, 0.0, 0.5, 1.0, 2.0, np.inf, np.nan]
 
 
 def test_regression_tree_fits_step_function():
@@ -103,3 +118,172 @@ def test_boosting_prior_initialization():
     )
     proba = model.predict_proba_matrix(np.zeros((1, 2)))
     assert np.allclose(proba, [[0.7, 0.3]])
+
+
+def test_saved_tree_models_are_pinned(tmp_path):
+    # sha256 of model.json as written by `adlrec train`; any change to what
+    # the split search picks, or to how trees serialize, moves these bytes.
+    # Pinned with numpy 2.4 on x86-64 Linux; a different numpy or libm may
+    # round exp/log differently and move them without a code change.
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--preset", "distractor", "--participants", "3", "--segments", "14",
+                 "--frames", "6", "--seed", "11", "--out", str(corpus)]) == 0
+    pinned = {
+        "gb": "a300869db0c24c5bfff8f68e8f60f3fa59e5b01ce21e73d2e39aceb19290b9b2",
+        "rf": "a4211158916168ea2dcd562c4df6ce9cb3bd2fb64c3126431324239acdeb91ce",
+    }
+    for kind, digest in pinned.items():
+        out = tmp_path / kind
+        assert main(["train", "--records", str(corpus / "records.jsonl"),
+                     "--manifest", str(corpus / "manifest.csv"), "--representation", "both",
+                     "--active", "--model", kind, "--seed", "11", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "model.json").read_bytes()).hexdigest() == digest, kind
+
+
+@st.composite
+def pick_inputs(draw):
+    m = draw(st.integers(2, 7))
+    k = draw(st.integers(1, 5))
+    cells = st.lists(st.sampled_from(VALUES), min_size=m * k, max_size=m * k)
+    sorted_vals = np.sort(np.array(draw(cells)).reshape(m, k), axis=0)
+    score_cells = st.lists(st.sampled_from(SCORES), min_size=(m - 1) * k, max_size=(m - 1) * k)
+    scores = np.array(draw(score_cells)).reshape(m - 1, k)
+    mask_cells = st.lists(st.booleans(), min_size=(m - 1) * k, max_size=(m - 1) * k)
+    keep = np.array(draw(mask_cells)).reshape(m - 1, k)
+    valid = (sorted_vals[:-1] < sorted_vals[1:]) & keep
+    features = np.array(draw(st.permutations(range(12)))[:k])
+    return scores, sorted_vals, valid, features
+
+
+@ORACLE
+@given(pick_inputs())
+def test_pick_best_matches_scalar_reference(inputs):
+    got = tree_module._pick_best(*inputs)
+    want = reference_pick_best(*inputs)
+    assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
+
+
+def test_pick_best_tie_rules():
+    # equal scores in two columns: lowest feature index, whatever the column order
+    sorted_vals = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    scores = np.array([[1.0, 1.0], [1.0, 1.0]])
+    valid = np.ones((2, 2), dtype=bool)
+    assert tree_module._pick_best(scores, sorted_vals, valid, np.array([7, 3])) == (3, 0.5)
+    # within a column the lowest threshold wins
+    assert tree_module._pick_best(scores, sorted_vals, valid, np.array([2, 3])) == (2, 0.5)
+    # no valid cut anywhere
+    assert tree_module._pick_best(scores, sorted_vals, ~valid, np.array([2, 3])) is None
+    # a midpoint that rounds onto the upper value falls back to the lower one
+    collapse = np.array([[1.0], [ONE_UP]])
+    assert tree_module._pick_best(np.zeros((1, 1)), collapse, np.ones((1, 1), bool), np.array([0])) == (0, 1.0)
+
+
+def assert_same_tree(a: Tree, b: Tree):
+    for name in ("feature", "threshold", "left", "right", "value"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.depth == b.depth
+
+
+@st.composite
+def tree_inputs(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 6))
+    cells = st.lists(st.sampled_from(VALUES[1:6]), min_size=n * d, max_size=n * d)
+    X = np.array(draw(cells)).reshape(n, d)
+    return X, draw(st.integers(0, 2**16))
+
+
+@ORACLE
+@given(tree_inputs(), st.integers(1, 4))
+def test_regression_tree_matches_reference_kernel(inputs, max_depth):
+    X, seed = inputs
+    target = make_generator(seed, "oracle-target").normal(size=X.shape[0]).round(1)
+    tree, leaf_of = build_regression_tree(X, target, max_depth=max_depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_pick_best", reference_pick_best)
+        want, want_leaf_of = build_regression_tree(X, target, max_depth=max_depth)
+    assert_same_tree(tree, want)
+    assert np.array_equal(leaf_of, want_leaf_of)
+    assert np.array_equal(tree.apply(X), leaf_of)
+    for leaf in np.unique(leaf_of):
+        assert tree.value[leaf, 0] == target[leaf_of == leaf].mean()
+
+
+@ORACLE
+@given(tree_inputs(), st.integers(2, 4))
+def test_classification_tree_matches_reference_kernel(inputs, n_classes):
+    X, seed = inputs
+    rng = make_generator(seed, "oracle-labels")
+    y = rng.integers(0, n_classes, size=X.shape[0])
+    weight = rng.choice([0.5, 1.0, 3.0], size=X.shape[0])
+    max_features = int(rng.integers(1, X.shape[1] + 1))
+
+    def build():
+        return build_classification_tree(
+            X, y, weight, n_classes, make_generator(seed, "oracle-tree"), max_features
+        )
+
+    tree = build()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_pick_best", reference_pick_best)
+        want = build()
+    assert_same_tree(tree, want)
+    assert_same_tree(Tree.from_document(tree.to_document()), tree)
+
+
+@ORACLE
+@given(tree_inputs())
+def test_apply_matches_row_by_row_walk(inputs):
+    X, seed = inputs
+    rng = make_generator(seed, "oracle-apply")
+    tree = build_classification_tree(
+        X, rng.integers(0, 3, size=X.shape[0]), np.ones(X.shape[0]), 3, rng, X.shape[1]
+    )
+    probe = rng.choice(VALUES, size=(20, X.shape[1]))
+    for rows in (X, probe):
+        assert np.array_equal(tree.apply(rows), reference_apply(tree, rows))
+
+
+def small_tree_document():
+    # root splits feature 1 at 0.5; node 1 is a leaf, node 2 splits feature 0
+    return {
+        "feature": [1, -1, 0, -1, -1],
+        "threshold": [0.5, 0.0, 0.25, 0.0, 0.0],
+        "left": [1, -1, 3, -1, -1],
+        "right": [2, -1, 4, -1, -1],
+        "value": [[], [0.1, 0.9], [], [1.0, 0.0], [0.0, 1.0]],
+    }
+
+
+def test_tree_document_keeps_bytes_and_predictions():
+    doc = small_tree_document()
+    tree = Tree.from_document(doc)
+    assert tree.to_document() == doc
+    assert tree.depth == 2
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert tree.apply(X).tolist() == [1, 3, 4]
+    assert tree.predict_value(X).tolist() == [[0.1, 0.9], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("threshold", [0.5, 0.0, 0.25, 0.0], "length"),
+        ("threshold", [[0.5]] * 5, "length"),
+        ("left", [1, -1, 0, -1, -1], "not after it"),
+        ("right", [2, -1, 2, -1, -1], "not after it"),
+        ("right", [2, -1, 5, -1, -1], "out of range"),
+        ("left", [1, 3, 3, -1, -1], "leaf 1 has a child"),
+        ("feature", [1, -1, 0.5, -1, -1], "integers"),
+        ("left", [1, -1, True, -1, -1], "integers"),
+        ("feature", [1, -1, -2, -1, -1], "negative"),
+        ("value", [[], [0.1], [], [1.0, 0.0], [0.0, 1.0]], "width"),
+        ("value", [[], [0.1, 0.9], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "internal node"),
+    ],
+)
+def test_tree_document_rejects_unwalkable_trees(field, bad, message):
+    doc = small_tree_document()
+    doc[field] = bad
+    with pytest.raises(ValueError, match=message):
+        Tree.from_document(doc)
