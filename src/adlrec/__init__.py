@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .features import FeatureConfig, FeatureVector, featurize
 from .interaction import iou, mark_active
-from .models import TrainConfig, TrainedModel, load_model, save_model, train
+from .models import TrainConfig, TrainedModel, load_model, save_model
 from .records import Box2D, FrameObservation, Segment, load_corpus, parse_records
 from .synthgen import GenSpec, clean_genspec, distractor_genspec, generate
 from .taxonomy import (
@@ -48,5 +48,4 @@ __all__ = [
     "paper_class_counts",
     "parse_records",
     "save_model",
-    "train",
 ]

@@ -427,12 +427,20 @@ def _render_report(doc: dict) -> str:
 
 
 def cmd_report(args) -> int:
-    text = Path(args.input).read_text("utf-8")
-    if args.input.endswith(".csv") or text.startswith("representation,"):
-        print(_render_grid(text), end="")
-        return 0
-    doc = json.loads(text)
-    print(_render_report(doc), end="")
+    try:
+        text = Path(args.input).read_text("utf-8")
+        if args.input.endswith(".csv") or text.startswith("representation,"):
+            rendered = _render_grid(text)
+        else:
+            rendered = _render_report(json.loads(text))
+    except (ValueError, KeyError, TypeError) as exc:
+        print(
+            f"error: {args.input} is not a report.json or grid.csv "
+            f"({type(exc).__name__}: {exc})",
+            file=sys.stderr,
+        )
+        return 1
+    print(rendered, end="")
     return 0
 
 

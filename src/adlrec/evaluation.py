@@ -142,26 +142,28 @@ def run_loso(
 ) -> EvaluationReport:
     """Train per fold on the remaining participants, score the held-out one.
 
-    Featurization is per-segment (row-wise scaling), so computing features
-    inside or outside the fold loop is equivalent; there is no cross-fold
-    leakage by construction. Per-fold training seeds derive from
-    (train_config.seed, participant id), making fold order irrelevant.
+    Featurization is per-segment (row-wise scaling), so the feature matrix
+    is computed once, outside the fold loop, and each fold takes its rows
+    by participant; there is no cross-fold leakage by construction. Per-fold
+    training seeds derive from (train_config.seed, participant id), making
+    fold order irrelevant.
     """
+    splits = loso_split(segments)
+    X, keys = feature_matrix(segments, table, feature_config)
+    y = _labels(segments)
+    owners = np.array([key.participant_id for key in keys])
     folds = []
-    for train_segments, test_segments in loso_split(segments):
+    for _, test_segments in splits:
         participant = test_segments[0].participant_id
         fold_seed = derive_seed(train_config.seed, "fold", participant)
         fold_cfg = replace(train_config, seed=fold_seed)
-        X_train, _ = feature_matrix(train_segments, table, feature_config)
-        X_test, _ = feature_matrix(test_segments, table, feature_config)
+        test = owners == participant
         try:
-            model = train_matrix(
-                X_train, _labels(train_segments), fold_cfg, feature_config
-            )
+            model = train_matrix(X[~test], y[~test], fold_cfg, feature_config)
         except Exception as exc:
             raise EvaluationError(f"fold {participant!r}: {exc}") from exc
-        y_true = _labels(test_segments)
-        y_pred = model.predict_labels(X_test)
+        y_true = y[test]
+        y_pred = model.predict_labels(X[test])
         f1s, support = per_class_f1(y_true, y_pred, NUM_ADL_CLASSES)
         folds.append(
             FoldResult(
@@ -204,8 +206,9 @@ def run_ablation(
 ) -> list[AblationCell]:
     """All six feature configurations crossed with the requested models.
 
-    Without-active cells featurize from the detection stream alone (the
-    active marking step is skipped entirely for them).
+    Every cell featurizes through the same pass, which marks active objects;
+    the no-active cells ignore the active rows, so their values do not
+    depend on the marking.
     """
     cells = []
     for feature_config in all_feature_configs(table):

@@ -1,14 +1,17 @@
 """Bag-of-Objects segment features and row-wise min-max scaling.
 
-Two raw representations over a segment's frames:
+One pass over a segment's frames builds an integer block with one row per
+channel, each over the category table:
 
-* counts — per-category total detection frequency summed across frames;
-* binary — per-category number of frames where the category appears at all.
+* counts — detections per category, summed across frames;
+* active counts — the same over active-marked detections only;
+* presence — frames in which the category appears at all;
+* active presence — frames in which it appears as an active object.
 
-With the active distinction on, a parallel block of channels restricted to
-active-marked detections is appended; the base block still counts every
-detection. Each segment row is min-max scaled by its own min and max, so
-values land in [0, 1] regardless of frame count.
+Every feature config is a view of that block: counts takes the counts rows,
+binary the presence rows, "both" takes both groups, and the active rows are
+kept only with the active distinction on. Each row is min-max scaled by its
+own min and max, so values land in [0, 1] regardless of frame count.
 """
 
 from dataclasses import dataclass
@@ -68,42 +71,29 @@ class FeatureVector:
     values: np.ndarray
 
 
-def _category_blocks(
-    segment: Segment, table: CategoryTable, use_active: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame category histograms: (counts, active counts) pairs."""
-    n_frames = len(segment.frames)
-    k = len(table)
-    counts = np.zeros((n_frames, k), dtype=np.int64)
-    active_counts = np.zeros((n_frames, k), dtype=np.int64)
+def raw_block(segment: Segment, table: CategoryTable) -> np.ndarray:
+    """Integer (4, K) block: counts, active counts, presence, active presence.
+
+    Every frame is marked once; configs without the active distinction
+    ignore the active rows, so their values do not depend on the marking.
+    """
+    n, k = len(segment.frames), len(table)
+    # One flat (frame, channel, category) index per detection, plus one in
+    # the active channel for each active detection; counted by one bincount.
+    cells = []
     for row, frame in enumerate(segment.frames):
-        marks = mark_active(frame) if use_active else None
-        for idx, detection in enumerate(frame.objects):
-            cat = table.map_label(detection.raw_label)
-            counts[row, cat] += 1
-            if marks is not None and marks[idx].active:
-                active_counts[row, cat] += 1
-    presence = (counts > 0).astype(np.int64)
-    active_presence = (active_counts > 0).astype(np.int64)
-    return counts, active_counts, presence, active_presence
+        for mark, detection in zip(mark_active(frame), frame.objects):
+            cell = 2 * k * row + table.map_label(detection.raw_label)
+            cells.append(cell)
+            if mark.active:
+                cells.append(cell + k)
+    counted = np.bincount(np.array(cells, dtype=np.int64), minlength=2 * k * n)
+    per_frame = counted.reshape(n, 2, k)
+    return np.concatenate([per_frame.sum(axis=0), (per_frame > 0).sum(axis=0)])
 
 
-def raw_counts(segment: Segment, table: CategoryTable, use_active: bool) -> np.ndarray:
-    """Total detections per category; active block counts the active subset."""
-    counts, active_counts, _, _ = _category_blocks(segment, table, use_active)
-    base = counts.sum(axis=0)
-    if not use_active:
-        return base
-    return np.concatenate([base, active_counts.sum(axis=0)])
-
-
-def raw_binary(segment: Segment, table: CategoryTable, use_active: bool) -> np.ndarray:
-    """Frames-with-presence per category; active block over active detections."""
-    _, _, presence, active_presence = _category_blocks(segment, table, use_active)
-    base = presence.sum(axis=0)
-    if not use_active:
-        return base
-    return np.concatenate([base, active_presence.sum(axis=0)])
+# First raw_block row of each representation group; the active row follows it.
+_GROUP_ROW = {"counts": 0, "binary": 2}
 
 
 def minmax_scale_row(raw: np.ndarray) -> np.ndarray:
@@ -132,17 +122,12 @@ def featurize(segment: Segment, table: CategoryTable, config: FeatureConfig) -> 
             "feature config taxonomy hash does not match the loaded table "
             f"({config.taxonomy_hash[:12]}... vs {table.content_hash[:12]}...)"
         )
-    if config.representation == "counts":
-        values = minmax_scale_row(raw_counts(segment, table, config.use_active))
-    elif config.representation == "binary":
-        values = minmax_scale_row(raw_binary(segment, table, config.use_active))
-    else:
-        values = np.concatenate(
-            [
-                minmax_scale_row(raw_counts(segment, table, config.use_active)),
-                minmax_scale_row(raw_binary(segment, table, config.use_active)),
-            ]
-        )
+    block = raw_block(segment, table)
+    width = 2 if config.use_active else 1
+    groups = ("counts", "binary") if config.representation == "both" else (config.representation,)
+    values = np.concatenate(
+        [minmax_scale_row(block[_GROUP_ROW[g] : _GROUP_ROW[g] + width].ravel()) for g in groups]
+    )
     return FeatureVector(config=config, key=segment.key, values=values)
 
 

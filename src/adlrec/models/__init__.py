@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import FeatureConfig, FeatureVector
+from ..features import FeatureConfig
 from ..taxonomy import ADL_NAMES
 from . import boosting, forest, logreg, mlp
 from .store import ModelFormatError, load_model, save_model
@@ -155,34 +155,6 @@ def train_matrix(
     )
 
 
-def train(features: list[FeatureVector], labels: list, cfg: TrainConfig) -> TrainedModel:
-    """Train from featurized segments; all vectors must share one config."""
-    if not features:
-        raise TrainingError("no feature vectors")
-    if len(features) != len(labels):
-        raise TrainingError("feature/label count mismatch")
-    config = features[0].config
-    if any(fv.config != config for fv in features):
-        raise TrainingError("mixed feature configs in training data")
-    X = np.stack([fv.values for fv in features])
-    y = np.array([label.id for label in labels], dtype=np.int64)
-    return train_matrix(X, y, cfg, feature_config=config)
-
-
-def predict_proba(model: TrainedModel, fv: FeatureVector) -> np.ndarray:
-    """Per-class probability vector for one segment's features."""
-    if fv.config != model.feature_config:
-        raise TrainingError(
-            "feature config does not match the model "
-            f"({fv.config.describe()} vs {model.feature_config.describe()})"
-        )
-    return model.predict_proba_matrix(fv.values[None, :])[0]
-
-
-def predict_label(model: TrainedModel, fv: FeatureVector) -> int:
-    return int(model.predict_labels(fv.values[None, :])[0])
-
-
 __all__ = [
     "KINDS",
     "ClassWeights",
@@ -194,10 +166,7 @@ __all__ = [
     "balanced_weights",
     "default_hyperparameters",
     "load_model",
-    "predict_label",
-    "predict_proba",
     "resolve_kind",
     "save_model",
-    "train",
     "train_matrix",
 ]

@@ -1,7 +1,6 @@
 """Balanced class weights: w_c = N / (K * n_c)."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,12 +19,6 @@ class ClassWeights:
     @property
     def total(self) -> int:
         return sum(self.counts)
-
-    def exact_identity_holds(self) -> bool:
-        """Check sum_c n_c * w_c == N in exact rational arithmetic."""
-        n = sum(self.counts)
-        k = len(self.counts)
-        return sum(c * Fraction(n, k * c) for c in self.counts) == n
 
 
 def balanced_weights(counts) -> ClassWeights:

@@ -12,13 +12,18 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 
 
-def stream_id(*parts) -> int:
-    """Stable 64-bit id for a tuple of stream label parts."""
-    digest = hashlib.sha256()
+def _digest(prefix: bytes, parts) -> int:
+    """First 8 bytes of sha256(prefix + each part followed by 0x1f), big-endian."""
+    digest = hashlib.sha256(prefix)
     for part in parts:
         digest.update(str(part).encode("utf-8"))
         digest.update(b"\x1f")
     return int.from_bytes(digest.digest()[:8], "big")
+
+
+def stream_id(*parts) -> int:
+    """Stable 64-bit id for a tuple of stream label parts."""
+    return _digest(b"", parts)
 
 
 def make_generator(seed: int, *parts) -> np.random.Generator:
@@ -28,9 +33,4 @@ def make_generator(seed: int, *parts) -> np.random.Generator:
 
 def derive_seed(seed: int, *parts) -> int:
     """A new 64-bit seed deterministically derived from (seed, parts)."""
-    digest = hashlib.sha256()
-    digest.update((int(seed) & MASK64).to_bytes(8, "big"))
-    for part in parts:
-        digest.update(str(part).encode("utf-8"))
-        digest.update(b"\x1f")
-    return int.from_bytes(digest.digest()[:8], "big")
+    return _digest((int(seed) & MASK64).to_bytes(8, "big"), parts)

@@ -112,10 +112,6 @@ class CategoryTable:
         return self._index[category]
 
 
-def map_label(table: CategoryTable, raw: str) -> int:
-    return table.map_label(raw)
-
-
 def _table_hash(fallback: str, categories: dict[str, list[str]]) -> str:
     canonical = json.dumps(
         {

@@ -327,3 +327,26 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path):
         assert proc.returncode == 1, (edit, proc.stderr)
         assert proc.stderr.startswith("error: malformed model document"), (edit, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        ("report.json", "{bad", "JSONDecodeError"),
+        ("report.json", '{"x":1}', "KeyError: 'weighted_f1'"),
+        ("report.json", "[1,2]", "TypeError"),
+        ("grid.csv", "representation,active_objects\nboth,yes\n", "ValueError"),
+    ],
+)
+def test_report_on_malformed_input_fails_legibly(tmp_path, name, content, reason):
+    path = tmp_path / name
+    path.write_text(content)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adlrec", "report", "--in", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {path} is not a report.json or grid.csv"), proc.stderr
+    assert reason in proc.stderr
+    assert "Traceback" not in proc.stderr

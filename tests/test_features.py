@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -11,10 +14,11 @@ from adlrec.features import (
     feature_names,
     featurize,
     minmax_scale_row,
-    raw_binary,
-    raw_counts,
+    raw_block,
 )
-from adlrec.synthgen import clean_genspec, generate
+from adlrec.evaluation import report_to_document, run_loso
+from adlrec.models import TrainConfig
+from adlrec.synthgen import NoiseSpec, clean_genspec, distractor_genspec, generate
 
 from helpers import box, det, frame, hoi, segment
 
@@ -30,7 +34,7 @@ def test_raw_counts_hand_summed(table):
             frame(1, objects=[det("cup"), det("spoon"), det("spoon"), det("spoon")]),
         ]
     )
-    vec = raw_counts(seg, table, use_active=False)
+    vec = raw_block(seg, table)[0]
     assert vec.shape == (29,)
     assert vec[cat(table, "drinkware")] == 3
     assert vec[cat(table, "kitchen_utensils")] == 3
@@ -39,8 +43,8 @@ def test_raw_counts_hand_summed(table):
 
 def test_raw_counts_empty_frames(table):
     seg = segment([frame(0), frame(1)])
-    assert raw_counts(seg, table, use_active=False).sum() == 0
-    assert raw_binary(seg, table, use_active=True).sum() == 0
+    assert raw_block(seg, table)[0].sum() == 0
+    assert raw_block(seg, table)[[2, 3]].ravel().sum() == 0
 
 
 def test_active_block_counts_subset(table):
@@ -51,7 +55,7 @@ def test_active_block_counts_subset(table):
             frame(1, objects=[det("cup", b=b)], hois=[hoi(b=b)]),
         ]
     )
-    vec = raw_counts(seg, table, use_active=True)
+    vec = raw_block(seg, table)[[0, 1]].ravel()
     assert vec.shape == (58,)
     drink = cat(table, "drinkware")
     assert vec[drink] == 3  # base block counts every detection
@@ -66,7 +70,7 @@ def test_raw_binary_per_frame_presence(table):
             frame(2),
         ]
     )
-    vec = raw_binary(seg, table, use_active=False)
+    vec = raw_block(seg, table)[2]
     assert vec[cat(table, "drinkware")] == 2
     assert vec[cat(table, "kitchen_utensils")] == 1
     assert vec.sum() == 3
@@ -78,7 +82,7 @@ def test_raw_binary_thirteen_frame_presence_scales_to_one(table):
         for i in range(13)
     ]
     seg = segment(frames)
-    vec = raw_binary(seg, table, use_active=False)
+    vec = raw_block(seg, table)[2]
     assert vec[cat(table, "cleaning_product")] == 13
     scaled = minmax_scale_row(vec)
     assert scaled[cat(table, "cleaning_product")] == 1.0
@@ -87,7 +91,7 @@ def test_raw_binary_thirteen_frame_presence_scales_to_one(table):
 
 def test_active_block_zero_without_hoi(table):
     seg = segment([frame(0, objects=[det("cup")])])
-    vec = raw_binary(seg, table, use_active=True)
+    vec = raw_block(seg, table)[[2, 3]].ravel()
     assert vec[29:].sum() == 0
 
 
@@ -112,9 +116,10 @@ def test_minmax_examples():
 def test_minmax_affine_invariance(values, a, b):
     x = np.array(values)
     spread = a * (x.max() - x.min())
-    # keep the row spread representable after the shift: float addition must
-    # not absorb it, or the transformed row degenerates to constant
-    assume(spread == 0.0 or spread >= 1e-3)
+    # keep the row spread representable after the transform: the product must
+    # not underflow it and float addition must not absorb it, or the
+    # transformed row degenerates to constant
+    assume(x.max() == x.min() or spread >= 1e-3)
     assert np.allclose(minmax_scale_row(a * x + b), minmax_scale_row(x), atol=1e-9)
 
 
@@ -140,9 +145,12 @@ def test_dimensions_across_configurations(table):
 def test_passive_subblock_identical_with_and_without_active(table):
     b = box(0, 0, 10, 10)
     seg = segment([frame(0, objects=[det("cup", b=b), det("spoon")], hois=[hoi(b=b)])])
-    with_active = raw_counts(seg, table, use_active=True)
-    without = raw_counts(seg, table, use_active=False)
-    assert np.array_equal(with_active[:29], without)
+    block = raw_block(seg, table)
+    assert block[1].any()  # active rows are populated; the no-active view must not read them
+    without = featurize(seg, table, FeatureConfig("counts", False, table.content_hash)).values
+    assert np.array_equal(without, minmax_scale_row(block[0]))
+    with_active = featurize(seg, table, FeatureConfig("counts", True, table.content_hash)).values
+    assert np.array_equal(with_active, minmax_scale_row(block[[0, 1]].ravel()))
 
 
 def test_both_concatenates_independently_scaled_blocks(table):
@@ -187,8 +195,9 @@ def test_scaled_values_in_unit_interval_with_max_one(table):
 
 def test_binary_bounded_by_counts_and_frames(table):
     for seg in _generated_segments(table, seed=5):
-        counts = raw_counts(seg, table, use_active=True)
-        binary = raw_binary(seg, table, use_active=True)
+        block = raw_block(seg, table)
+        counts = block[[0, 1]].ravel()
+        binary = block[[2, 3]].ravel()
         assert np.all(binary <= counts)
         assert np.all(binary <= len(seg.frames))
 
@@ -203,13 +212,7 @@ def test_frame_order_permutation_invariance(table):
         participant=seg.participant_id,
         label=seg.label,
     )
-    for use_active in (False, True):
-        assert np.array_equal(
-            raw_counts(seg, table, use_active), raw_counts(reversed_seg, table, use_active)
-        )
-        assert np.array_equal(
-            raw_binary(seg, table, use_active), raw_binary(reversed_seg, table, use_active)
-        )
+    assert np.array_equal(raw_block(seg, table), raw_block(reversed_seg, table))
 
 
 def test_feature_matrix_ordering(table):
@@ -223,3 +226,32 @@ def test_feature_matrix_ordering(table):
 def test_invalid_representation_rejected(table):
     with pytest.raises(FeatureError):
         FeatureConfig("weights", False, table.content_hash)
+
+
+# sha256 of each config's feature_matrix bytes and of one LOSO report document
+# on a noisy distractor corpus: any change in counting, marking, scaling or
+# fold row selection shows up here.
+FEATURE_PINS = {
+    "counts+no-active": "4f3433b5aaf54c1d051dbcbab5d66d0b59457d5d0545335d7280c4d903f5ea94",
+    "counts+active": "8f0e9354223ff330423da4b564903cc9a5399f94025c4fbb38f022dfa2df66a9",
+    "binary+no-active": "929845d16941d34c46866764ef4ae9b61a62a93c65960c8f30e4cb052af8630c",
+    "binary+active": "f800efcc3327a513b02f4eb1909ac04b069c705ddd4ff9986abf3d06c85d3cd4",
+    "both+no-active": "bf1a7da3bade53e4ebc87dae1d0846289658f985d883a312e9da19a39bde5be5",
+    "both+active": "5980878e5c21fc8f4a6c7feadd69cc6c77e5e090cb2193f7ba561b10b0e565ca",
+}
+REPORT_PIN = "0750e4da9a3685b816cd1f70d225b27b9186f81bbe9e9ff4e7152b9490e04359"
+
+
+def test_feature_and_report_bytes_are_pinned(table):
+    noise = NoiseSpec(drop_rate=0.1, spurious_rate=0.2, label_confusion_rate=0.05, box_jitter_px=3.0)
+    spec = distractor_genspec(
+        participants=3, segments_per_participant=7, frames_per_segment=5, seed=4, noise=noise
+    )
+    segments = generate(spec, table).segments
+    configs = all_feature_configs(table)
+    for config in configs:
+        X, _ = feature_matrix(segments, table, config)
+        assert hashlib.sha256(X.tobytes()).hexdigest() == FEATURE_PINS[config.describe()]
+    report = run_loso(segments, table, configs[-1], TrainConfig(kind="logreg", seed=3))
+    text = json.dumps(report_to_document(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_PIN

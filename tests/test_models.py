@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adlrec.features import FeatureConfig, FeatureVector
+from adlrec.features import FeatureConfig
 from adlrec.models import (
     KINDS,
     ModelFormatError,
@@ -14,18 +14,14 @@ from adlrec.models import (
     balanced_weights,
     default_hyperparameters,
     load_model,
-    predict_label,
-    predict_proba,
     resolve_kind,
     save_model,
-    train,
     train_matrix,
 )
 from adlrec.models.logreg import LogisticModel, loss_and_grad
 from adlrec.models.weights import WeightError
-from adlrec.records import SegmentKey
 from adlrec.rng import make_generator
-from adlrec.taxonomy import ADL_LABELS, PAPER_CLASS_COUNTS
+from adlrec.taxonomy import PAPER_CLASS_COUNTS
 
 from helpers import redigest
 
@@ -60,7 +56,6 @@ def test_balanced_weights_by_hand():
 def test_balanced_weights_paper_counts():
     cw = balanced_weights(PAPER_CLASS_COUNTS)
     assert abs(cw.values[0] - 1.2569) < 1e-4  # Self-Feeding: 2261 / (7 * 257)
-    assert cw.exact_identity_holds()
     assert math.fsum(n * w for n, w in zip(cw.counts, cw.values)) == cw.total
 
 
@@ -73,6 +68,9 @@ def test_logreg_separates_two_clusters():
     X, y, _ = blobs(n_classes=2, per_class=20, seed=3)
     model = train_matrix(X, y, TrainConfig(kind="logreg", seed=0), FC)
     assert (model.predict_labels(X) == y).mean() == 1.0
+    assert model.class_names == ("Self-Feeding", "Functional Mobility")
+    with pytest.raises(TrainingError, match="dimension"):
+        model.predict_proba_matrix(np.zeros((2, 3)))
 
 
 def test_training_is_byte_reproducible():
@@ -231,28 +229,6 @@ def test_training_input_validation():
         resolve_kind("svm")
     with pytest.raises(TrainingError, match="hyperparameters"):
         train_matrix(X, y, TrainConfig(kind="logreg", hyperparameters={"depth": 3}), FC)
-
-
-def test_train_from_feature_vectors_and_config_check():
-    X, y, _ = blobs(n_classes=2, per_class=10, d=58, seed=2)
-    fvs = [
-        FeatureVector(FC, SegmentKey("p", "v", i), row.astype(float))
-        for i, row in enumerate(X)
-    ]
-    labels = [ADL_LABELS[int(c)] for c in y]
-    model = train(fvs, labels, TrainConfig(kind="logreg", seed=0))
-    assert model.classes == (0, 1)
-    assert model.class_names == ("Self-Feeding", "Functional Mobility")
-    proba = predict_proba(model, fvs[0])
-    assert abs(proba.sum() - 1.0) < 1e-9
-    assert predict_label(model, fvs[0]) in (0, 1)
-    other = FeatureVector(
-        FeatureConfig("counts", False, "f" * 64), fvs[0].key, np.zeros(58)
-    )
-    with pytest.raises(TrainingError, match="config"):
-        predict_proba(model, other)
-    with pytest.raises(TrainingError, match="dimension"):
-        model.predict_proba_matrix(np.zeros((2, 3)))
 
 
 def test_stopping_reason_recorded():

@@ -12,7 +12,6 @@ from adlrec.taxonomy import (
     default_category_table,
     default_category_table_text,
     load_category_table,
-    map_label,
     paper_class_counts,
 )
 
@@ -56,9 +55,9 @@ def test_default_table_has_29_categories(table):
 
 
 def test_mapping_examples(table):
-    assert table.categories[map_label(table, "spoon")] == "kitchen_utensils"
-    assert table.categories[map_label(table, "zzz")] == "other"
-    assert table.categories[map_label(table, "drinkware")] == "drinkware"
+    assert table.categories[table.map_label("spoon")] == "kitchen_utensils"
+    assert table.categories[table.map_label("zzz")] == "other"
+    assert table.categories[table.map_label("drinkware")] == "drinkware"
 
 
 def test_many_to_one_mapping():
