@@ -421,8 +421,16 @@ def _render_report(doc: dict) -> str:
     for name, row in zip(names, doc["normalized_confusion"]):
         cells = " ".join(f"{v:.2f}" for v in row)
         out.append(f"  {name:<32} {cells}")
-    for fold in doc.get("folds", []):
-        out.append(f"  {fold['participant_id']}: F1 {fold['weighted_f1']:.2f}")
+    folds = doc.get("folds", [])
+    # reports written before folds recorded convergence have no reasons
+    reasons = [fold.get("stopping_reason") for fold in folds]
+    if folds and None not in reasons:
+        out.append(f"converged folds: {reasons.count('converged')}/{len(folds)}")
+    for fold, reason in zip(folds, reasons):
+        line = f"  {fold['participant_id']}: F1 {fold['weighted_f1']:.2f}"
+        if reason not in (None, "converged"):
+            line += f"  not converged: {reason} after {fold['iterations']} iterations"
+        out.append(line)
     return "\n".join(out) + "\n"
 
 

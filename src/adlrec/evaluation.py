@@ -96,6 +96,8 @@ class FoldResult:
     confusion: np.ndarray
     support: np.ndarray
     train_seed: int
+    iterations: int
+    stopping_reason: str
 
     @property
     def n_test(self) -> int:
@@ -173,6 +175,8 @@ def run_loso(
                 confusion=confusion_matrix(y_true, y_pred, NUM_ADL_CLASSES),
                 support=support,
                 train_seed=fold_seed,
+                iterations=int(model.metadata["iterations"]),
+                stopping_reason=model.metadata["stopping_reason"],
             )
         )
     kind, hp = train_config.resolved()
@@ -272,6 +276,8 @@ def report_to_document(report: EvaluationReport) -> dict:
                 "support": f.support.tolist(),
                 "confusion": f.confusion.tolist(),
                 "train_seed": f.train_seed,
+                "iterations": f.iterations,
+                "stopping_reason": f.stopping_reason,
             }
             for f in report.folds
         ],

@@ -1,9 +1,16 @@
 """Multinomial softmax regression with class-weighted cross-entropy.
 
 Objective: sum_i s_i * (-log p_{i, y_i}) + (l2 / 2) * ||W||^2, bias
-unpenalized, s_i the balanced weight of sample i's class. Optimized by
-full-batch gradient descent with an Armijo backtracking line search from a
-zero initialization, so training is deterministic.
+unpenalized, s_i the balanced weight of sample i's class. Minimized by
+L-BFGS (Liu & Nocedal 1989; Nocedal & Wright, Numerical Optimization,
+ch. 7) from a zero initialization: each direction comes from the two-loop
+recursion over the last MEMORY curvature pairs, and its step from an Armijo
+backtracking line search. Every operation is fixed, so training is
+deterministic.
+
+A fit stops as "converged" once max|grad| < grad_tol, as "max-iterations"
+after max_iter steps, or as "line-search-failed" when neither the L-BFGS
+direction nor the steepest-descent direction yields a decrease.
 """
 
 from dataclasses import dataclass
@@ -11,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULTS = {"l2": 1.0, "max_iter": 1000, "grad_tol": 1e-4}
+
+MEMORY = 20  # curvature pairs (s, y) kept by L-BFGS
+ARMIJO = 1e-4  # sufficient-decrease constant
+MIN_STEP = 1e-16  # the line search fails below this step length
 
 
 @dataclass
@@ -57,51 +68,94 @@ def loss_and_grad(
     return float(loss), grad_w, grad_b
 
 
+def _two_loop(grad: np.ndarray, pairs: list) -> np.ndarray:
+    """-H grad, H the L-BFGS inverse-Hessian estimate from the kept pairs."""
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, _ = pairs[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
+def _line_search(objective, theta, loss, grad, direction):
+    """Halve the step from 1 until the Armijo condition holds; None on failure.
+
+    A step must also lower the loss strictly: when t * slope falls below the
+    float resolution of the loss, the Armijo bound rounds to the loss itself
+    and would accept a step that makes no progress.
+    """
+    slope = float(grad @ direction)
+    if not slope < 0.0:
+        return None
+    step = 1.0
+    while step >= MIN_STEP:
+        cand = theta + step * direction
+        cand_loss, cand_grad = objective(cand)
+        if cand_loss < loss and cand_loss <= loss + ARMIJO * step * slope:
+            return cand, cand_loss, cand_grad
+        step *= 0.5
+    return None
+
+
 def fit_logreg(
     X: np.ndarray,
     y: np.ndarray,
     class_weight: np.ndarray,
     hp: dict,
 ) -> tuple[LogisticModel, dict]:
-    n, d = X.shape
+    d = X.shape[1]
     n_classes = len(class_weight)
     sample_weight = class_weight[y]
-    weights = np.zeros((d, n_classes))
-    bias = np.zeros(n_classes)
     l2 = float(hp["l2"])
     grad_tol = float(hp["grad_tol"])
     max_iter = int(hp["max_iter"])
 
-    loss, grad_w, grad_b = loss_and_grad(weights, bias, X, y, sample_weight, l2)
-    step = 1.0
+    # theta = (W flattened row-major, b); W and b are views into it
+    def unpack(theta):
+        return theta[: d * n_classes].reshape(d, n_classes), theta[d * n_classes :]
+
+    def objective(theta):
+        weights, bias = unpack(theta)
+        loss, grad_w, grad_b = loss_and_grad(weights, bias, X, y, sample_weight, l2)
+        return loss, np.concatenate([grad_w.ravel(), grad_b])
+
+    theta = np.zeros((d + 1) * n_classes)
+    loss, grad = objective(theta)
+    pairs: list = []
     reason = "max-iterations"
     iterations = max_iter
     for iteration in range(max_iter):
-        grad_norm = max(np.abs(grad_w).max(initial=0.0), np.abs(grad_b).max(initial=0.0))
-        if grad_norm < grad_tol:
+        if np.abs(grad).max(initial=0.0) < grad_tol:
             reason = "converged"
             iterations = iteration
             break
-        # Armijo backtracking along the negative gradient
-        sq = float((grad_w**2).sum() + (grad_b**2).sum())
-        step = min(step * 2.0, 1e6)
-        while True:
-            cand_w = weights - step * grad_w
-            cand_b = bias - step * grad_b
-            cand_loss, cand_gw, cand_gb = loss_and_grad(
-                cand_w, cand_b, X, y, sample_weight, l2
-            )
-            if cand_loss <= loss - 1e-4 * step * sq:
-                break
-            step *= 0.5
-            if step < 1e-16:
-                break
-        if step < 1e-16:
-            reason = "converged"  # no descent representable: stationary in float
+        found = None
+        if pairs:
+            found = _line_search(objective, theta, loss, grad, _two_loop(grad, pairs))
+        if found is None:
+            # no memory yet, or its direction failed: steepest descent, scaled
+            # so that the unit step moves theta by at most 1 in norm
+            pairs.clear()
+            direction = -grad / max(1.0, float(np.sqrt(grad @ grad)))
+            found = _line_search(objective, theta, loss, grad, direction)
+        if found is None:
+            reason = "line-search-failed"
             iterations = iteration
             break
-        weights, bias = cand_w, cand_b
-        loss, grad_w, grad_b = cand_loss, cand_gw, cand_gb
+        cand, cand_loss, cand_grad = found
+        s, yk = cand - theta, cand_grad - grad
+        sy = float(s @ yk)
+        if sy > 0.0:
+            pairs.append((s, yk, 1.0 / sy))
+            del pairs[:-MEMORY]
+        theta, loss, grad = cand, cand_loss, cand_grad
 
+    weights, bias = unpack(theta)
     meta = {"iterations": iterations, "stopping_reason": reason, "final_loss": loss}
     return LogisticModel(weights=weights, bias=bias), meta

@@ -12,7 +12,9 @@ One frame record per line (UTF-8 JSON object)::
 The segment manifest is CSV with header
 ``participant_id,video_id,segment_index,adl_label``. Malformed record lines
 are rejected individually and collected as diagnostics; they never affect
-neighbouring records.
+neighbouring records. A frame_index that repeats within a segment leaves its
+frames ambiguous, so that whole segment is dropped, with one diagnostic per
+repeated line; other segments are kept.
 """
 
 import csv
@@ -209,6 +211,13 @@ def parse_record_line(line: str) -> tuple[SegmentKey, FrameObservation]:
     return SegmentKey(participant, video, seg_idx), observation
 
 
+class _FrameGroup(list):
+    """One segment's frames in reading order; bit i of `seen` is set once a
+    frame with frame_index i was read (frame indices are below 60)."""
+
+    seen = 0
+
+
 def parse_records(
     stream: Iterable[str] | TextIO,
 ) -> tuple[dict[SegmentKey, list[FrameObservation]], list[Diagnostic]]:
@@ -216,10 +225,13 @@ def parse_records(
 
     Groups are ordered by key and frames by frame_index. Malformed lines are
     collected as diagnostics with 1-based line numbers; valid lines are kept.
+    A group in which a frame_index repeats is left out, and each repeated
+    line becomes a diagnostic that names the segment.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    groups: dict[SegmentKey, list[FrameObservation]] = {}
+    groups: dict[SegmentKey, _FrameGroup] = {}
+    duplicated: set[SegmentKey] = set()
     diagnostics: list[Diagnostic] = []
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
@@ -229,10 +241,26 @@ def parse_records(
         except RecordError as exc:
             diagnostics.append(Diagnostic(lineno, str(exc)))
             continue
-        groups.setdefault(key, []).append(observation)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = _FrameGroup()
+        bit = 1 << observation.frame_index
+        if group.seen & bit:
+            duplicated.add(key)
+            diagnostics.append(
+                Diagnostic(
+                    lineno,
+                    f"segment {key}: frame_index {observation.frame_index} repeated; "
+                    "segment dropped",
+                )
+            )
+            continue
+        group.seen |= bit
+        group.append(observation)
     ordered = {
         key: sorted(groups[key], key=lambda f: f.frame_index)
         for key in sorted(groups)
+        if key not in duplicated
     }
     return ordered, diagnostics
 

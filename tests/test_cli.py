@@ -257,6 +257,17 @@ def test_report_renders_both_kinds(synth_dir, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "mean weighted F1" in text
     assert "confusion" in text
+    assert "converged folds: 3/3" in text
+    doc = json.loads((out / "report.json").read_text())
+    doc["folds"][1].update(stopping_reason="max-iterations", iterations=1000)
+    (out / "unconverged.json").write_text(json.dumps(doc))
+    assert main(["report", "--in", str(out / "unconverged.json")]) == 0
+    text = capsys.readouterr().out
+    assert "converged folds: 2/3" in text
+    pid = doc["folds"][1]["participant_id"]
+    assert f"{pid}: F1 " in text
+    assert "not converged: max-iterations after 1000 iterations" in text
+    assert text.count("not converged") == 1
 
     grid_out = tmp_path / "g"
     main(
@@ -350,3 +361,26 @@ def test_report_on_malformed_input_fails_legibly(tmp_path, name, content, reason
     assert proc.stderr.startswith(f"error: {path} is not a report.json or grid.csv"), proc.stderr
     assert reason in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_duplicate_frame_index_drops_only_its_segment(tmp_path):
+    corpus = tmp_path / "c"
+    assert main(["synth", "--participants", "2", "--segments", "3", "--frames", "2",
+                 "--seed", "0", "--out", str(corpus)]) == 0
+    records = corpus / "records.jsonl"
+    lines = records.read_text().splitlines()
+    records.write_text("\n".join(lines + lines[:1]) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adlrec", "evaluate", "--records", str(records),
+         "--manifest", str(corpus / "manifest.csv"), "--model", "logreg",
+         "--out", str(tmp_path / "e")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"records.jsonl:{len(lines) + 1}: rejected record: segment " in proc.stderr
+    assert "segment dropped" in proc.stderr
+    doc = json.loads((tmp_path / "e" / "report.json").read_text())
+    assert len(doc["folds"]) == 2
+    assert sum(sum(row) for fold in doc["folds"] for row in fold["confusion"]) == 5

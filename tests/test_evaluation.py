@@ -139,6 +139,8 @@ def fake_fold(pid, score):
         confusion=np.eye(NUM_ADL_CLASSES, dtype=np.int64),
         support=np.ones(NUM_ADL_CLASSES, dtype=np.int64),
         train_seed=0,
+        iterations=0,
+        stopping_reason="converged",
     )
 
 

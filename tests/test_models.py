@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adlrec.features import FeatureConfig
+from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.models import (
     KINDS,
     ModelFormatError,
@@ -14,13 +14,15 @@ from adlrec.models import (
     balanced_weights,
     default_hyperparameters,
     load_model,
+    logreg,
     resolve_kind,
     save_model,
     train_matrix,
 )
-from adlrec.models.logreg import LogisticModel, loss_and_grad
+from adlrec.models.logreg import LogisticModel, fit_logreg, loss_and_grad
 from adlrec.models.weights import WeightError
 from adlrec.rng import make_generator
+from adlrec.synthgen import distractor_genspec, generate
 from adlrec.taxonomy import PAPER_CLASS_COUNTS
 
 from helpers import redigest
@@ -242,4 +244,57 @@ def test_stopping_reason_recorded():
     wide = train_matrix(
         X, y, TrainConfig(kind="logreg", seed=0, hyperparameters={"l2": 100.0}), FC
     )
-    assert wide.metadata["stopping_reason"] in ("converged", "max-iterations")
+    assert wide.metadata["stopping_reason"] == "converged"
+
+
+def test_failed_line_search_is_not_reported_converged(monkeypatch):
+    X, y, _ = blobs(n_classes=2, per_class=15, seed=8)
+    true_loss_and_grad = logreg.loss_and_grad
+
+    def uphill(*args):
+        loss, grad_w, grad_b = true_loss_and_grad(*args)
+        return loss, -grad_w, -grad_b  # every "descent" direction climbs
+
+    monkeypatch.setattr(logreg, "loss_and_grad", uphill)
+    model = train_matrix(X, y, TrainConfig(kind="logreg", seed=0), FC)
+    assert model.metadata["stopping_reason"] == "line-search-failed"
+    assert model.metadata["iterations"] == 0
+
+
+@pytest.fixture(scope="module")
+def distractor_fold(table):
+    """Training rows of the first LOSO fold of criterion 5's seed-0 corpus,
+    binary features without the active block: plain gradient descent stopped
+    there at max_iter=1000."""
+    spec = distractor_genspec(
+        participants=8, segments_per_participant=21, frames_per_segment=13, seed=0
+    )
+    segments = generate(spec, table).segments
+    X, keys = feature_matrix(segments, table, FeatureConfig("binary", False, table.content_hash))
+    label_of = {s.key: s.label.id for s in segments}
+    train = np.array([k.participant_id != keys[0].participant_id for k in keys])
+    _, y = np.unique([label_of[k] for k in keys], return_inverse=True)
+    class_weight = balanced_weights(np.bincount(y[train])).values
+    return X[train], y[train], class_weight
+
+
+def test_logreg_converges_on_distractor_fold(distractor_fold):
+    X, y, class_weight = distractor_fold
+    hp = default_hyperparameters("logreg")
+    model, meta = fit_logreg(X, y, class_weight, hp)
+    assert meta["stopping_reason"] == "converged"
+    assert meta["iterations"] <= 100
+    loss, grad_w, grad_b = loss_and_grad(
+        model.weights, model.bias, X, y, class_weight[y], hp["l2"]
+    )
+    assert max(np.abs(grad_w).max(), np.abs(grad_b).max()) < hp["grad_tol"]
+    assert loss == meta["final_loss"]
+
+
+def test_logreg_fit_is_byte_identical(distractor_fold):
+    X, y, class_weight = distractor_fold
+    hp = default_hyperparameters("logreg")
+    first, _ = fit_logreg(X, y, class_weight, hp)
+    second, _ = fit_logreg(X, y, class_weight, hp)
+    assert first.weights.tobytes() == second.weights.tobytes()
+    assert first.bias.tobytes() == second.bias.tobytes()

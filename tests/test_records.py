@@ -109,13 +109,20 @@ def test_assemble_full_minute():
 
 
 def test_assemble_duplicate_frame_index():
-    lines = "\n".join(record_line(frame_idx=i) for i in (0, 0, 1))
-    groups, _ = parse_records(lines)
+    groups = {SegmentKey("p1", "v1", 0): [frame(0), frame(0), frame(1)]}
     labels = load_manifest(
         "participant_id,video_id,segment_index,adl_label\np1,v1,0,Self-Feeding\n"
     )
     with pytest.raises(RecordError, match="strictly increasing"):
         assemble_segments(groups, labels)
+    # parsing drops such a group, with a diagnostic, and keeps its neighbours
+    lines = [record_line(frame_idx=i) for i in (0, 0, 1)] + [record_line(seg=1)]
+    parsed, diagnostics = parse_records("\n".join(lines))
+    assert list(parsed) == [SegmentKey("p1", "v1", 1)]
+    assert [d.line for d in diagnostics] == [2]
+    assert diagnostics[0].message == (
+        f"segment {SegmentKey('p1', 'v1', 0)}: frame_index 0 repeated; segment dropped"
+    )
 
 
 def test_assemble_training_mode_requires_labels():
