@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .evaluation import (
     EvaluationError,
+    ablation_to_document,
     confusion_matrix,
     grid_to_csv,
     normalize_rows,
@@ -58,6 +59,9 @@ from .taxonomy import (
 )
 
 DEFAULT_SEED = 1729
+
+# model kinds whose fits stop on a convergence test
+ITERATIVE_KINDS = ("logreg", "mlp")
 
 _ERRORS = (
     TaxonomyError,
@@ -366,18 +370,9 @@ def cmd_ablate(args) -> int:
         raise TrainingError("no models requested")
     cells = run_ablation(result.segments, table, kinds, args.seed)
     grid_csv = grid_to_csv(cells)
-    ablation_doc = [
-        {
-            "representation": cell.feature_config.representation,
-            "use_active": cell.feature_config.use_active,
-            "model": cell.kind,
-            "report": report_to_document(cell.report),
-        }
-        for cell in cells
-    ]
     files = {
         "grid.csv": grid_csv,
-        "ablation.json": json.dumps(ablation_doc, indent=2) + "\n",
+        "ablation.json": json.dumps(ablation_to_document(cells), indent=2) + "\n",
     }
     _write_run(
         Path(args.out),
@@ -422,9 +417,11 @@ def _render_report(doc: dict) -> str:
         cells = " ".join(f"{v:.2f}" for v in row)
         out.append(f"  {name:<32} {cells}")
     folds = doc.get("folds", [])
+    # forests and boosting build a fixed number of trees: nothing to converge
+    iterative = bool(folds) and doc["provenance"]["train_config"]["kind"] in ITERATIVE_KINDS
     # reports written before folds recorded convergence have no reasons
-    reasons = [fold.get("stopping_reason") for fold in folds]
-    if folds and None not in reasons:
+    reasons = [fold.get("stopping_reason") if iterative else None for fold in folds]
+    if iterative and None not in reasons:
         out.append(f"converged folds: {reasons.count('converged')}/{len(folds)}")
     for fold, reason in zip(folds, reasons):
         line = f"  {fold['participant_id']}: F1 {fold['weighted_f1']:.2f}"
@@ -441,7 +438,15 @@ def cmd_report(args) -> int:
             rendered = _render_grid(text)
         else:
             rendered = _render_report(json.loads(text))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (
+        ValueError,
+        KeyError,
+        TypeError,
+        AttributeError,  # a fold, or another object, that is not a JSON object
+        OverflowError,  # an integer too large to format as a float
+        RecursionError,  # JSON nested deeper than the parser's recursion limit
+        csv.Error,  # a grid field longer than the csv module's field limit
+    ) as exc:
         print(
             f"error: {args.input} is not a report.json or grid.csv "
             f"({type(exc).__name__}: {exc})",

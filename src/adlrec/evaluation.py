@@ -10,6 +10,7 @@ recorded in report provenance.
 
 import csv
 import io
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,6 +202,32 @@ class AblationCell:
     report: EvaluationReport
 
 
+def _ablation_cell(
+    segments: list[Segment],
+    table: CategoryTable,
+    seed: int,
+    hyperparameters: dict | None,
+    feature_config: FeatureConfig,
+    kind: str,
+) -> AblationCell:
+    cfg = TrainConfig(kind=kind, seed=seed, hyperparameters=dict(hyperparameters or {}))
+    report = run_loso(segments, table, feature_config, cfg)
+    return AblationCell(feature_config=feature_config, kind=cfg.resolved()[0], report=report)
+
+
+# Set once per pool worker by _init_worker; never assigned in the parent.
+_worker_inputs: tuple = ()
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_cell(task: tuple[FeatureConfig, str]) -> AblationCell:
+    return _ablation_cell(*_worker_inputs, *task)
+
+
 def run_ablation(
     segments: list[Segment],
     table: CategoryTable,
@@ -213,18 +240,37 @@ def run_ablation(
     Every cell featurizes through the same pass, which marks active objects;
     the no-active cells ignore the active rows, so their values do not
     depend on the marking.
+
+    Cells are independent (fold seeds derive from (seed, participant)), so
+    they run in a pool of one worker process per usable CPU, at most one per
+    cell; with one usable CPU they run in this process, one after another.
+    Workers are forked, so they inherit the corpus and each task carries
+    only (feature config, kind). Cells come back in grid order, so the
+    result is the same for any CPU count. If a cell raises, the cells not
+    yet started are cancelled and the first failure in grid order is
+    re-raised, as the serial loop would raise it.
     """
-    cells = []
-    for feature_config in all_feature_configs(table):
-        for kind in kinds:
-            cfg = TrainConfig(
-                kind=kind, seed=seed, hyperparameters=dict(hyperparameters or {})
-            )
-            report = run_loso(segments, table, feature_config, cfg)
-            cells.append(
-                AblationCell(feature_config=feature_config, kind=cfg.resolved()[0], report=report)
-            )
-    return cells
+    tasks = [(fc, kind) for fc in all_feature_configs(table) for kind in kinds]
+    inputs = (segments, table, seed, hyperparameters)
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers <= 1:
+        return [_ablation_cell(*inputs, *task) for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # With fork, the executor starts every worker at the first submit, before
+    # its own management thread exists, so no Python thread is forked.
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=inputs,
+    ) as pool:
+        try:
+            return list(pool.map(_worker_cell, tasks))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 GRID_HEADER = (
@@ -256,6 +302,19 @@ def grid_to_csv(cells: list[AblationCell]) -> str:
             ]
         )
     return out.getvalue()
+
+
+def ablation_to_document(cells: list[AblationCell]) -> list[dict]:
+    """JSON-ready form of the grid: each cell's config, model and full report."""
+    return [
+        {
+            "representation": cell.feature_config.representation,
+            "use_active": cell.feature_config.use_active,
+            "model": cell.kind,
+            "report": report_to_document(cell.report),
+        }
+        for cell in cells
+    ]
 
 
 def report_to_document(report: EvaluationReport) -> dict:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adlrec.cli import main
 from adlrec.features import feature_matrix
@@ -347,6 +351,11 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path):
         ("report.json", '{"x":1}', "KeyError: 'weighted_f1'"),
         ("report.json", "[1,2]", "TypeError"),
         ("grid.csv", "representation,active_objects\nboth,yes\n", "ValueError"),
+        pytest.param("report.json", '{"weighted_f1": 1' + "0" * 400 + ', "normalized_confusion": []}',
+                     "OverflowError", id="integer-too-large-for-float"),
+        pytest.param("report.json", "[" * 100_000, "RecursionError", id="deep-nesting"),
+        pytest.param("grid.csv", "representation,active_objects\n" + "x" * 200_000 + "\n",
+                     "Error: field larger than field limit", id="field-over-csv-limit"),
     ],
 )
 def test_report_on_malformed_input_fails_legibly(tmp_path, name, content, reason):
@@ -384,3 +393,159 @@ def test_duplicate_frame_index_drops_only_its_segment(tmp_path):
     doc = json.loads((tmp_path / "e" / "report.json").read_text())
     assert len(doc["folds"]) == 2
     assert sum(sum(row) for fold in doc["folds"] for row in fold["confusion"]) == 5
+
+
+def test_failing_ablation_cell_stops_the_pool_legibly(tmp_path):
+    # every participant does one ADL, so every cell's first fold trains on one class
+    corpus = tmp_path / "c"
+    assert main(["synth", "--participants", "2", "--segments", "3", "--frames", "2",
+                 "--seed", "0", "--out", str(corpus)]) == 0
+    manifest = corpus / "manifest.csv"
+    header, *rows = manifest.read_text().splitlines()
+    adl = {"p01": "Communication Management", "p02": "Home Management"}
+    manifest.write_text("\n".join(
+        [header] + [",".join(row.split(",")[:3] + [adl[row.split(",")[0]]]) for row in rows]
+    ) + "\n")
+    started = tmp_path / "started.txt"
+    # Forced onto two CPUs; forked workers inherit the patched run_loso, which
+    # logs each cell and is slow enough for the pending cells to be cancelled.
+    script = f"""
+import os, sys, time
+from adlrec import cli, evaluation
+os.sched_getaffinity = lambda pid: {{0, 1}}
+run_loso = evaluation.run_loso
+def logged(segments, table, feature_config, train_config):
+    with open({str(started)!r}, "a") as log:
+        log.write(feature_config.describe() + " " + train_config.kind + "\\n")
+    time.sleep(0.5)
+    return run_loso(segments, table, feature_config, train_config)
+evaluation.run_loso = logged
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "ablate", "--records", str(corpus / "records.jsonl"),
+         "--manifest", str(manifest), "--out", str(tmp_path / "g")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: fold 'p01': training data contains a single class\n"
+    assert not (tmp_path / "g" / "grid.csv").exists()
+    cells = started.read_text().splitlines()
+    assert "counts+no-active logreg" in cells
+    # Cells already handed to the two workers still run (7 here); the rest of
+    # the 24 are cancelled. The bound leaves room for a slow parent process.
+    assert len(cells) <= 12, cells
+
+
+def test_report_on_tree_ensemble_folds_makes_no_convergence_claim(synth_dir, tmp_path, capsys):
+    out = tmp_path / "rf"
+    assert main(["evaluate", "--records", str(synth_dir / "records.jsonl"),
+                 "--manifest", str(synth_dir / "manifest.csv"),
+                 "--model", "rf", "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "report.json").read_text())
+    assert {fold["stopping_reason"] for fold in doc["folds"]} == {"max-iterations"}
+    assert main(["report", "--in", str(out / "report.json")]) == 0
+    text = capsys.readouterr().out
+    assert "converged" not in text
+    for fold in doc["folds"]:
+        assert f"  {fold['participant_id']}: F1 {fold['weighted_f1']:.2f}\n" in text
+
+
+def test_cli_import_loads_no_process_pool():
+    code = ("import sys, adlrec.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.fixture(scope="module")
+def report_sources(tmp_path_factory):
+    """A real LOSO report.json and grid.csv to mutate, plus a scratch path."""
+    work = tmp_path_factory.mktemp("report_fuzz")
+    corpus = work / "corpus"
+    records = ["--records", str(corpus / "records.jsonl"), "--manifest", str(corpus / "manifest.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--participants", "2", "--segments", "7", "--frames", "2",
+                     "--seed", "3", "--out", str(corpus)]) == 0
+        assert main(["evaluate", *records, "--model", "mlp", "--out", str(work / "e")]) == 0
+        assert main(["ablate", *records, "--models", "logreg", "--out", str(work / "g")]) == 0
+    return {
+        "report.json": (work / "e" / "report.json").read_bytes(),
+        "grid.csv": (work / "g" / "grid.csv").read_bytes(),
+        "scratch": work,
+    }
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, path + (index,))
+
+
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _mutate_report(data, source: bytes) -> bytes:
+    doc = json.loads(source)
+    # a prefix of a random path, so whole objects and top-level keys are drawn too
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    path = path[: data.draw(st.integers(0, len(path)))]
+    if not path:
+        return json.dumps(data.draw(WRONG_TYPES)).encode()
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(WRONG_TYPES)
+    return json.dumps(doc).encode()
+
+
+def _mutate_grid(data, source: bytes) -> bytes:
+    rows = [line.split(",") for line in source.decode().splitlines()]
+    row = data.draw(st.integers(0, len(rows) - 1))
+    if data.draw(st.booleans()):
+        rows[row] = rows[row][: data.draw(st.integers(0, len(rows[row]) - 1))]
+    else:
+        column = data.draw(st.integers(0, len(rows[row]) - 1))
+        rows[row][column] = data.draw(st.text(max_size=6))
+    return "\n".join(",".join(fields) for fields in rows).encode()
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_report_on_mutated_files_exits_0_or_1_with_error_line(report_sources, data):
+    name = data.draw(st.sampled_from(["report.json", "grid.csv"]))
+    source = report_sources[name]
+    mutation = data.draw(st.sampled_from(["structure", "truncate", "non-utf8"]))
+    if mutation == "structure":
+        content = (_mutate_report if name == "report.json" else _mutate_grid)(data, source)
+    elif mutation == "truncate":
+        content = source[: data.draw(st.integers(0, len(source) - 1))]
+    else:
+        at = data.draw(st.integers(0, len(source)))
+        content = source[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + source[at:]
+    path = report_sources["scratch"] / name
+    path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--in", str(path)])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith(f"error: {path} is not a report.json or grid.csv")
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""

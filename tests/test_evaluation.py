@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from adlrec import evaluation
 from adlrec.evaluation import (
     EvaluationError,
     FoldResult,
     _aggregate,
+    ablation_to_document,
     confusion_matrix,
     grid_to_csv,
     loso_split,
@@ -18,7 +22,7 @@ from adlrec.evaluation import (
 from adlrec.features import FeatureConfig
 from adlrec.models import TrainConfig
 from adlrec.rng import make_generator
-from adlrec.synthgen import clean_genspec, generate
+from adlrec.synthgen import clean_genspec, distractor_genspec, generate
 from adlrec.taxonomy import ADL_LABELS, NUM_ADL_CLASSES
 
 from helpers import frame, segment
@@ -252,3 +256,16 @@ def test_ablation_grid_count_for_four_models(table):
         hyperparameters=None,
     )
     assert len(cells) == 24
+
+
+def test_ablation_pool_gives_the_serial_bytes(table, monkeypatch):
+    # {0, 1} forces the worker pool even on a one-CPU machine
+    spec = distractor_genspec(participants=2, segments_per_participant=5, frames_per_segment=3, seed=5)
+    segments = generate(spec, table).segments
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        cells = run_ablation(segments, table, ["logreg", "rf", "gb", "mlp"], seed=9)
+        outputs.append((grid_to_csv(cells), json.dumps(ablation_to_document(cells), indent=2)))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].strip().split("\n")) == 1 + 24
