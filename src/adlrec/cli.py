@@ -62,6 +62,9 @@ DEFAULT_SEED = 1729
 
 # model kinds whose fits stop on a convergence test
 ITERATIVE_KINDS = ("logreg", "mlp")
+# stopping reasons of a fit whose convergence test passed: logreg's gradient
+# test or the mlp's validation-loss stall
+CONVERGED_REASONS = ("converged", "early-stopped")
 
 _ERRORS = (
     TaxonomyError,
@@ -422,10 +425,11 @@ def _render_report(doc: dict) -> str:
     # reports written before folds recorded convergence have no reasons
     reasons = [fold.get("stopping_reason") if iterative else None for fold in folds]
     if iterative and None not in reasons:
-        out.append(f"converged folds: {reasons.count('converged')}/{len(folds)}")
+        converged = sum(reason in CONVERGED_REASONS for reason in reasons)
+        out.append(f"converged folds: {converged}/{len(folds)}")
     for fold, reason in zip(folds, reasons):
         line = f"  {fold['participant_id']}: F1 {fold['weighted_f1']:.2f}"
-        if reason not in (None, "converged"):
+        if reason is not None and reason not in CONVERGED_REASONS:
             line += f"  not converged: {reason} after {fold['iterations']} iterations"
         out.append(line)
     return "\n".join(out) + "\n"

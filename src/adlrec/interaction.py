@@ -2,8 +2,8 @@
 
 A detected object counts as active when its box overlaps some hand-object
 interaction box with IoU strictly greater than 0.8; exact ties stay passive.
-The rule is purely geometric: contact-state tags are ignored unless a filter
-is passed explicitly.
+The rule is purely geometric: every hoi box counts, whatever its contact-state
+tag.
 """
 
 from dataclasses import dataclass
@@ -33,21 +33,10 @@ def iou(a: Box2D, b: Box2D) -> float:
     return inter / union
 
 
-def mark_active(
-    frame: FrameObservation,
-    threshold: float = IOU_ACTIVE_THRESHOLD,
-    contact_states: frozenset[str] | None = None,
-) -> list[ActivityMark]:
-    """Mark each object active iff max IoU against hoi boxes exceeds threshold.
-
-    `contact_states`, when given, restricts which hoi boxes may confer
-    activeness; by default all hoi boxes participate.
-    """
-    hoi_boxes = [
-        h.box
-        for h in frame.hoi_objects
-        if contact_states is None or h.contact_state in contact_states
-    ]
+def mark_active(frame: FrameObservation) -> list[ActivityMark]:
+    """Mark each object active iff its max IoU against the hoi boxes exceeds
+    IOU_ACTIVE_THRESHOLD."""
+    hoi_boxes = [h.box for h in frame.hoi_objects]
     marks = []
     for index, detection in enumerate(frame.objects):
         best = 0.0
@@ -55,5 +44,5 @@ def mark_active(
             value = iou(detection.box, hoi_box)
             if value > best:
                 best = value
-        marks.append(ActivityMark(index, best > threshold, best))
+        marks.append(ActivityMark(index, best > IOU_ACTIVE_THRESHOLD, best))
     return marks

@@ -5,7 +5,7 @@ Four model kinds share one training entry point:
 * ``logreg`` — multinomial softmax regression, balanced class weights;
 * ``random_forest`` — 100 bagged weighted-Gini trees, sqrt features/split;
 * ``gradient_boosting`` — 100 stages of multinomial deviance, depth 3;
-* ``mlp`` — one 100-unit rectified hidden layer, adaptive step + early stop.
+* ``mlp`` — one 100-unit rectified hidden layer, Adam + early stop.
 
 Training is bit-reproducible for a fixed seed, and models round-trip through
 a digest-protected JSON document.

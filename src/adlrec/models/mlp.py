@@ -1,9 +1,8 @@
 """Single-hidden-layer perceptron: 100 rectified units, softmax output.
 
-Plain mini-batch SGD on unweighted cross-entropy with two schedules from the
-reference setup: the step size is divided by 5 whenever training loss fails
-to improve for two consecutive epochs, and training stops early when the
-held-out stratified validation loss stalls for `patience` epochs (the best
+Mini-batch Adam (Kingma & Ba, ICLR 2015) on unweighted cross-entropy, with
+step size `lr_init` and Adam's default moment decays. Training stops early when
+the held-out stratified validation loss stalls for `patience` epochs (the best
 validation-loss parameters are restored). The output layer starts at zero;
 hidden-layer symmetry is broken by the seeded Glorot draw.
 """
@@ -19,7 +18,6 @@ DEFAULTS = {
     "hidden": 100,
     "batch_size": 32,
     "lr_init": 1e-3,
-    "lr_shrink": 5.0,
     "tol": 1e-4,
     "patience": 10,
     "max_epochs": 200,
@@ -29,6 +27,11 @@ DEFAULTS = {
 # Below this many samples a validation split is too small to be meaningful;
 # early stopping then monitors training loss instead.
 MIN_SAMPLES_FOR_VALIDATION = 20
+
+# Adam's moment decay rates and denominator guard, as in Kingma & Ba.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
@@ -118,45 +121,36 @@ def fit_mlp(
     patience = int(hp["patience"])
     max_epochs = int(hp["max_epochs"])
 
-    best_train_loss = np.inf
-    stalled_epochs = 0
     best_val_loss = np.inf
     epochs_since_best = 0
     best_state = None
     reason = "max-iterations"
     epochs_run = max_epochs
 
+    names = ("w1", "b1", "w2", "b2")
+    first = {name: np.zeros_like(getattr(model, name)) for name in names}
+    second = {name: np.zeros_like(getattr(model, name)) for name in names}
+    step = 0
     n_train = X_train.shape[0]
     for epoch in range(max_epochs):
         order = rng.permutation(n_train)
         for start in range(0, n_train, batch_size):
             batch = order[start : start + batch_size]
             _, grads = loss_and_grads(model, X_train[batch], y_train[batch], n_classes)
-            model.w1 -= lr * grads["w1"]
-            model.b1 -= lr * grads["b1"]
-            model.w2 -= lr * grads["w2"]
-            model.b2 -= lr * grads["b2"]
-
-        train_loss = mean_cross_entropy(model, X_train, y_train)
-        if train_loss < best_train_loss - tol:
-            best_train_loss = train_loss
-            stalled_epochs = 0
-        else:
-            stalled_epochs += 1
-            if stalled_epochs >= 2:
-                lr /= float(hp["lr_shrink"])
-                stalled_epochs = 0
+            step += 1
+            # bias-corrected step size (Kingma & Ba, end of section 2)
+            rate = lr * np.sqrt(1.0 - BETA2**step) / (1.0 - BETA1**step)
+            for name, grad in grads.items():
+                first[name] = BETA1 * first[name] + (1.0 - BETA1) * grad
+                second[name] = BETA2 * second[name] + (1.0 - BETA2) * grad**2
+                param = getattr(model, name)
+                param -= rate * first[name] / (np.sqrt(second[name]) + EPSILON)
 
         val_loss = mean_cross_entropy(model, X_val, y_val)
         if val_loss < best_val_loss - tol:
             best_val_loss = val_loss
             epochs_since_best = 0
-            best_state = (
-                model.w1.copy(),
-                model.b1.copy(),
-                model.w2.copy(),
-                model.b2.copy(),
-            )
+            best_state = [getattr(model, name).copy() for name in names]
         else:
             epochs_since_best += 1
             if epochs_since_best >= patience:
@@ -170,6 +164,5 @@ def fit_mlp(
         "iterations": epochs_run,
         "stopping_reason": reason,
         "validation_used": use_validation,
-        "final_lr": lr,
     }
     return model, meta

@@ -107,6 +107,8 @@ def load_model(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"corrupted model document: {exc.msg}") from None
+    except RecursionError:
+        raise ModelFormatError("corrupted model document: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = doc.get("schema_version")

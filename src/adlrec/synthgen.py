@@ -430,6 +430,8 @@ def genspec_from_json(text: str) -> GenSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GenError(f"generator spec parse failure at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise GenError("generator spec parse failure: nested too deeply") from None
     try:
         profiles_doc = doc["adl_profiles"]
         if [p.get("adl") for p in profiles_doc] != list(ADL_NAMES):

@@ -98,12 +98,6 @@ class CategoryTable:
     def __len__(self) -> int:
         return len(self.categories)
 
-    def index_of(self, category: str) -> int:
-        try:
-            return self._index[category]
-        except KeyError:
-            raise TaxonomyError(f"unknown category: {category!r}") from None
-
     def map_label(self, raw: str) -> int:
         """Map a raw detector label to a category index. Total by design."""
         category = self.raw_map.get(raw)
@@ -151,6 +145,8 @@ def load_category_table(config_text: str) -> CategoryTable:
         raise TaxonomyError(
             f"category table parse failure at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise TaxonomyError("category table parse failure: nested too deeply") from None
     if not isinstance(doc, dict):
         raise TaxonomyError("category table document must be an object")
     categories = doc.get("categories")

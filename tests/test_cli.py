@@ -372,6 +372,52 @@ def test_report_on_malformed_input_fails_legibly(tmp_path, name, content, reason
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["evaluate", "--model", "{f}", "--records", "r.jsonl", "--manifest", "m.csv"],
+         "error: corrupted model document: nested too deeply"),
+        (["synth", "--spec", "{f}"], "error: generator spec parse failure: nested too deeply"),
+        (["synth", "--taxonomy", "{f}"],
+         "error: category table parse failure: nested too deeply"),
+    ],
+    ids=["evaluate-model", "synth-spec", "synth-taxonomy"],
+)
+def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, message):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = [a.replace("{f}", str(deep)) for a in args] + ["--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adlrec", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(message), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_report_counts_early_stopped_folds_as_converged(tmp_path, capsys):
+    def fold(pid, reason, iterations):
+        return {"participant_id": pid, "weighted_f1": 1.0, "stopping_reason": reason,
+                "iterations": iterations}
+
+    doc = {
+        "mean_weighted_f1": 1.0,
+        "std_weighted_f1": 0.0,
+        "percent_above_half": 100.0,
+        "normalized_confusion": [],
+        "provenance": {"train_config": {"kind": "mlp"}},
+        "folds": [fold("p01", "early-stopped", 90), fold("p02", "max-iterations", 200)],
+    }
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--in", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert "converged folds: 1/2" in text
+    assert "p01: F1 1.00\n" in text
+    assert "p02: F1 1.00  not converged: max-iterations after 200 iterations" in text
+
+
 def test_duplicate_frame_index_drops_only_its_segment(tmp_path):
     corpus = tmp_path / "c"
     assert main(["synth", "--participants", "2", "--segments", "3", "--frames", "2",

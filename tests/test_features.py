@@ -24,7 +24,7 @@ from helpers import box, det, frame, hoi, segment
 
 
 def cat(table, name):
-    return table.index_of(name)
+    return table.categories.index(name)
 
 
 def test_raw_counts_hand_summed(table):

@@ -122,9 +122,7 @@ def test_mark_active_shared_hoi_box():
     assert [m.active for m in marks] == [True, True]
 
 
-def test_contact_state_filter_optional():
+def test_contact_state_is_ignored():
     b = box(0, 0, 10, 10)
     f = frame(objects=[det(b=b)], hois=[hoi(b=b, contact="stationary_object")])
-    assert mark_active(f)[0].active  # default is geometry-only
-    filtered = mark_active(f, contact_states=frozenset({"portable_object"}))
-    assert not filtered[0].active
+    assert mark_active(f)[0].active  # geometry-only

@@ -1,9 +1,11 @@
 import numpy as np
 
+from adlrec.evaluation import run_loso
 from adlrec.features import FeatureConfig
 from adlrec.models import TrainConfig, train_matrix
 from adlrec.models.mlp import MlpModel, _validation_split, loss_and_grads
 from adlrec.rng import make_generator
+from adlrec.synthgen import clean_genspec, generate
 
 FC = FeatureConfig("binary", False, "m" * 64)
 
@@ -20,8 +22,8 @@ def test_mlp_learns_separable_blobs():
     X, y = blobs()
     model = train_matrix(X, y, TrainConfig(kind="mlp", seed=1), FC)
     assert (model.predict_labels(X) == y).mean() >= 0.95
-    assert model.metadata["stopping_reason"] in ("early-stopped", "max-iterations")
-    assert model.metadata["iterations"] <= 200
+    assert model.metadata["stopping_reason"] == "early-stopped"
+    assert model.metadata["iterations"] < 200
 
 
 def test_mlp_gradient_check_every_layer():
@@ -77,8 +79,9 @@ def test_tiny_datasets_skip_validation():
     assert model.metadata["validation_used"] is False
 
 
-def test_adaptive_rate_shrinks_on_plateau():
-    X, y = blobs(n_classes=2, per_class=20)
-    hp = {"max_epochs": 60, "lr_init": 1e-3}
-    model = train_matrix(X, y, TrainConfig(kind="mlp", seed=3, hyperparameters=hp), FC)
-    assert model.metadata["final_lr"] <= 1e-3
+def test_mlp_loso_separates_small_clean_corpus(table):
+    spec = clean_genspec(participants=3, segments_per_participant=14, frames_per_segment=6, seed=1)
+    corpus = generate(spec, table)
+    config = FeatureConfig("binary", True, table.content_hash)
+    report = run_loso(corpus.segments, table, config, TrainConfig(kind="mlp", seed=1729))
+    assert report.mean_weighted_f1 >= 0.99

@@ -109,7 +109,7 @@ def test_category_order_is_document_order():
     doc = json.dumps({"fallback": "z", "categories": {"z": [], "a": [], "m": []}})
     t = load_category_table(doc)
     assert t.categories == ("z", "a", "m")
-    assert t.index_of("m") == 2
+    assert t.map_label("m") == 2
 
 
 @given(st.text(max_size=40))
