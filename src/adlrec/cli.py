@@ -469,7 +469,7 @@ def _add_common_io(sub, records=True, taxonomy=True, out=True):
         sub.add_argument("--taxonomy", help="category table JSON (default: packaged table)")
     if out:
         sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root random seed")
+        sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root random seed")
 
 
 def _add_feature_flags(sub):

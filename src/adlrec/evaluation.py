@@ -206,11 +206,10 @@ def _ablation_cell(
     segments: list[Segment],
     table: CategoryTable,
     seed: int,
-    hyperparameters: dict | None,
     feature_config: FeatureConfig,
     kind: str,
 ) -> AblationCell:
-    cfg = TrainConfig(kind=kind, seed=seed, hyperparameters=dict(hyperparameters or {}))
+    cfg = TrainConfig(kind=kind, seed=seed)
     report = run_loso(segments, table, feature_config, cfg)
     return AblationCell(feature_config=feature_config, kind=cfg.resolved()[0], report=report)
 
@@ -233,7 +232,6 @@ def run_ablation(
     table: CategoryTable,
     kinds: list[str],
     seed: int,
-    hyperparameters: dict | None = None,
 ) -> list[AblationCell]:
     """All six feature configurations crossed with the requested models.
 
@@ -251,7 +249,7 @@ def run_ablation(
     re-raised, as the serial loop would raise it.
     """
     tasks = [(fc, kind) for fc in all_feature_configs(table) for kind in kinds]
-    inputs = (segments, table, seed, hyperparameters)
+    inputs = (segments, table, seed)
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers <= 1:
         return [_ablation_cell(*inputs, *task) for task in tasks]

@@ -6,15 +6,14 @@ The rule is purely geometric: every hoi box counts, whatever its contact-state
 tag.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .records import Box2D, FrameObservation
 
 IOU_ACTIVE_THRESHOLD = 0.8
 
 
-@dataclass(frozen=True)
-class ActivityMark:
+class ActivityMark(NamedTuple):
     """Activeness verdict for one object in a frame."""
 
     object_index: int

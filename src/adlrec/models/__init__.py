@@ -52,10 +52,6 @@ def resolve_kind(name: str) -> str:
         raise TrainingError(f"unknown model kind {name!r} (choose from {KINDS})") from None
 
 
-def default_hyperparameters(kind: str) -> dict:
-    return dict(_DEFAULTS[resolve_kind(kind)])
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """What to train and how; hyperparameters default per kind."""
@@ -106,7 +102,6 @@ def train_matrix(
     y: np.ndarray,
     cfg: TrainConfig,
     feature_config: FeatureConfig,
-    class_names: dict[int, str] | None = None,
 ) -> TrainedModel:
     """Train on a prepared (n, d) matrix with integer labels."""
     X = np.asarray(X, dtype=np.float64)
@@ -135,12 +130,7 @@ def train_matrix(
     else:
         params, meta = mlp.fit_mlp(X, y_local, classes.size, cfg.seed, hp)
 
-    if class_names is None:
-        names = tuple(
-            ADL_NAMES[c] if 0 <= c < len(ADL_NAMES) else str(c) for c in classes
-        )
-    else:
-        names = tuple(class_names[int(c)] for c in classes)
+    names = tuple(ADL_NAMES[c] if 0 <= c < len(ADL_NAMES) else str(c) for c in classes)
     meta = dict(meta)
     meta["seed"] = int(cfg.seed)
     return TrainedModel(
@@ -164,7 +154,6 @@ __all__ = [
     "TrainingError",
     "WeightError",
     "balanced_weights",
-    "default_hyperparameters",
     "load_model",
     "resolve_kind",
     "save_model",

@@ -16,10 +16,6 @@ class ClassWeights:
     counts: tuple[int, ...]
     values: np.ndarray
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 def balanced_weights(counts) -> ClassWeights:
     counts = tuple(int(c) for c in counts)

@@ -10,11 +10,14 @@ One frame record per line (UTF-8 JSON object)::
                       "contact_state": str, "score": float}, ...]}
 
 The segment manifest is CSV with header
-``participant_id,video_id,segment_index,adl_label``. Malformed record lines
-are rejected individually and collected as diagnostics; they never affect
-neighbouring records. A frame_index that repeats within a segment leaves its
-frames ambiguous, so that whole segment is dropped, with one diagnostic per
-repeated line; other segments are kept.
+``participant_id,video_id,segment_index,adl_label``.
+
+Record values (keys, boxes, detections, frames, diagnostics) are plain named
+tuples that check nothing when built. Outside input is validated once, by
+the parser: malformed record lines are rejected individually and collected
+as diagnostics; they never affect neighbouring records. A frame_index that
+repeats within a segment leaves its frames ambiguous, so that whole segment
+is dropped, with one diagnostic per repeated line; other segments are kept.
 """
 
 import csv
@@ -22,7 +25,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .taxonomy import AdlLabel, adl_by_name
 
@@ -35,67 +38,31 @@ class RecordError(ValueError):
     """Raised for structurally invalid records, manifests, or segments."""
 
 
-@dataclass(frozen=True, order=True)
-class SegmentKey:
+class SegmentKey(NamedTuple):
     participant_id: str
     video_id: str
     segment_index: int
 
 
-@dataclass(frozen=True)
-class Box2D:
-    """Axis-aligned pixel rectangle; x1 < x2, y1 < y2, all finite."""
+class Box2D(NamedTuple):
+    """Axis-aligned pixel rectangle; parsed boxes are finite with x1 < x2, y1 < y2."""
 
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self):
-        for v in (self.x1, self.y1, self.x2, self.y2):
-            if not math.isfinite(v):
-                raise RecordError("box coordinates must be finite")
-        if not self.x1 < self.x2:
-            raise RecordError("box violates x1 < x2")
-        if not self.y1 < self.y2:
-            raise RecordError("box violates y1 < y2")
-
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
-    def as_list(self) -> list[float]:
-        return [self.x1, self.y1, self.x2, self.y2]
 
-    @classmethod
-    def from_list(cls, values) -> "Box2D":
-        if not isinstance(values, (list, tuple)) or len(values) != 4:
-            raise RecordError("box must be a list [x1, y1, x2, y2]")
-        try:
-            coords = [float(v) for v in values]
-        except (TypeError, ValueError):
-            raise RecordError("box coordinates must be numbers") from None
-        return cls(*coords)
-
-
-def _check_score(value) -> float:
-    try:
-        score = float(value)
-    except (TypeError, ValueError):
-        raise RecordError("score must be a number") from None
-    if not 0.0 <= score <= 1.0:
-        raise RecordError(f"score {score} outside [0, 1]")
-    return score
-
-
-@dataclass(frozen=True)
-class ObjectDetection:
+class ObjectDetection(NamedTuple):
     raw_label: str
     score: float
     box: Box2D
 
 
-@dataclass(frozen=True)
-class HoiObject:
+class HoiObject(NamedTuple):
     """An object-in-contact box from the hand-interaction stream."""
 
     box: Box2D
@@ -104,19 +71,12 @@ class HoiObject:
     score: float
 
 
-@dataclass(frozen=True)
-class FrameObservation:
+class FrameObservation(NamedTuple):
     """One frame's detections at the 1 frame/second sampling grid."""
 
     frame_index: int
     objects: tuple[ObjectDetection, ...]
     hoi_objects: tuple[HoiObject, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.frame_index < MAX_FRAMES_PER_SEGMENT:
-            raise RecordError(
-                f"frame_index {self.frame_index} outside [0, {MAX_FRAMES_PER_SEGMENT})"
-            )
 
 
 @dataclass(frozen=True)
@@ -143,10 +103,35 @@ class Segment:
         return SegmentKey(self.participant_id, self.video_id, self.segment_index)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     message: str
+
+
+def _parse_box(values) -> Box2D:
+    if not isinstance(values, list) or len(values) != 4:
+        raise RecordError("box must be a list [x1, y1, x2, y2]")
+    try:
+        box = Box2D(*map(float, values))
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int beyond float range
+        raise RecordError("box coordinates must be numbers") from None
+    if not all(map(math.isfinite, box)):
+        raise RecordError("box coordinates must be finite")
+    if not box.x1 < box.x2:
+        raise RecordError("box violates x1 < x2")
+    if not box.y1 < box.y2:
+        raise RecordError("box violates y1 < y2")
+    return box
+
+
+def _check_score(value) -> float:
+    try:
+        score = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise RecordError("score must be a number") from None
+    if not 0.0 <= score <= 1.0:
+        raise RecordError(f"score {score} outside [0, 1]")
+    return score
 
 
 def _parse_object(obj) -> ObjectDetection:
@@ -155,11 +140,7 @@ def _parse_object(obj) -> ObjectDetection:
     label = obj.get("label")
     if not isinstance(label, str):
         raise RecordError("object label must be a string")
-    return ObjectDetection(
-        raw_label=label,
-        score=_check_score(obj.get("score")),
-        box=Box2D.from_list(obj.get("box")),
-    )
+    return ObjectDetection(label, _check_score(obj.get("score")), _parse_box(obj.get("box")))
 
 
 def _parse_hoi(obj) -> HoiObject:
@@ -171,12 +152,8 @@ def _parse_hoi(obj) -> HoiObject:
     contact_state = obj.get("contact_state", "")
     if not isinstance(contact_state, str):
         raise RecordError("contact_state must be a string")
-    return HoiObject(
-        box=Box2D.from_list(obj.get("box")),
-        hand_side=hand_side,
-        contact_state=contact_state,
-        score=_check_score(obj.get("score")),
-    )
+    box = _parse_box(obj.get("box"))
+    return HoiObject(box, hand_side, contact_state, _check_score(obj.get("score")))
 
 
 def parse_record_line(line: str) -> tuple[SegmentKey, FrameObservation]:
@@ -185,6 +162,8 @@ def parse_record_line(line: str) -> tuple[SegmentKey, FrameObservation]:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise RecordError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise RecordError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise RecordError("record must be a JSON object")
     participant = doc.get("participant_id")
@@ -203,12 +182,11 @@ def parse_record_line(line: str) -> tuple[SegmentKey, FrameObservation]:
     hoi_objects = doc.get("hoi_objects", [])
     if not isinstance(objects, list) or not isinstance(hoi_objects, list):
         raise RecordError("objects and hoi_objects must be lists")
-    observation = FrameObservation(
-        frame_index=frame_idx,
-        objects=tuple(_parse_object(o) for o in objects),
-        hoi_objects=tuple(_parse_hoi(h) for h in hoi_objects),
-    )
-    return SegmentKey(participant, video, seg_idx), observation
+    detections = tuple(map(_parse_object, objects))
+    hois = tuple(map(_parse_hoi, hoi_objects))
+    if not 0 <= frame_idx < MAX_FRAMES_PER_SEGMENT:
+        raise RecordError(f"frame_index {frame_idx} outside [0, {MAX_FRAMES_PER_SEGMENT})")
+    return SegmentKey(participant, video, seg_idx), FrameObservation(frame_idx, detections, hois)
 
 
 class _FrameGroup(list):
@@ -273,12 +251,12 @@ def serialize_frame(key: SegmentKey, frame: FrameObservation) -> str:
         "segment_index": key.segment_index,
         "frame_index": frame.frame_index,
         "objects": [
-            {"label": o.raw_label, "score": o.score, "box": o.box.as_list()}
+            {"label": o.raw_label, "score": o.score, "box": list(o.box)}
             for o in frame.objects
         ],
         "hoi_objects": [
             {
-                "box": h.box.as_list(),
+                "box": list(h.box),
                 "hand_side": h.hand_side,
                 "contact_state": h.contact_state,
                 "score": h.score,
@@ -376,8 +354,6 @@ def assemble_segments(
     segments: list[Segment] = []
     missing: list[SegmentKey] = []
     for key, frames in groups.items():
-        if not frames:
-            raise RecordError(f"segment {key} has zero valid frames")
         label = labels.get(key)
         if label is None and require_labels:
             missing.append(key)

@@ -65,9 +65,6 @@ class ClassCounts:
     def total(self) -> int:
         return sum(self.counts)
 
-    def count(self, adl_name: str) -> int:
-        return self.counts[adl_by_name(adl_name).id]
-
 
 def paper_class_counts() -> ClassCounts:
     """The source-corpus class mix fixture (sums to 2261)."""

@@ -89,6 +89,9 @@ def test_ingest_validate(synth_dir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "rejected records: 1" in captured.out
     assert "rejected record" in captured.err
+    # it draws no randomness and writes no manifest, so it takes no seed
+    with pytest.raises(SystemExit):
+        main(["ingest-validate", "--records", str(broken), "--seed", "0"])
 
 
 def feature_header(path: Path):

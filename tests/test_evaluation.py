@@ -248,13 +248,7 @@ def test_ablation_grid_count_for_four_models(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=3, seed=1)
     segments = generate(spec, table).segments
     kinds = ["logreg", "rf", "gb", "mlp"]
-    cells = run_ablation(
-        segments,
-        table,
-        kinds,
-        seed=2,
-        hyperparameters=None,
-    )
+    cells = run_ablation(segments, table, kinds, seed=2)
     assert len(cells) == 24
 
 

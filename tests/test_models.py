@@ -12,7 +12,6 @@ from adlrec.models import (
     TrainedModel,
     TrainingError,
     balanced_weights,
-    default_hyperparameters,
     load_model,
     logreg,
     resolve_kind,
@@ -58,7 +57,7 @@ def test_balanced_weights_by_hand():
 def test_balanced_weights_paper_counts():
     cw = balanced_weights(PAPER_CLASS_COUNTS)
     assert abs(cw.values[0] - 1.2569) < 1e-4  # Self-Feeding: 2261 / (7 * 257)
-    assert math.fsum(n * w for n, w in zip(cw.counts, cw.values)) == cw.total
+    assert math.fsum(n * w for n, w in zip(cw.counts, cw.values)) == sum(cw.counts)
 
 
 def test_balanced_weights_zero_count_rejected():
@@ -124,7 +123,7 @@ def test_zero_weight_logreg_is_uniform():
         class_names=("a", "b", "c", "d"),
         feature_dim=6,
         feature_config=FC,
-        hyperparameters=default_hyperparameters("logreg"),
+        hyperparameters=dict(logreg.DEFAULTS),
         params=LogisticModel(weights=np.zeros((6, 4)), bias=np.zeros(4)),
         metadata={},
     )
@@ -280,7 +279,7 @@ def distractor_fold(table):
 
 def test_logreg_converges_on_distractor_fold(distractor_fold):
     X, y, class_weight = distractor_fold
-    hp = default_hyperparameters("logreg")
+    hp = dict(logreg.DEFAULTS)
     model, meta = fit_logreg(X, y, class_weight, hp)
     assert meta["stopping_reason"] == "converged"
     assert meta["iterations"] <= 100
@@ -293,7 +292,7 @@ def test_logreg_converges_on_distractor_fold(distractor_fold):
 
 def test_logreg_fit_is_byte_identical(distractor_fold):
     X, y, class_weight = distractor_fold
-    hp = default_hyperparameters("logreg")
+    hp = dict(logreg.DEFAULTS)
     first, _ = fit_logreg(X, y, class_weight, hp)
     second, _ = fit_logreg(X, y, class_weight, hp)
     assert first.weights.tobytes() == second.weights.tobytes()

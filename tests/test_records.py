@@ -2,6 +2,7 @@ import pytest
 
 from adlrec.records import (
     Box2D,
+    Diagnostic,
     RecordError,
     SegmentKey,
     assemble_segments,
@@ -69,13 +70,73 @@ def test_frame_index_bounds_and_score_bounds():
 
 
 def test_box_invariants():
-    with pytest.raises(RecordError):
-        Box2D(0, 0, 0, 5)
-    with pytest.raises(RecordError):
-        Box2D(0, 5, 10, 5)
-    with pytest.raises(RecordError):
-        Box2D(0, 0, float("inf"), 5)
+    for bad, message in [
+        ((0, 0, 0, 5), "box violates x1 < x2"),
+        ((0, 5, 10, 5), "box violates y1 < y2"),
+        ((0, 0, float("inf"), 5), "box coordinates must be finite"),  # JSON token Infinity
+    ]:
+        groups, diags = parse_records(record_line(objects=[("cup", 0.9, bad)]))
+        assert groups == {}
+        assert diags == [Diagnostic(1, message)]
     assert Box2D(0, 0, 4, 5).area() == 20
+
+
+def _bad_box(box: str) -> str:
+    """A record line whose one object has the JSON text `box` as its box."""
+    return record_line(objects=[("cup", 0.9, (0, 0, 1, 1))]).replace("[0, 0, 1, 1]", box)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (_bad_box("5"), "box must be a list [x1, y1, x2, y2]"),
+        (_bad_box("[0, 0, 1]"), "box must be a list [x1, y1, x2, y2]"),
+        (_bad_box('[0, "a", 1, 1]'), "box coordinates must be numbers"),
+        (_bad_box("[0, 0, NaN, 1]"), "box coordinates must be finite"),
+        (record_line(objects=[("cup", 1.5, (0, 0, 1, 1))]), "score 1.5 outside [0, 1]"),
+        (record_line(objects=[("cup", -0.1, (0, 0, 1, 1))]), "score -0.1 outside [0, 1]"),
+        (record_line(objects=[("cup", "x", (0, 0, 1, 1))]), "score must be a number"),
+        (record_line(frame_idx=60), "frame_index 60 outside [0, 60)"),
+        (record_line(frame_idx=-1), "frame_index -1 outside [0, 60)"),
+        (
+            record_line(frame_idx=60, hois=[((5, 0, 1, 1), "left", "contact", 0.5)]),
+            "box violates x1 < x2",
+        ),
+    ],
+    ids=[
+        "box-not-a-list",
+        "box-three-items",
+        "box-string-coordinate",
+        "box-nan",
+        "score-above-one",
+        "score-below-zero",
+        "score-not-a-number",
+        "frame-index-60",
+        "frame-index-negative",
+        "frame-index-60-and-bad-box",
+    ],
+)
+def test_rejected_record_messages(line, message):
+    groups, diags = parse_records(line)
+    assert groups == {}
+    assert diags == [Diagnostic(1, message)]
+
+
+def test_unreadable_numbers_and_nesting_reject_only_their_line():
+    good = record_line(frame_idx=0)
+    huge = str(10**400)  # a JSON integer that no float can hold
+    bad = [
+        _bad_box(f"[0, 0, 1, {huge}]"),
+        record_line(frame_idx=1, objects=[("cup", 0.5, (0, 0, 1, 1))]).replace("0.5", huge),
+        "[" * 100_000,
+    ]
+    groups, diags = parse_records("\n".join([good, *bad]))
+    assert [f.frame_index for f in groups[SegmentKey("p1", "v1", 0)]] == [0]
+    assert diags == [
+        Diagnostic(2, "box coordinates must be numbers"),
+        Diagnostic(3, "score must be a number"),
+        Diagnostic(4, "invalid JSON: nested too deeply"),
+    ]
 
 
 def test_manifest_lookup_and_errors():

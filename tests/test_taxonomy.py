@@ -39,9 +39,9 @@ def test_paper_class_counts_fixture():
     counts = paper_class_counts()
     assert counts.counts == (257, 207, 172, 428, 407, 625, 165)
     assert counts.total() == 2261
-    assert counts.count("Meal Preparation and Cleanup") == 625
-    assert counts.count("Leisure & Other Activities") == 165
-    assert counts.count("Self-Feeding") == 257
+    assert counts.counts[adl_by_name("Meal Preparation and Cleanup").id] == 625
+    assert counts.counts[adl_by_name("Leisure & Other Activities").id] == 165
+    assert counts.counts[adl_by_name("Self-Feeding").id] == 257
 
 
 def test_default_table_has_29_categories(table):
