@@ -121,7 +121,8 @@ def _load_table(args):
 
 def _load_segments(args, require_labels=True):
     inputs = [Path(args.records)]
-    with open(args.records, encoding="utf-8") as record_stream:
+    # a records line that is not UTF-8 becomes one rejected-record diagnostic
+    with open(args.records, encoding="utf-8", errors="surrogateescape") as record_stream:
         manifest_stream = None
         if getattr(args, "manifest", None):
             inputs.append(Path(args.manifest))
@@ -132,6 +133,8 @@ def _load_segments(args, require_labels=True):
             result, diagnostics = load_corpus(
                 record_stream, manifest_stream, require_labels=require_labels
             )
+        except UnicodeDecodeError:
+            raise RecordError(f"manifest {args.manifest} is not valid UTF-8") from None
         finally:
             if manifest_stream is not None:
                 manifest_stream.close()

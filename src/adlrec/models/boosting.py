@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logreg import softmax
-from .tree import Tree, build_regression_tree
+from .tree import Tree, build_regression_tree, presort
 
 DEFAULTS = {
     "n_stages": 100,
@@ -51,6 +51,8 @@ def fit_boosting(
     min_split = int(hp["min_samples_split"])
     factor = (n_classes - 1) / n_classes
 
+    # every tree of the fit grows on X, so its columns are sorted once
+    presorted = presort(X)
     stages: list[list[Tree]] = []
     for _ in range(n_stages):
         proba = softmax(raw)
@@ -58,18 +60,23 @@ def fit_boosting(
         stage: list[Tree] = []
         for c in range(n_classes):
             tree, leaf_of = build_regression_tree(
-                X, residual[:, c], max_depth=max_depth, min_samples_split=min_split
+                X, residual[:, c], presorted, max_depth=max_depth, min_samples_split=min_split
             )
             # Newton step per leaf replaces the squared-error means
             r = residual[:, c]
             denom_terms = np.abs(r) * (1.0 - np.abs(r))
-            for leaf in np.unique(leaf_of):
-                members = leaf_of == leaf
-                denom = denom_terms[members].sum()
+            # rows grouped by leaf, in row order within each leaf, so each
+            # slice sums the same values in the same order as a mask would
+            by_leaf = np.argsort(leaf_of, kind="stable")
+            leaves = leaf_of[by_leaf]
+            bounds = [0, *(np.flatnonzero(leaves[1:] != leaves[:-1]) + 1).tolist(), n]
+            r_by_leaf, denom_by_leaf = r[by_leaf], denom_terms[by_leaf]
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                denom = denom_by_leaf[start:stop].sum()
                 if denom < 1e-150:
-                    tree.value[leaf, 0] = 0.0
+                    tree.value[leaves[start], 0] = 0.0
                 else:
-                    tree.value[leaf, 0] = factor * r[members].sum() / denom
+                    tree.value[leaves[start], 0] = factor * r_by_leaf[start:stop].sum() / denom
             raw[:, c] += lr * tree.value[leaf_of, 0]
             stage.append(tree)
         stages.append(stage)

@@ -7,15 +7,26 @@ memory a leaf is its own left and right child, so `apply` can move every
 row one level per step for `depth` steps with no per-row work and no
 recursion; documents store -1 there instead.
 
-Both tree kinds share one exact split kernel, `_best_split`: it sorts a
-node's candidate columns once, takes prefix sums of per-row statistics along
-each sorted order (weighted class one-hots and weights for Gini, target and
-squared target for squared error), and scores every cut between consecutive
-distinct values at once. Candidate thresholds are the midpoints between
-those values; ties go to the lowest feature index, then the lowest threshold.
+Both tree kinds share one exact split kernel, `_best_split`. It takes a
+node's rows in each candidate column's sorted order, stored column-major as a
+`Presort` (k, m), takes prefix sums of per-row statistics along each order
+(weighted class one-hots and weights for Gini, target and squared target for
+squared error), and scores every cut between consecutive distinct values at
+once. Candidate thresholds are the midpoints between those values; ties go to
+the lowest feature index, then the lowest threshold (`_pick_best`).
+
+The orders come from stable sorts. Gradient boosting grows every tree of a
+fit on one matrix, so `presort` sorts its columns once per fit: the root reads
+that presort directly, and every other node filters it with a boolean mask of
+its rows (`Presort.subset`). Node rows are ascending and a stable sort breaks
+ties by row id, so the filter equals a fresh stable sort of the node and the
+scores stay bit-identical. Random-forest trees each grow on their own
+bootstrap rows, so a classification node sorts its candidate columns itself.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,6 +157,35 @@ class _Growth:
         )
 
 
+class Presort(NamedTuple):
+    """Rows of a matrix in each column's sorted order, stored column-major.
+
+    `rows[j]` lists row ids in stable ascending order of column j, and
+    `values[j]` those rows' values in column j: both (columns, rows).
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def subset(self, member: np.ndarray) -> "Presort":
+        """The same orders restricted to the rows where `member`, (n,) by row
+        id, is True.
+
+        Filtering keeps each column's order, and a stable sort breaks ties by
+        row id, so this equals a fresh stable sort of the member rows.
+        """
+        keep = np.flatnonzero(member[self.rows])
+        k = len(self.rows)
+        return Presort(self.rows.take(keep).reshape(k, -1), self.values.take(keep).reshape(k, -1))
+
+
+def presort(X: np.ndarray) -> Presort:
+    """Stable sort of every column of X, (n, d), once."""
+    columns = X.T
+    rows = np.argsort(columns, axis=1, kind="stable")
+    return Presort(rows, np.take_along_axis(columns, rows, axis=1))
+
+
 def _pick_best(
     scores: np.ndarray,
     sorted_vals: np.ndarray,
@@ -154,19 +194,25 @@ def _pick_best(
 ) -> tuple[int, float] | None:
     """Lexicographic (score, feature index, threshold) minimum over columns.
 
-    Column j holds feature `features[j]`; feature indices are distinct, so
-    the threshold only ranks cuts within a column, where the lowest cut of
-    equal score wins. None when no column has a finite valid score.
+    Column j of `scores` and `valid`, (m-1, k), and of `sorted_vals`, (m, k),
+    holds feature `features[j]`, in any order. Feature indices are distinct,
+    so the threshold only ranks cuts within a column, where the lowest cut of
+    equal score wins. A column whose best valid score is not finite (NaN
+    among them, or -inf) never wins. None when no column has a finite valid
+    score.
     """
-    masked = np.where(valid, scores, np.inf)
-    cut = np.argmin(masked, axis=0)
-    column_best = masked[cut, np.arange(cut.size)]
-    finite = np.isfinite(column_best)
-    if not finite.any():
-        return None
-    tied = np.flatnonzero(column_best == column_best[finite].min())
-    j = tied[np.argmin(features[tied])]
-    lower, upper = sorted_vals[cut[j], j], sorted_vals[cut[j] + 1, j]
+    by_feature = np.argsort(features)
+    masked = np.where(valid, scores, np.inf).T[by_feature]  # (k, m-1), features ascending
+    # the first minimum in row-major order: lowest feature, then lowest cut
+    row, cut = divmod(int(np.argmin(masked)), masked.shape[1])
+    if not math.isfinite(masked[row, cut]):
+        # argmin stops at a NaN or -inf: drop every column holding one, look again
+        masked[~np.isfinite(masked.min(axis=1))] = np.inf
+        row, cut = divmod(int(np.argmin(masked)), masked.shape[1])
+        if not math.isfinite(masked[row, cut]):
+            return None
+    j = by_feature[row]
+    lower, upper = sorted_vals[cut, j], sorted_vals[cut + 1, j]
     threshold = 0.5 * (lower + upper)
     # midpoint can collapse onto the upper value in float; fall back to
     # the lower value so the <= test still separates the two sides
@@ -175,30 +221,30 @@ def _pick_best(
     return int(features[j]), float(threshold)
 
 
-def _best_split(cols: np.ndarray, features: np.ndarray, stats: tuple, score):
+def _best_split(node: Presort, features: np.ndarray, stats: tuple, score):
     """Best (feature, threshold) of one node, or None.
 
-    `cols` (m, k) holds the node's candidate columns and each array in
-    `stats` one per-row statistic, (m, ...). `score` maps the statistics'
-    prefix sums along each column's sorted order, (m, k, ...), to the cost of
-    cutting after each row, (m-1, k).
+    Row j of `node` holds candidate feature `features[j]`: the node's row ids
+    in that column's sorted order and their values, (k, m). Each array in
+    `stats` holds one statistic per row id, (n, ...). `score` maps their
+    prefix sums along each sorted order, (k, m, ...), to the cost of cutting
+    after each position, (k, m-1).
     """
-    order = np.argsort(cols, axis=0, kind="stable")
-    sorted_vals = cols[order, np.arange(cols.shape[1])]
-    scores = score(*(np.cumsum(stat[order], axis=0) for stat in stats))
-    return _pick_best(scores, sorted_vals, sorted_vals[:-1] < sorted_vals[1:], features)
+    scores = score(*[np.cumsum(stat[node.rows], axis=1) for stat in stats])
+    vals = node.values
+    return _pick_best(scores.T, vals.T, (vals[:, :-1] < vals[:, 1:]).T, features)
 
 
 def _gini_scores(cum: np.ndarray, cum_weight: np.ndarray, total_weight: float) -> np.ndarray:
     """Weighted sum of child Gini impurities from prefix sums of weighted
-    class one-hots, (m, k, K), and of row weights, (m, k).
+    class one-hots, (k, m, K), and of row weights, (k, m).
 
     Reductions over the class axis go through sorted values so that scores
     (and hence tree structure) are exactly label-permutation-equivariant.
     """
-    left = cum[:-1]
-    right = cum[-1] - left
-    wl = cum_weight[:-1]
+    left = cum[:, :-1]
+    right = cum[:, -1:] - left
+    wl = cum_weight[:, :-1]
     wr = total_weight - wl
     with np.errstate(divide="ignore", invalid="ignore"):
         gini_l = wl - np.sort(left**2, axis=2).sum(axis=2) / wl  # wl * gini(left)
@@ -207,13 +253,15 @@ def _gini_scores(cum: np.ndarray, cum_weight: np.ndarray, total_weight: float) -
 
 
 def _sse_scores(csum: np.ndarray, csqr: np.ndarray) -> np.ndarray:
-    """Total child sum of squared errors from prefix sums of target and target**2."""
-    counts_l = np.arange(1, csum.shape[0], dtype=np.float64)[:, None]
-    counts_r = csum.shape[0] - counts_l
-    sum_l = csum[:-1]
-    sum_r = csum[-1] - sum_l
-    sse_l = csqr[:-1] - sum_l**2 / counts_l
-    sse_r = (csqr[-1] - csqr[:-1]) - sum_r**2 / counts_r
+    """Total child sum of squared errors from prefix sums of target and
+    target**2, (k, m)."""
+    m = csum.shape[1]
+    counts_l = np.arange(1, m, dtype=np.float64)
+    counts_r = m - counts_l
+    sum_l = csum[:, :-1]
+    sum_r = csum[:, -1:] - sum_l
+    sse_l = csqr[:, :-1] - sum_l**2 / counts_l
+    sse_r = (csqr[:, -1:] - csqr[:, :-1]) - sum_r**2 / counts_r
     return sse_l + sse_r
 
 
@@ -241,8 +289,7 @@ def build_classification_tree(
     stack = [(0, np.arange(n))]
     while stack:
         node, idx = stack.pop()
-        woh = weighted_onehot[idx]
-        class_totals = woh.sum(axis=0)
+        class_totals = weighted_onehot[idx].sum(axis=0)
         growth.value[node] = class_totals / class_totals.sum()
         if np.count_nonzero(class_totals) <= 1 or idx.size < min_samples_split:
             continue
@@ -253,12 +300,14 @@ def build_classification_tree(
         candidates = perm[varies[perm]][:max_features]
         if not candidates.size:
             continue
-        weight = sample_weight[idx]
-        total_weight = float(weight.sum())
+        # each tree grows on its own bootstrap rows, so nodes sort their
+        # candidate columns here rather than filter a presort
+        rows = idx[np.argsort(Xn[:, candidates].T, axis=1, kind="stable")]
+        total_weight = float(sample_weight[idx].sum())
         best = _best_split(
-            Xn[:, candidates],
+            Presort(rows, X[rows, candidates[:, None]]),
             candidates,
-            (woh, weight),
+            (weighted_onehot, sample_weight),
             lambda cum, cum_weight: _gini_scores(cum, cum_weight, total_weight),
         )
         if best is None:
@@ -275,37 +324,41 @@ def build_classification_tree(
 def build_regression_tree(
     X: np.ndarray,
     target: np.ndarray,
+    presorted: Presort,
     max_depth: int,
     min_samples_split: int = 2,
 ) -> tuple[Tree, np.ndarray]:
     """Depth-capped squared-error tree over all features.
 
+    `presorted` is `presort(X)`; every tree grown on X can share it.
     Returns the tree and each training row's leaf id (for leaf re-estimation).
     """
     n, d = X.shape
     features = np.arange(d)
-    squared = target**2
+    stats = (target, target**2)
     growth = _Growth(n, 1)
     leaf_of = np.zeros(n, dtype=np.int64)
-    stack = [(0, np.arange(n), 0)]
+    # a node's rows, its parent's sorted rows, and its depth
+    stack = [(0, np.ones(n, dtype=bool), presorted, 0)]
     while stack:
-        node, idx, depth = stack.pop()
-        values = target[idx]
-        growth.value[node, 0] = np.add.reduce(values) / values.size  # == values.mean()
+        node, member, within, depth = stack.pop()
+        values = target[member]
         best = None
         if (
             depth < max_depth
-            and idx.size >= min_samples_split
+            and values.size >= min_samples_split
             and values.min() != values.max()
         ):
-            Xn = X[idx]
-            best = _best_split(Xn, features, (values, squared[idx]), _sse_scores)
+            # the root reads the presort; any other node filters its parent's
+            rows = within if node == 0 else within.subset(member)
+            best = _best_split(rows, features, stats, _sse_scores)
         if best is None:
-            leaf_of[idx] = node
+            growth.value[node, 0] = np.add.reduce(values) / values.size  # == values.mean()
+            leaf_of[member] = node
             continue
         feat, threshold = best
-        mask = Xn[:, feat] <= threshold
+        left_member = member & (X[:, feat] <= threshold)
         left, right = growth.split(node, feat, threshold)
-        stack.append((right, idx[~mask], depth + 1))
-        stack.append((left, idx[mask], depth + 1))
+        stack.append((right, member ^ left_member, rows, depth + 1))
+        stack.append((left, left_member, rows, depth + 1))
     return growth.tree(), leaf_of

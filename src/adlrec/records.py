@@ -157,7 +157,16 @@ def _parse_hoi(obj) -> HoiObject:
 
 
 def parse_record_line(line: str) -> tuple[SegmentKey, FrameObservation]:
-    """Parse one frame record; raises RecordError on any invariant violation."""
+    """Parse one frame record; raises RecordError on any invariant violation.
+
+    Bytes that are not UTF-8 reach here as lone surrogates when the stream
+    was opened with errors="surrogateescape"; such a line is rejected.
+    """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise RecordError("line is not valid UTF-8") from None
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:

@@ -88,6 +88,15 @@ def reference_pick_best(scores, sorted_vals, valid, candidates):
     return best[1], best[2]
 
 
+def reference_node_order(X, idx):
+    """Rows `idx` (ascending) of X in each column's stable sorted order, and
+    their values, both (columns, rows): the per-node sort that a presort's
+    filter replaces."""
+    order = np.argsort(X[idx], axis=0, kind="stable")
+    rows = idx[order]
+    return rows.T, X[rows, np.arange(X.shape[1])].T
+
+
 def reference_apply(tree, X):
     """Leaf id of each row, walking the tree one row at a time."""
     out = np.empty(X.shape[0], dtype=np.int64)

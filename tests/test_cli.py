@@ -94,6 +94,28 @@ def test_ingest_validate(synth_dir, tmp_path, capsys):
         main(["ingest-validate", "--records", str(broken), "--seed", "0"])
 
 
+def test_ingest_validate_rejects_lines_that_are_not_utf8(synth_dir, tmp_path, capsys):
+    lines = (synth_dir / "records.jsonl").read_bytes().splitlines(keepends=True)
+    broken = tmp_path / "broken.jsonl"
+    broken.write_bytes(b"\xff\xfe" + lines[0] + b"".join(lines[1:3]) + b'{"x": "\xc3"}\n' + b"".join(lines[3:]))
+    manifest = str(synth_dir / "manifest.csv")
+    code = main(["ingest-validate", "--records", str(broken), "--manifest", manifest])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"valid records: {len(lines) - 1}  rejected records: 2" in captured.out
+    assert captured.err.splitlines() == [
+        f"{broken}:1: rejected record: line is not valid UTF-8",
+        f"{broken}:4: rejected record: line is not valid UTF-8",
+    ]
+
+    bad_manifest = tmp_path / "manifest.csv"
+    bad_manifest.write_bytes((synth_dir / "manifest.csv").read_bytes() + b"p\xff,v,0,x\n")
+    code = main(["ingest-validate", "--records", str(synth_dir / "records.jsonl"),
+                 "--manifest", str(bad_manifest)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: manifest {bad_manifest} is not valid UTF-8\n"
+
+
 def feature_header(path: Path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# adlrec-features")

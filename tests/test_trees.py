@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from adlrec.cli import main
 from adlrec.features import FeatureConfig
 from adlrec.models import TrainConfig, train_matrix, tree as tree_module
-from adlrec.models.tree import Tree, build_classification_tree, build_regression_tree
+from adlrec.models.tree import Tree, build_classification_tree, build_regression_tree, presort
 from adlrec.rng import make_generator
 
-from helpers import reference_apply, reference_pick_best
+from helpers import reference_apply, reference_node_order, reference_pick_best
 
 FC = FeatureConfig("counts", False, "t" * 64)
 ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -26,7 +26,7 @@ SCORES = [-0.0, 0.0, 0.5, 1.0, 2.0, np.inf, np.nan]
 def test_regression_tree_fits_step_function():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     target = np.array([0.0, 0.0, 5.0, 5.0])
-    tree, leaf_of = build_regression_tree(X, target, max_depth=1)
+    tree, leaf_of = build_regression_tree(X, target, presort(X), max_depth=1)
     assert tree.feature[0] == 0
     assert 1.0 <= tree.threshold[0] < 2.0
     pred = tree.predict_value(X)[:, 0]
@@ -38,7 +38,7 @@ def test_regression_tree_respects_depth_cap():
     rng = make_generator(0, "reg")
     X = rng.normal(size=(50, 3))
     target = rng.normal(size=50)
-    tree, _ = build_regression_tree(X, target, max_depth=2)
+    tree, _ = build_regression_tree(X, target, presort(X), max_depth=2)
     # depth <= 2 means at most 3 internal nodes + 4 leaves
     assert len(tree.feature) <= 7
 
@@ -120,24 +120,43 @@ def test_boosting_prior_initialization():
     assert np.allclose(proba, [[0.7, 0.3]])
 
 
-def test_saved_tree_models_are_pinned(tmp_path):
-    # sha256 of model.json as written by `adlrec train`; any change to what
-    # the split search picks, or to how trees serialize, moves these bytes.
-    # Pinned with numpy 2.4 on x86-64 Linux; a different numpy or libm may
-    # round exp/log differently and move them without a code change.
+def assert_saved_models_pinned(tmp_path, synth_args, pinned):
     corpus = tmp_path / "corpus"
-    assert main(["synth", "--preset", "distractor", "--participants", "3", "--segments", "14",
-                 "--frames", "6", "--seed", "11", "--out", str(corpus)]) == 0
-    pinned = {
-        "gb": "a300869db0c24c5bfff8f68e8f60f3fa59e5b01ce21e73d2e39aceb19290b9b2",
-        "rf": "a4211158916168ea2dcd562c4df6ce9cb3bd2fb64c3126431324239acdeb91ce",
-    }
+    assert main(["synth", *synth_args, "--seed", "11", "--out", str(corpus)]) == 0
     for kind, digest in pinned.items():
         out = tmp_path / kind
         assert main(["train", "--records", str(corpus / "records.jsonl"),
                      "--manifest", str(corpus / "manifest.csv"), "--representation", "both",
                      "--active", "--model", kind, "--seed", "11", "--out", str(out)]) == 0
         assert hashlib.sha256((out / "model.json").read_bytes()).hexdigest() == digest, kind
+
+
+def test_saved_tree_models_are_pinned(tmp_path):
+    # sha256 of model.json as written by `adlrec train`; any change to what
+    # the split search picks, or to how trees serialize, moves these bytes.
+    # Pinned with numpy 2.4 on x86-64 Linux; a different numpy or libm may
+    # round exp/log differently and move them without a code change.
+    assert_saved_models_pinned(
+        tmp_path,
+        ["--preset", "distractor", "--participants", "3", "--segments", "14", "--frames", "6"],
+        {
+            "gb": "a300869db0c24c5bfff8f68e8f60f3fa59e5b01ce21e73d2e39aceb19290b9b2",
+            "rf": "a4211158916168ea2dcd562c4df6ce9cb3bd2fb64c3126431324239acdeb91ce",
+        },
+    )
+
+
+def test_saved_tree_models_on_larger_nodes_are_pinned(tmp_path):
+    # as above, on a clean corpus whose nodes hold tens of rows with many
+    # tied values
+    assert_saved_models_pinned(
+        tmp_path,
+        ["--preset", "clean", "--participants", "2", "--segments", "40", "--frames", "13"],
+        {
+            "gb": "c8910f9b48853514df480be54617c71998fc577cd19b450fd214ed191f344239",
+            "rf": "45e23a6b42633b04ea4308b3c086e82f6379e01366c90308d36e6d05f15af923",
+        },
+    )
 
 
 @st.composite
@@ -178,6 +197,17 @@ def test_pick_best_tie_rules():
     assert tree_module._pick_best(np.zeros((1, 1)), collapse, np.ones((1, 1), bool), np.array([0])) == (0, 1.0)
 
 
+def counted(fn):
+    """`fn` that counts its calls in `.calls`, to show a patched oracle ran."""
+
+    def wrapper(*args):
+        wrapper.calls += 1
+        return fn(*args)
+
+    wrapper.calls = 0
+    return wrapper
+
+
 def assert_same_tree(a: Tree, b: Tree):
     for name in ("feature", "threshold", "left", "right", "value"):
         x, y = getattr(a, name), getattr(b, name)
@@ -199,10 +229,12 @@ def tree_inputs(draw):
 def test_regression_tree_matches_reference_kernel(inputs, max_depth):
     X, seed = inputs
     target = make_generator(seed, "oracle-target").normal(size=X.shape[0]).round(1)
-    tree, leaf_of = build_regression_tree(X, target, max_depth=max_depth)
+    tree, leaf_of = build_regression_tree(X, target, presort(X), max_depth=max_depth)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tree_module, "_pick_best", reference_pick_best)
-        want, want_leaf_of = build_regression_tree(X, target, max_depth=max_depth)
+        reference = counted(reference_pick_best)
+        patch.setattr(tree_module, "_pick_best", reference)
+        want, want_leaf_of = build_regression_tree(X, target, presort(X), max_depth=max_depth)
+    assert reference.calls or (tree.feature == -1).all()
     assert_same_tree(tree, want)
     assert np.array_equal(leaf_of, want_leaf_of)
     assert np.array_equal(tree.apply(X), leaf_of)
@@ -226,10 +258,29 @@ def test_classification_tree_matches_reference_kernel(inputs, n_classes):
 
     tree = build()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tree_module, "_pick_best", reference_pick_best)
+        reference = counted(reference_pick_best)
+        patch.setattr(tree_module, "_pick_best", reference)
         want = build()
+    assert reference.calls or (tree.feature == -1).all()
     assert_same_tree(tree, want)
     assert_same_tree(Tree.from_document(tree.to_document()), tree)
+
+
+@ORACLE
+@given(tree_inputs(), st.data())
+def test_presort_subset_matches_a_fresh_stable_sort(inputs, data):
+    X, _ = inputs
+    X = np.where(data.draw(st.lists(st.booleans(), min_size=X.size, max_size=X.size)),
+                 -X.ravel(), X.ravel()).reshape(X.shape)  # -0.0 and 0.0 tie
+    masks = st.lists(st.booleans(), min_size=X.shape[0], max_size=X.shape[0])
+    parent = np.array(data.draw(masks))
+    child = parent & np.array(data.draw(masks))
+    # a child node filters its parent's rows, as the regression tree does
+    parent_rows = presort(X).subset(parent)
+    for member, node in ((parent, parent_rows), (child, parent_rows.subset(child))):
+        want_rows, want_values = reference_node_order(X, np.flatnonzero(member))
+        assert np.array_equal(node.rows, want_rows)
+        assert node.values.tobytes() == want_values.tobytes()  # bytes tell -0.0 from 0.0
 
 
 @ORACLE
