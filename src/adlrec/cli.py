@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,17 +22,15 @@ from . import __version__
 from .evaluation import (
     EvaluationError,
     ablation_to_document,
-    confusion_matrix,
     grid_to_csv,
-    normalize_rows,
-    per_class_f1,
     report_to_document,
     run_ablation,
     run_loso,
-    weighted_f1,
+    score_model,
 )
 from .features import FeatureConfig, FeatureError, feature_matrix, feature_names
 from .models import (
+    KIND_ALIASES,
     ModelFormatError,
     TrainConfig,
     TrainingError,
@@ -52,7 +51,6 @@ from .synthgen import (
 )
 from .taxonomy import (
     ADL_NAMES,
-    NUM_ADL_CLASSES,
     TaxonomyError,
     default_category_table,
     load_category_table,
@@ -111,11 +109,17 @@ def _write_run(
     )
 
 
+def _read_utf8(path: str, error: type[Exception], what: str) -> str:
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{what} {path} is not valid UTF-8") from None
+
+
 def _load_table(args):
     if getattr(args, "taxonomy", None):
-        return load_category_table(Path(args.taxonomy).read_text("utf-8")), [
-            Path(args.taxonomy)
-        ]
+        text = _read_utf8(args.taxonomy, TaxonomyError, "category table")
+        return load_category_table(text), [Path(args.taxonomy)]
     return default_category_table(), []
 
 
@@ -153,7 +157,7 @@ def _feature_config(args, table) -> FeatureConfig:
 
 def cmd_synth(args) -> int:
     if args.spec:
-        spec = genspec_from_json(Path(args.spec).read_text("utf-8"))
+        spec = genspec_from_json(_read_utf8(args.spec, GenError, "generator spec"))
         inputs = [Path(args.spec)]
     else:
         noise = NoiseSpec(
@@ -238,12 +242,7 @@ def cmd_featurize(args) -> int:
     _write_run(
         Path(args.out),
         "featurize",
-        {
-            "representation": config.representation,
-            "use_active": config.use_active,
-            "taxonomy_hash": config.taxonomy_hash,
-            "rejected_records": len(diagnostics),
-        },
+        {**asdict(config), "rejected_records": len(diagnostics)},
         inputs + table_inputs,
         args.seed,
         files,
@@ -271,13 +270,7 @@ def cmd_train(args) -> int:
     _write_run(
         Path(args.out),
         "train",
-        {
-            "model": model.kind,
-            "representation": config.representation,
-            "use_active": config.use_active,
-            "taxonomy_hash": config.taxonomy_hash,
-            "hyperparameters": model.hyperparameters,
-        },
+        {"model": model.kind, **asdict(config), "hyperparameters": model.hyperparameters},
         inputs + table_inputs,
         args.seed,
         files,
@@ -290,18 +283,14 @@ def cmd_train(args) -> int:
 
 
 def _score_fixed_model(args, table, inputs) -> int:
-    model = load_model(Path(args.model).read_text("utf-8"))
+    model = load_model(_read_utf8(args.model, ModelFormatError, "model file"))
     if model.feature_config.taxonomy_hash != table.content_hash:
         raise FeatureError("model was trained under a different taxonomy version")
     result, diagnostics, more_inputs = _load_segments(args)
     X, keys = feature_matrix(result.segments, table, model.feature_config)
     labels = {s.key: s.label.id for s in result.segments}
     y_true = [labels[k] for k in keys]
-    y_pred = model.predict_labels(X)
-    score = weighted_f1(y_true, y_pred, NUM_ADL_CLASSES)
-    matrix = confusion_matrix(y_true, y_pred, NUM_ADL_CLASSES)
-    normalized, zero_rows = normalize_rows(matrix)
-    f1s, support = per_class_f1(y_true, y_pred, NUM_ADL_CLASSES)
+    report, y_pred = score_model(model, X, y_true)
 
     predictions = io.StringIO()
     writer = csv.writer(predictions, lineterminator="\n")
@@ -310,17 +299,6 @@ def _score_fixed_model(args, table, inputs) -> int:
         writer.writerow(
             [key.participant_id, key.video_id, key.segment_index, ADL_NAMES[yt], ADL_NAMES[int(yp)]]
         )
-    report = {
-        "mode": "fixed-model",
-        "weighted_f1": score,
-        "per_class_f1": f1s.tolist(),
-        "support": support.tolist(),
-        "confusion": matrix.tolist(),
-        "normalized_confusion": normalized.tolist(),
-        "zero_support_rows": zero_rows,
-        "model_kind": model.kind,
-        "model_metadata": model.metadata,
-    }
     files = {
         "report.json": json.dumps(report, indent=2) + "\n",
         "predictions.csv": predictions.getvalue(),
@@ -333,13 +311,14 @@ def _score_fixed_model(args, table, inputs) -> int:
         args.seed,
         files,
     )
-    print(f"weighted F1 on {len(y_true)} segments: {score:.2f}")
+    print(f"weighted F1 on {len(y_true)} segments: {report['weighted_f1']:.2f}")
     return 1 if diagnostics else 0
 
 
 def cmd_evaluate(args) -> int:
     table, table_inputs = _load_table(args)
-    if Path(args.model).is_file():
+    # a model kind always selects LOSO, even where a file has its name
+    if args.model not in KIND_ALIASES and Path(args.model).is_file():
         return _score_fixed_model(args, table, table_inputs)
     result, diagnostics, inputs = _load_segments(args)
     config = _feature_config(args, table)
@@ -349,12 +328,7 @@ def cmd_evaluate(args) -> int:
     _write_run(
         Path(args.out),
         "evaluate",
-        {
-            "model": cfg.resolved()[0],
-            "representation": config.representation,
-            "use_active": config.use_active,
-            "taxonomy_hash": table.content_hash,
-        },
+        {"model": cfg.resolved()[0], **asdict(config)},
         inputs + table_inputs,
         args.seed,
         files,

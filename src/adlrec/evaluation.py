@@ -1,5 +1,10 @@
 """Leave-one-subject-out evaluation, metrics, and the ablation grid.
 
+One scoring path serves both LOSO folds (`run_loso`) and a saved model
+scored on a labeled corpus (`score_model`): it builds a prediction set's
+confusion matrix once and derives per-class F1, support and weighted F1
+from it.
+
 Metrics follow the weighted-F1 convention: per-class F1 averaged with
 weights proportional to true-class support, zero-support classes excluded,
 and zero-denominator precision/recall/F1 defined as 0. The participant
@@ -11,12 +16,13 @@ recorded in report provenance.
 import csv
 import io
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .features import FeatureConfig, all_feature_configs, feature_matrix
-from .models import TrainConfig, train_matrix
+from .models import TrainConfig, TrainedModel, train_matrix
 from .records import Segment
 from .rng import derive_seed
 from .taxonomy import ADL_NAMES, NUM_ADL_CLASSES, CategoryTable
@@ -65,9 +71,18 @@ def normalize_rows(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return matrix / safe[:, None], zero_rows
 
 
-def per_class_f1(y_true, y_pred, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(f1 per class, support per class)."""
-    matrix = confusion_matrix(y_true, y_pred, n_classes)
+class _Score(NamedTuple):
+    """One prediction set scored from its confusion matrix, built once."""
+
+    weighted_f1: float
+    per_class_f1: np.ndarray
+    confusion: np.ndarray
+    support: np.ndarray
+
+
+def _f1(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f1 per class, support per class) of a confusion matrix."""
+    n_classes = len(matrix)
     tp = np.diag(matrix).astype(np.float64)
     support = matrix.sum(axis=1)
     predicted = matrix.sum(axis=0)
@@ -80,13 +95,22 @@ def per_class_f1(y_true, y_pred, n_classes: int) -> tuple[np.ndarray, np.ndarray
     return f1, support
 
 
+def _score(y_true, y_pred, n_classes: int = NUM_ADL_CLASSES) -> _Score:
+    if np.asarray(y_true).size == 0:
+        raise EvaluationError("empty label vectors")
+    matrix = confusion_matrix(y_true, y_pred, n_classes)
+    f1, support = _f1(matrix)
+    return _Score(float((support * f1).sum() / support.sum()), f1, matrix, support)
+
+
+def per_class_f1(y_true, y_pred, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f1 per class, support per class)."""
+    return _f1(confusion_matrix(y_true, y_pred, n_classes))
+
+
 def weighted_f1(y_true, y_pred, n_classes: int) -> float:
     """Support-weighted mean of per-class F1."""
-    y_true = np.asarray(y_true)
-    if y_true.size == 0:
-        raise EvaluationError("empty label vectors")
-    f1, support = per_class_f1(y_true, y_pred, n_classes)
-    return float((support * f1).sum() / support.sum())
+    return _score(y_true, y_pred, n_classes).weighted_f1
 
 
 @dataclass
@@ -165,16 +189,11 @@ def run_loso(
             model = train_matrix(X[~test], y[~test], fold_cfg, feature_config)
         except Exception as exc:
             raise EvaluationError(f"fold {participant!r}: {exc}") from exc
-        y_true = y[test]
-        y_pred = model.predict_labels(X[test])
-        f1s, support = per_class_f1(y_true, y_pred, NUM_ADL_CLASSES)
+        score = _score(y[test], model.predict_labels(X[test]))
         folds.append(
             FoldResult(
                 participant_id=participant,
-                weighted_f1=weighted_f1(y_true, y_pred, NUM_ADL_CLASSES),
-                per_class_f1=f1s,
-                confusion=confusion_matrix(y_true, y_pred, NUM_ADL_CLASSES),
-                support=support,
+                **score._asdict(),
                 train_seed=fold_seed,
                 iterations=int(model.metadata["iterations"]),
                 stopping_reason=model.metadata["stopping_reason"],
@@ -182,17 +201,33 @@ def run_loso(
         )
     kind, hp = train_config.resolved()
     provenance = {
-        "feature_config": {
-            "representation": feature_config.representation,
-            "use_active": feature_config.use_active,
-            "taxonomy_hash": feature_config.taxonomy_hash,
-        },
+        "feature_config": asdict(feature_config),
         "train_config": {"kind": kind, "seed": int(train_config.seed), "hyperparameters": hp},
         "fold_seeds": {f.participant_id: f.train_seed for f in folds},
         "std_convention": "population",
         "threshold_rule": "weighted_f1 > 0.5 (strict)",
     }
     return _aggregate(folds, provenance)
+
+
+def score_model(model: TrainedModel, X: np.ndarray, y_true) -> tuple[dict, np.ndarray]:
+    """Score a trained model on labeled rows: the fixed-model report
+    document and the predicted label ids."""
+    y_pred = model.predict_labels(X)
+    score = _score(y_true, y_pred)
+    normalized, zero_rows = normalize_rows(score.confusion)
+    report = {
+        "mode": "fixed-model",
+        "weighted_f1": score.weighted_f1,
+        "per_class_f1": score.per_class_f1.tolist(),
+        "support": score.support.tolist(),
+        "confusion": score.confusion.tolist(),
+        "normalized_confusion": normalized.tolist(),
+        "zero_support_rows": zero_rows,
+        "model_kind": model.kind,
+        "model_metadata": model.metadata,
+    }
+    return report, y_pred
 
 
 @dataclass

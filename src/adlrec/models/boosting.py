@@ -1,5 +1,9 @@
 """Gradient boosting on multinomial deviance, one regression tree per class
-per stage, leaf values by the one-step Newton update."""
+per stage.
+
+Each tree splits on squared error of its class's residual, and boosting
+gives the tree its leaf rule: the one-step Newton update of the deviance
+(Friedman 2001), summed over the leaf's rows in row order."""
 
 from dataclasses import dataclass
 
@@ -59,24 +63,16 @@ def fit_boosting(
         residual = onehot - proba
         stage: list[Tree] = []
         for c in range(n_classes):
-            tree, leaf_of = build_regression_tree(
-                X, residual[:, c], presorted, max_depth=max_depth, min_samples_split=min_split
-            )
-            # Newton step per leaf replaces the squared-error means
             r = residual[:, c]
             denom_terms = np.abs(r) * (1.0 - np.abs(r))
-            # rows grouped by leaf, in row order within each leaf, so each
-            # slice sums the same values in the same order as a mask would
-            by_leaf = np.argsort(leaf_of, kind="stable")
-            leaves = leaf_of[by_leaf]
-            bounds = [0, *(np.flatnonzero(leaves[1:] != leaves[:-1]) + 1).tolist(), n]
-            r_by_leaf, denom_by_leaf = r[by_leaf], denom_terms[by_leaf]
-            for start, stop in zip(bounds[:-1], bounds[1:]):
-                denom = denom_by_leaf[start:stop].sum()
-                if denom < 1e-150:
-                    tree.value[leaves[start], 0] = 0.0
-                else:
-                    tree.value[leaves[start], 0] = factor * r_by_leaf[start:stop].sum() / denom
+
+            def newton_step(member: np.ndarray) -> float:
+                denom = denom_terms[member].sum()
+                return 0.0 if denom < 1e-150 else factor * r[member].sum() / denom
+
+            tree, leaf_of = build_regression_tree(
+                X, r, presorted, newton_step, max_depth=max_depth, min_samples_split=min_split
+            )
             raw[:, c] += lr * tree.value[leaf_of, 0]
             stage.append(tree)
         stages.append(stage)

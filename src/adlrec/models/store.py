@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -85,11 +86,7 @@ def save_model(model) -> str:
         "kind": model.kind,
         "hyperparameters": dict(model.hyperparameters),
         "taxonomy_hash": model.feature_config.taxonomy_hash,
-        "feature_config": {
-            "representation": model.feature_config.representation,
-            "use_active": model.feature_config.use_active,
-            "taxonomy_hash": model.feature_config.taxonomy_hash,
-        },
+        "feature_config": asdict(model.feature_config),
         "feature_dim": model.feature_dim,
         "classes": list(model.classes),
         "class_names": list(model.class_names),

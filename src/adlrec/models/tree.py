@@ -1,5 +1,9 @@
 """Flat decision trees: weighted-Gini classification and squared-error regression.
 
+A classification leaf holds its weighted class proportions. A regression tree
+splits on squared error, and its leaf values come from the caller's leaf rule
+(gradient boosting passes its Newton step).
+
 A tree is a set of parallel numpy arrays indexed by node id (feature == -1
 marks a leaf). Children get their ids when their parent splits, in
 depth-first order, so a child's id is always greater than its parent's. In
@@ -25,6 +29,7 @@ bootstrap rows, so a classification node sorts its candidate columns itself.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -325,13 +330,16 @@ def build_regression_tree(
     X: np.ndarray,
     target: np.ndarray,
     presorted: Presort,
+    leaf_value: Callable[[np.ndarray], float],
     max_depth: int,
     min_samples_split: int = 2,
 ) -> tuple[Tree, np.ndarray]:
-    """Depth-capped squared-error tree over all features.
+    """Depth-capped tree over all features, split on squared error of `target`.
 
-    `presorted` is `presort(X)`; every tree grown on X can share it.
-    Returns the tree and each training row's leaf id (for leaf re-estimation).
+    `presorted` is `presort(X)`; every tree grown on X can share it. The
+    caller owns the leaf values: `leaf_value` maps a leaf's rows, an (n,)
+    boolean mask by row id, to its value. Returns the tree and each training
+    row's leaf id.
     """
     n, d = X.shape
     features = np.arange(d)
@@ -353,7 +361,7 @@ def build_regression_tree(
             rows = within if node == 0 else within.subset(member)
             best = _best_split(rows, features, stats, _sse_scores)
         if best is None:
-            growth.value[node, 0] = np.add.reduce(values) / values.size  # == values.mean()
+            growth.value[node, 0] = leaf_value(member)
             leaf_of[member] = node
             continue
         feat, threshold = best

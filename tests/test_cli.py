@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -225,6 +226,50 @@ def test_train_then_evaluate_saved_model(synth_dir, tmp_path):
     assert 0.0 <= report["weighted_f1"] <= 1.0
 
 
+# sha256 of what `adlrec evaluate --model model.json` writes when a gb model
+# trained on one noisy distractor corpus scores another: any change to the
+# scoring path, the report fields or their order moves these bytes.
+SCORED_PINS = {
+    "report.json": "5e9cafbd851581cfefeda8749114d4486c332971b7e53e732c8b75ab972a1e36",
+    "predictions.csv": "0eba383b1c98f9405a3e8c439605e5a39fa419caea889a57bf86753904a2397a",
+}
+
+
+def test_saved_model_scoring_bytes_are_pinned(tmp_path):
+    data = {}
+    for name, seed in (("train", "12"), ("score", "13")):
+        corpus = tmp_path / name
+        assert main(["synth", "--preset", "distractor", "--participants", "3", "--segments", "14",
+                     "--frames", "6", "--drop-rate", "0.1", "--spurious-rate", "0.2",
+                     "--label-confusion-rate", "0.05", "--seed", seed, "--out", str(corpus)]) == 0
+        data[name] = ["--records", str(corpus / "records.jsonl"),
+                      "--manifest", str(corpus / "manifest.csv")]
+    assert main(["train", *data["train"], "--representation", "both", "--model", "gb",
+                 "--seed", "3", "--out", str(tmp_path / "m")]) == 0
+    out = tmp_path / "e"
+    assert main(["evaluate", "--model", str(tmp_path / "m" / "model.json"), *data["score"],
+                 "--out", str(out)]) == 0
+    for name, digest in SCORED_PINS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_model_kind_is_never_read_as_a_file(synth_dir, tmp_path, monkeypatch, capsys):
+    # a file named like a model kind must not turn LOSO into scoring that file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gb").write_text("not a model")
+    (tmp_path / "svm").write_text("not a model either")
+    data = ["--records", str(synth_dir / "records.jsonl"),
+            "--manifest", str(synth_dir / "manifest.csv")]
+    assert main(["evaluate", "--model", "gb", *data, "--out", "loso"]) == 0
+    doc = json.loads((tmp_path / "loso" / "report.json").read_text())
+    assert doc["provenance"]["train_config"]["kind"] == "gradient_boosting"
+    assert len(doc["folds"]) == 3
+    capsys.readouterr()
+    # any other name is still read as a model path
+    assert main(["evaluate", "--model", "svm", *data, "--out", "file"]) == 1
+    assert capsys.readouterr().err.startswith("error: corrupted model document")
+
+
 def test_evaluate_loso_clean_corpus(tmp_path, capsys):
     corpus = tmp_path / "c"
     assert main(["synth", "--participants", "4", "--segments", "14", "--frames", "8",
@@ -397,27 +442,36 @@ def test_report_on_malformed_input_fails_legibly(tmp_path, name, content, reason
     assert "Traceback" not in proc.stderr
 
 
+NESTED = b"[" * 100_000
+NOT_UTF8 = b"\xff\xfe{}"
+
+
 @pytest.mark.parametrize(
-    "args, message",
+    "args, content, message",
     [
-        (["evaluate", "--model", "{f}", "--records", "r.jsonl", "--manifest", "m.csv"],
+        (["evaluate", "--model", "{f}", "--records", "r.jsonl", "--manifest", "m.csv"], NESTED,
          "error: corrupted model document: nested too deeply"),
-        (["synth", "--spec", "{f}"], "error: generator spec parse failure: nested too deeply"),
-        (["synth", "--taxonomy", "{f}"],
+        (["synth", "--spec", "{f}"], NESTED, "error: generator spec parse failure: nested too deeply"),
+        (["synth", "--taxonomy", "{f}"], NESTED,
          "error: category table parse failure: nested too deeply"),
+        (["evaluate", "--model", "{f}", "--records", "r.jsonl", "--manifest", "m.csv"], NOT_UTF8,
+         "error: model file {f} is not valid UTF-8"),
+        (["synth", "--spec", "{f}"], NOT_UTF8, "error: generator spec {f} is not valid UTF-8"),
+        (["synth", "--taxonomy", "{f}"], NOT_UTF8, "error: category table {f} is not valid UTF-8"),
     ],
-    ids=["evaluate-model", "synth-spec", "synth-taxonomy"],
+    ids=["evaluate-model", "synth-spec", "synth-taxonomy",
+         "evaluate-model-not-utf8", "synth-spec-not-utf8", "synth-taxonomy-not-utf8"],
 )
-def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, message):
+def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, content, message):
     deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000)
+    deep.write_bytes(content)
     argv = [a.replace("{f}", str(deep)) for a in args] + ["--out", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "adlrec", *argv], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith(message), proc.stderr
+    assert proc.stderr.startswith(message.replace("{f}", str(deep))), proc.stderr
     assert "Traceback" not in proc.stderr
 
 

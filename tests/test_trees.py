@@ -23,10 +23,15 @@ VALUES = [-0.0, 0.0, 0.25, 0.5, 1.0, ONE_UP, np.nextafter(ONE_UP, 2.0), 3.0]
 SCORES = [-0.0, 0.0, 0.5, 1.0, 2.0, np.inf, np.nan]
 
 
+def mean_of(target):
+    """The squared-error leaf rule: the mean of the leaf's targets."""
+    return lambda member: target[member].mean()
+
+
 def test_regression_tree_fits_step_function():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     target = np.array([0.0, 0.0, 5.0, 5.0])
-    tree, leaf_of = build_regression_tree(X, target, presort(X), max_depth=1)
+    tree, leaf_of = build_regression_tree(X, target, presort(X), mean_of(target), max_depth=1)
     assert tree.feature[0] == 0
     assert 1.0 <= tree.threshold[0] < 2.0
     pred = tree.predict_value(X)[:, 0]
@@ -38,7 +43,7 @@ def test_regression_tree_respects_depth_cap():
     rng = make_generator(0, "reg")
     X = rng.normal(size=(50, 3))
     target = rng.normal(size=50)
-    tree, _ = build_regression_tree(X, target, presort(X), max_depth=2)
+    tree, _ = build_regression_tree(X, target, presort(X), mean_of(target), max_depth=2)
     # depth <= 2 means at most 3 internal nodes + 4 leaves
     assert len(tree.feature) <= 7
 
@@ -229,11 +234,13 @@ def tree_inputs(draw):
 def test_regression_tree_matches_reference_kernel(inputs, max_depth):
     X, seed = inputs
     target = make_generator(seed, "oracle-target").normal(size=X.shape[0]).round(1)
-    tree, leaf_of = build_regression_tree(X, target, presort(X), max_depth=max_depth)
+    tree, leaf_of = build_regression_tree(X, target, presort(X), mean_of(target), max_depth=max_depth)
     with pytest.MonkeyPatch.context() as patch:
         reference = counted(reference_pick_best)
         patch.setattr(tree_module, "_pick_best", reference)
-        want, want_leaf_of = build_regression_tree(X, target, presort(X), max_depth=max_depth)
+        want, want_leaf_of = build_regression_tree(
+            X, target, presort(X), mean_of(target), max_depth=max_depth
+        )
     assert reference.calls or (tree.feature == -1).all()
     assert_same_tree(tree, want)
     assert np.array_equal(leaf_of, want_leaf_of)
