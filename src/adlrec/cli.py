@@ -39,7 +39,7 @@ from .models import (
     save_model,
     train_matrix,
 )
-from .records import RecordError, load_corpus
+from .records import RecordError, load_corpus, serialize_segments, write_manifest
 from .synthgen import (
     GenError,
     NoiseSpec,
@@ -85,7 +85,7 @@ def _write_run(
     command: str,
     config: dict,
     inputs: list[Path],
-    seed: int,
+    seed: int | None,
     files: dict[str, str],
 ) -> None:
     """Write output files plus the directory's RunManifest."""
@@ -178,9 +178,9 @@ def cmd_synth(args) -> int:
     table, table_inputs = _load_table(args)
     corpus = generate(spec, table)
     files = {
-        "records.jsonl": "\n".join(corpus.record_lines()) + "\n",
-        "truth_records.jsonl": "\n".join(corpus.truth_record_lines()) + "\n",
-        "manifest.csv": corpus.manifest_text(),
+        "records.jsonl": "\n".join(serialize_segments(corpus.segments)) + "\n",
+        "truth_records.jsonl": "\n".join(serialize_segments(corpus.truth_segments)) + "\n",
+        "manifest.csv": write_manifest(corpus.truth_segments),
         "genspec.json": genspec_to_json(spec) + "\n",
     }
     _write_run(
@@ -244,7 +244,7 @@ def cmd_featurize(args) -> int:
         "featurize",
         {**asdict(config), "rejected_records": len(diagnostics)},
         inputs + table_inputs,
-        args.seed,
+        None,
         files,
     )
     print(
@@ -438,7 +438,7 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common_io(sub, records=True, taxonomy=True, out=True):
+def _add_common_io(sub, records=True, taxonomy=True, out=True, seed=True):
     if records:
         sub.add_argument("--records", required=True, help="frame record JSONL file")
         sub.add_argument("--manifest", help="segment label manifest CSV")
@@ -446,6 +446,7 @@ def _add_common_io(sub, records=True, taxonomy=True, out=True):
         sub.add_argument("--taxonomy", help="category table JSON (default: packaged table)")
     if out:
         sub.add_argument("--out", required=True, help="output directory")
+    if seed:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root random seed")
 
 
@@ -488,11 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=cmd_synth)
 
     validate = commands.add_parser("ingest-validate", help="validate record/manifest files")
-    _add_common_io(validate, out=False, taxonomy=False)
+    _add_common_io(validate, out=False, taxonomy=False, seed=False)
     validate.set_defaults(func=cmd_ingest_validate)
 
     featurize = commands.add_parser("featurize", help="write the feature matrix CSV")
-    _add_common_io(featurize)
+    # featurizing draws no random number, so it takes no --seed
+    _add_common_io(featurize, seed=False)
     _add_feature_flags(featurize)
     featurize.add_argument(
         "--inference", action="store_true", help="allow unlabeled segments (no manifest)"

@@ -80,9 +80,10 @@ class _Score(NamedTuple):
     support: np.ndarray
 
 
-def _f1(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f1 per class, support per class) of a confusion matrix."""
-    n_classes = len(matrix)
+def _score(y_true, y_pred, n_classes: int = NUM_ADL_CLASSES) -> _Score:
+    if np.asarray(y_true).size == 0:
+        raise EvaluationError("empty label vectors")
+    matrix = confusion_matrix(y_true, y_pred, n_classes)
     tp = np.diag(matrix).astype(np.float64)
     support = matrix.sum(axis=1)
     predicted = matrix.sum(axis=0)
@@ -92,20 +93,7 @@ def _f1(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         recall = tp[c] / support[c] if support[c] > 0 else 0.0
         if precision + recall > 0:
             f1[c] = 2 * precision * recall / (precision + recall)
-    return f1, support
-
-
-def _score(y_true, y_pred, n_classes: int = NUM_ADL_CLASSES) -> _Score:
-    if np.asarray(y_true).size == 0:
-        raise EvaluationError("empty label vectors")
-    matrix = confusion_matrix(y_true, y_pred, n_classes)
-    f1, support = _f1(matrix)
     return _Score(float((support * f1).sum() / support.sum()), f1, matrix, support)
-
-
-def per_class_f1(y_true, y_pred, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(f1 per class, support per class)."""
-    return _f1(confusion_matrix(y_true, y_pred, n_classes))
 
 
 def weighted_f1(y_true, y_pred, n_classes: int) -> float:

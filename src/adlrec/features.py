@@ -50,10 +50,6 @@ class FeatureConfig:
             d *= 2
         return d
 
-    def describe(self) -> str:
-        active = "active" if self.use_active else "no-active"
-        return f"{self.representation}+{active}"
-
 
 def all_feature_configs(table: CategoryTable) -> list[FeatureConfig]:
     """The six ablation configurations in grid order."""

@@ -11,7 +11,7 @@ Training is bit-reproducible for a fixed seed, and models round-trip through
 a digest-protected JSON document.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..features import FeatureConfig
 from ..taxonomy import ADL_NAMES
 from . import boosting, forest, logreg, mlp
 from .store import ModelFormatError, load_model, save_model
-from .weights import ClassWeights, WeightError, balanced_weights
+from .weights import balanced_weights
 
 KINDS = ("logreg", "random_forest", "gradient_boosting", "mlp")
 
@@ -54,20 +54,15 @@ def resolve_kind(name: str) -> str:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """What to train and how; hyperparameters default per kind."""
+    """What to train, and the seed of its fit. A kind's hyperparameters are
+    its module's DEFAULTS, copied afresh by each `resolved()`."""
 
     kind: str
     seed: int = 0
-    hyperparameters: dict = field(default_factory=dict)
 
     def resolved(self) -> tuple[str, dict]:
         kind = resolve_kind(self.kind)
-        hp = dict(_DEFAULTS[kind])
-        unknown = set(self.hyperparameters) - set(hp)
-        if unknown:
-            raise TrainingError(f"unknown hyperparameters for {kind}: {sorted(unknown)}")
-        hp.update(self.hyperparameters)
-        return kind, hp
+        return kind, dict(_DEFAULTS[kind])
 
 
 @dataclass
@@ -144,18 +139,3 @@ def train_matrix(
         metadata=meta,
     )
 
-
-__all__ = [
-    "KINDS",
-    "ClassWeights",
-    "ModelFormatError",
-    "TrainConfig",
-    "TrainedModel",
-    "TrainingError",
-    "WeightError",
-    "balanced_weights",
-    "load_model",
-    "resolve_kind",
-    "save_model",
-    "train_matrix",
-]

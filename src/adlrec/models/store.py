@@ -1,8 +1,13 @@
-"""Model persistence: versioned, digest-protected JSON documents."""
+"""Model persistence: versioned, digest-protected JSON documents.
+
+A document's "parameters" are written from the dataclass fields of the
+model's parameter class and read back by each field's type, so a kind's
+fields are named only in its dataclass."""
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -28,55 +33,43 @@ def _digest(doc: dict) -> str:
     return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
 
 
-def _params_to_document(kind: str, params) -> dict:
-    if kind == "logreg":
-        return {"weights": params.weights.tolist(), "bias": params.bias.tolist()}
-    if kind == "random_forest":
-        return {
-            "n_classes": params.n_classes,
-            "trees": [t.to_document() for t in params.trees],
-        }
-    if kind == "gradient_boosting":
-        return {
-            "init_raw": params.init_raw.tolist(),
-            "learning_rate": params.learning_rate,
-            "stages": [[t.to_document() for t in stage] for stage in params.stages],
-        }
-    if kind == "mlp":
-        return {
-            "w1": params.w1.tolist(),
-            "b1": params.b1.tolist(),
-            "w2": params.w2.tolist(),
-            "b2": params.b2.tolist(),
-        }
-    raise ModelFormatError(f"unknown model kind {kind!r}")
+# the parameter dataclass of each model kind; its fields are the document's
+# "parameters" entries
+_PARAMS = {
+    "logreg": LogisticModel,
+    "random_forest": ForestModel,
+    "gradient_boosting": BoostingModel,
+    "mlp": MlpModel,
+}
 
 
-def _params_from_document(kind: str, doc: dict):
-    if kind == "logreg":
-        return LogisticModel(
-            weights=np.array(doc["weights"], dtype=np.float64),
-            bias=np.array(doc["bias"], dtype=np.float64),
-        )
-    if kind == "random_forest":
-        return ForestModel(
-            trees=[Tree.from_document(t) for t in doc["trees"]],
-            n_classes=int(doc["n_classes"]),
-        )
-    if kind == "gradient_boosting":
-        return BoostingModel(
-            init_raw=np.array(doc["init_raw"], dtype=np.float64),
-            stages=[[Tree.from_document(t) for t in stage] for stage in doc["stages"]],
-            learning_rate=float(doc["learning_rate"]),
-        )
-    if kind == "mlp":
-        return MlpModel(
-            w1=np.array(doc["w1"], dtype=np.float64),
-            b1=np.array(doc["b1"], dtype=np.float64),
-            w2=np.array(doc["w2"], dtype=np.float64),
-            b2=np.array(doc["b2"], dtype=np.float64),
-        )
-    raise ModelFormatError(f"unknown model kind {kind!r}")
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Tree):
+        return value.to_document()
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(annotation, value):
+    """`value` read back as the field type `annotation` of a parameter class."""
+    if annotation is np.ndarray:
+        return np.array(value, dtype=np.float64)
+    if annotation is Tree:
+        return Tree.from_document(value)
+    if get_origin(annotation) is list:
+        (item,) = get_args(annotation)
+        return [_decode(item, v) for v in value]
+    return annotation(value)  # int or float
+
+
+def _params_of(kind, doc: dict):
+    if not isinstance(kind, str) or kind not in _PARAMS:
+        raise ModelFormatError(f"unknown model kind {kind!r}")
+    cls = _PARAMS[kind]
+    return cls(**{f.name: _decode(f.type, doc[f.name]) for f in fields(cls)})
 
 
 def save_model(model) -> str:
@@ -91,7 +84,9 @@ def save_model(model) -> str:
         "classes": list(model.classes),
         "class_names": list(model.class_names),
         "metadata": dict(model.metadata),
-        "parameters": _params_to_document(model.kind, model.params),
+        "parameters": {
+            f.name: _encode(getattr(model.params, f.name)) for f in fields(model.params)
+        },
     }
     doc["digest"] = _digest(doc)
     return _canonical(doc)
@@ -132,7 +127,7 @@ def load_model(text: str):
             feature_dim=int(doc["feature_dim"]),
             feature_config=feature_config,
             hyperparameters=dict(doc["hyperparameters"]),
-            params=_params_from_document(doc["kind"], doc["parameters"]),
+            params=_params_of(doc["kind"], doc["parameters"]),
             metadata=dict(doc["metadata"]),
         )
         _check_shapes(model)

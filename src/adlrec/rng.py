@@ -21,13 +21,9 @@ def _digest(prefix: bytes, parts) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
-def stream_id(*parts) -> int:
-    """Stable 64-bit id for a tuple of stream label parts."""
-    return _digest(b"", parts)
-
-
 def make_generator(seed: int, *parts) -> np.random.Generator:
-    key = ((int(seed) & MASK64) << 64) | stream_id(*parts)
+    """Philox keyed by the seed (high 64 bits) and the stream label's digest."""
+    key = ((int(seed) & MASK64) << 64) | _digest(b"", parts)
     return np.random.Generator(np.random.Philox(key=key))
 
 

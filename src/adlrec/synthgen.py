@@ -18,8 +18,6 @@ from .records import (
     HoiObject,
     ObjectDetection,
     Segment,
-    serialize_segments,
-    write_manifest,
 )
 from .rng import derive_seed, make_generator
 from .taxonomy import ADL_LABELS, ADL_NAMES, PAPER_CLASS_COUNTS, CategoryTable
@@ -360,15 +358,6 @@ def perturb(
 class GeneratedCorpus:
     truth_segments: list[Segment]
     segments: list[Segment]  # after the noise model
-
-    def record_lines(self) -> list[str]:
-        return serialize_segments(self.segments)
-
-    def truth_record_lines(self) -> list[str]:
-        return serialize_segments(self.truth_segments)
-
-    def manifest_text(self) -> str:
-        return write_manifest(self.truth_segments)
 
 
 def generate(spec: GenSpec, table: CategoryTable) -> GeneratedCorpus:

@@ -43,6 +43,11 @@ def segment(frames, participant="p1", video="v1", index=0, label=ADL_LABELS[0]):
     )
 
 
+def config_label(config):
+    """A feature config's grid cell name, e.g. "binary+no-active"."""
+    return f"{config.representation}+{'active' if config.use_active else 'no-active'}"
+
+
 def record_line(
     participant="p1", video="v1", seg=0, frame_idx=0, objects=(), hois=(), **overrides
 ):

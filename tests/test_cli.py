@@ -93,6 +93,13 @@ def test_ingest_validate(synth_dir, tmp_path, capsys):
     # it draws no randomness and writes no manifest, so it takes no seed
     with pytest.raises(SystemExit):
         main(["ingest-validate", "--records", str(broken), "--seed", "0"])
+    # featurize draws no randomness either: its manifest records no seed
+    records = str(synth_dir / "records.jsonl")
+    with pytest.raises(SystemExit):
+        main(["featurize", "--records", records, "--inference", "--seed", "0",
+              "--out", str(tmp_path / "f")])
+    assert main(["featurize", "--records", records, "--inference", "--out", str(tmp_path / "f")]) == 0
+    assert json.loads((tmp_path / "f" / "run_manifest.json").read_text())["seed"] is None
 
 
 def test_ingest_validate_rejects_lines_that_are_not_utf8(synth_dir, tmp_path, capsys):
@@ -537,21 +544,22 @@ def test_failing_ablation_cell_stops_the_pool_legibly(tmp_path):
     script = f"""
 import os, sys, time
 from adlrec import cli, evaluation
+from helpers import config_label
 os.sched_getaffinity = lambda pid: {{0, 1}}
 run_loso = evaluation.run_loso
 def logged(segments, table, feature_config, train_config):
     with open({str(started)!r}, "a") as log:
-        log.write(feature_config.describe() + " " + train_config.kind + "\\n")
+        log.write(config_label(feature_config) + " " + train_config.kind + "\\n")
     time.sleep(0.5)
     return run_loso(segments, table, feature_config, train_config)
 evaluation.run_loso = logged
 sys.exit(cli.main(sys.argv[1:]))
 """
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", script, "ablate", "--records", str(corpus / "records.jsonl"),
          "--manifest", str(manifest), "--out", str(tmp_path / "g")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == "error: fold 'p01': training data contains a single class\n"

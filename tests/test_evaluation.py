@@ -8,12 +8,12 @@ from adlrec.evaluation import (
     EvaluationError,
     FoldResult,
     _aggregate,
+    _score,
     ablation_to_document,
     confusion_matrix,
     grid_to_csv,
     loso_split,
     normalize_rows,
-    per_class_f1,
     report_to_document,
     run_ablation,
     run_loso,
@@ -25,7 +25,7 @@ from adlrec.rng import make_generator
 from adlrec.synthgen import clean_genspec, distractor_genspec, generate
 from adlrec.taxonomy import ADL_LABELS, NUM_ADL_CLASSES
 
-from helpers import frame, segment
+from helpers import config_label, frame, segment
 
 
 def brute_force_weighted_f1(y_true, y_pred, n_classes):
@@ -130,9 +130,9 @@ def test_confusion_matrix_identity_and_normalization():
 
 
 def test_per_class_f1_zero_denominators():
-    f1, support = per_class_f1([0, 0], [1, 1], 2)
-    assert f1[0] == 0.0 and f1[1] == 0.0
-    assert support.tolist() == [2, 0]
+    score = _score([0, 0], [1, 1], 2)
+    assert score.per_class_f1[0] == 0.0 and score.per_class_f1[1] == 0.0
+    assert score.support.tolist() == [2, 0]
 
 
 def fake_fold(pid, score):
@@ -227,7 +227,7 @@ def test_single_class_fold_error_carries_fold_id(table):
 def test_ablation_grid_shape_and_csv(table, small_corpus):
     cells = run_ablation(small_corpus, table, ["logreg"], seed=2)
     assert len(cells) == 6
-    descriptions = [c.feature_config.describe() for c in cells]
+    descriptions = [config_label(c.feature_config) for c in cells]
     assert descriptions == [
         "counts+no-active",
         "counts+active",

@@ -20,7 +20,7 @@ from adlrec.evaluation import report_to_document, run_loso
 from adlrec.models import TrainConfig
 from adlrec.synthgen import NoiseSpec, clean_genspec, distractor_genspec, generate
 
-from helpers import box, det, frame, hoi, segment
+from helpers import box, config_label, det, frame, hoi, segment
 
 
 def cat(table, name):
@@ -251,7 +251,7 @@ def test_feature_and_report_bytes_are_pinned(table):
     configs = all_feature_configs(table)
     for config in configs:
         X, _ = feature_matrix(segments, table, config)
-        assert hashlib.sha256(X.tobytes()).hexdigest() == FEATURE_PINS[config.describe()]
+        assert hashlib.sha256(X.tobytes()).hexdigest() == FEATURE_PINS[config_label(config)]
     report = run_loso(segments, table, configs[-1], TrainConfig(kind="logreg", seed=3))
     doc = report_to_document(report)
     # the pin predates per-fold convergence; every other byte must stay the same

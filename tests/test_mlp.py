@@ -2,7 +2,7 @@ import numpy as np
 
 from adlrec.evaluation import run_loso
 from adlrec.features import FeatureConfig
-from adlrec.models import TrainConfig, train_matrix
+from adlrec.models import TrainConfig, mlp, train_matrix
 from adlrec.models.mlp import MlpModel, _validation_split, loss_and_grads
 from adlrec.rng import make_generator
 from adlrec.synthgen import clean_genspec, generate
@@ -71,11 +71,10 @@ def test_validation_never_empties_a_class():
     assert (~mask[y == 1]).sum() >= 1
 
 
-def test_tiny_datasets_skip_validation():
+def test_tiny_datasets_skip_validation(monkeypatch):
     X, y = blobs(n_classes=2, per_class=6)
-    model = train_matrix(
-        X, y, TrainConfig(kind="mlp", seed=0, hyperparameters={"max_epochs": 20}), FC
-    )
+    monkeypatch.setitem(mlp.DEFAULTS, "max_epochs", 20)
+    model = train_matrix(X, y, TrainConfig(kind="mlp", seed=0), FC)
     assert model.metadata["validation_used"] is False
 
 

@@ -12,8 +12,11 @@ from adlrec.models import (
     TrainedModel,
     TrainingError,
     balanced_weights,
+    boosting,
+    forest,
     load_model,
     logreg,
+    mlp,
     resolve_kind,
     save_model,
     train_matrix,
@@ -28,12 +31,19 @@ from helpers import redigest
 
 FC = FeatureConfig("binary", True, "f" * 64)
 
-FAST_HP = {
-    "logreg": {"max_iter": 200},
-    "random_forest": {"n_trees": 20},
-    "gradient_boosting": {"n_stages": 20},
-    "mlp": {"max_epochs": 40},
-}
+FAST_DEFAULTS = (
+    (logreg, "max_iter", 200),
+    (forest, "n_trees", 20),
+    (boosting, "n_stages", 20),
+    (mlp, "max_epochs", 40),
+)
+
+
+@pytest.fixture
+def fast_fits(monkeypatch):
+    """Shorter fits of every kind, for tests of properties that hold at any length."""
+    for module, name, value in FAST_DEFAULTS:
+        monkeypatch.setitem(module.DEFAULTS, name, value)
 
 
 def blobs(n_classes=4, per_class=25, d=10, seed=0, spread=0.3):
@@ -74,10 +84,10 @@ def test_logreg_separates_two_clusters():
         model.predict_proba_matrix(np.zeros((2, 3)))
 
 
-def test_training_is_byte_reproducible():
+def test_training_is_byte_reproducible(fast_fits):
     X, y, _ = blobs(seed=7)
     for kind in KINDS:
-        cfg = TrainConfig(kind=kind, seed=7, hyperparameters=FAST_HP[kind])
+        cfg = TrainConfig(kind=kind, seed=7)
         a = save_model(train_matrix(X, y, cfg, FC))
         b = save_model(train_matrix(X, y, cfg, FC))
         assert a == b, kind
@@ -105,11 +115,11 @@ def test_logreg_gradient_check():
             assert rel < 1e-4
 
 
-def test_predict_proba_is_simplex_for_all_kinds():
+def test_predict_proba_is_simplex_for_all_kinds(fast_fits):
     X, y, _ = blobs(n_classes=3, per_class=15, seed=5)
     probe = make_generator(2, "probe").normal(size=(40, X.shape[1]))
     for kind in KINDS:
-        cfg = TrainConfig(kind=kind, seed=1, hyperparameters=FAST_HP[kind])
+        cfg = TrainConfig(kind=kind, seed=1)
         model = train_matrix(X, y, cfg, FC)
         proba = model.predict_proba_matrix(probe)
         assert proba.min() >= 0.0
@@ -137,13 +147,15 @@ def test_cluster_center_argmax():
     assert np.array_equal(model.predict_labels(centers), np.arange(4))
 
 
-def test_save_load_roundtrip_predictions():
+def test_save_load_roundtrip_predictions(fast_fits):
     X, y, _ = blobs(seed=11)
     probe = make_generator(3, "probe").normal(size=(100, X.shape[1]))
     for kind in KINDS:
-        cfg = TrainConfig(kind=kind, seed=4, hyperparameters=FAST_HP[kind])
+        cfg = TrainConfig(kind=kind, seed=4)
         model = train_matrix(X, y, cfg, FC)
-        restored = load_model(save_model(model))
+        text = save_model(model)
+        restored = load_model(text)
+        assert save_model(restored) == text, kind
         assert np.allclose(
             model.predict_proba_matrix(probe), restored.predict_proba_matrix(probe)
         )
@@ -164,10 +176,10 @@ def test_tampered_digest_rejected():
         load_model(json.dumps(doc2))
 
 
-def test_consistent_but_malformed_documents_rejected():
+def test_consistent_but_malformed_documents_rejected(fast_fits):
     X, y, _ = blobs(n_classes=3, per_class=10, seed=2)
     for kind in KINDS:
-        cfg = TrainConfig(kind=kind, seed=0, hyperparameters=FAST_HP[kind])
+        cfg = TrainConfig(kind=kind, seed=0)
         good = json.loads(save_model(train_matrix(X, y, cfg, FC)))
         doc = json.loads(json.dumps(good))
         del doc["feature_dim"]
@@ -191,12 +203,12 @@ def test_unsupported_schema_version_rejected():
         load_model("{broken")
 
 
-def test_label_permutation_equivariance():
+def test_label_permutation_equivariance(fast_fits):
     X, y, _ = blobs(n_classes=3, per_class=20, seed=6)
     perm = np.array([2, 0, 1])  # new label of original class c is perm[c]
     probe = make_generator(4, "probe").normal(size=(25, X.shape[1]))
     for kind in KINDS:
-        cfg = TrainConfig(kind=kind, seed=3, hyperparameters=FAST_HP[kind])
+        cfg = TrainConfig(kind=kind, seed=3)
         base = train_matrix(X, y, cfg, FC)
         permuted = train_matrix(X, perm[y], cfg, FC)
         p_base = base.predict_proba_matrix(probe)
@@ -228,21 +240,19 @@ def test_training_input_validation():
         train_matrix(np.zeros((0, 3)), np.zeros(0, dtype=int), TrainConfig(kind="logreg"), FC)
     with pytest.raises(TrainingError, match="unknown model kind"):
         resolve_kind("svm")
-    with pytest.raises(TrainingError, match="hyperparameters"):
-        train_matrix(X, y, TrainConfig(kind="logreg", hyperparameters={"depth": 3}), FC)
 
 
 def test_stopping_reason_recorded():
     X, y, _ = blobs(n_classes=2, per_class=15, seed=8)
-    model = train_matrix(
-        X, y, TrainConfig(kind="logreg", seed=0, hyperparameters={"max_iter": 3}), FC
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(logreg.DEFAULTS, "max_iter", 3)
+        model = train_matrix(X, y, TrainConfig(kind="logreg", seed=0), FC)
     assert model.metadata["stopping_reason"] == "max-iterations"
     assert model.metadata["iterations"] == 3
     assert model.metadata["seed"] == 0
-    wide = train_matrix(
-        X, y, TrainConfig(kind="logreg", seed=0, hyperparameters={"l2": 100.0}), FC
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(logreg.DEFAULTS, "l2", 100.0)
+        wide = train_matrix(X, y, TrainConfig(kind="logreg", seed=0), FC)
     assert wide.metadata["stopping_reason"] == "converged"
 
 

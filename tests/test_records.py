@@ -219,7 +219,7 @@ def test_sixteen_participants_partition():
 def test_roundtrip_parse_serialize_parse(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=5, seed=11)
     corpus = generate(spec, table)
-    lines = corpus.record_lines()
+    lines = serialize_segments(corpus.segments)
     groups1, d1 = parse_records("\n".join(lines))
     relines = [
         serialize_frame(key, f) for key, frames in groups1.items() for f in frames
@@ -233,9 +233,9 @@ def test_roundtrip_parse_serialize_parse(table):
 def test_segment_count_matches_distinct_keys(table):
     spec = clean_genspec(participants=3, segments_per_participant=10, frames_per_segment=3, seed=4)
     corpus = generate(spec, table)
-    groups, _ = parse_records("\n".join(corpus.record_lines()))
+    groups, _ = parse_records("\n".join(serialize_segments(corpus.segments)))
     result, _ = load_corpus(
-        "\n".join(corpus.record_lines()), corpus.manifest_text()
+        "\n".join(serialize_segments(corpus.segments)), write_manifest(corpus.truth_segments)
     )
     assert len(result.segments) == len(groups)
 

@@ -4,7 +4,7 @@ import pytest
 from adlrec.evaluation import loso_split, weighted_f1
 from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.interaction import mark_active
-from adlrec.records import load_corpus, parse_records, serialize_segments
+from adlrec.records import load_corpus, parse_records, serialize_segments, write_manifest
 from adlrec.rng import derive_seed
 from adlrec.synthgen import (
     CORE_CATEGORIES,
@@ -25,7 +25,7 @@ from adlrec.taxonomy import NUM_ADL_CLASSES
 def test_manifest_row_count(table):
     spec = clean_genspec(participants=16, segments_per_participant=20, frames_per_segment=2, seed=0)
     corpus = generate(spec, table)
-    rows = corpus.manifest_text().strip().split("\n")
+    rows = write_manifest(corpus.truth_segments).strip().split("\n")
     assert len(rows) == 1 + 16 * 20
 
 
@@ -43,20 +43,20 @@ def test_generation_is_deterministic(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=4, seed=42)
     a = generate(spec, table)
     b = generate(spec, table)
-    assert a.record_lines() == b.record_lines()
-    assert a.truth_record_lines() == b.truth_record_lines()
-    assert a.manifest_text() == b.manifest_text()
+    assert serialize_segments(a.segments) == serialize_segments(b.segments)
+    assert serialize_segments(a.truth_segments) == serialize_segments(b.truth_segments)
+    assert write_manifest(a.truth_segments) == write_manifest(b.truth_segments)
     different = generate(
         clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=4, seed=43),
         table,
     )
-    assert different.record_lines() != a.record_lines()
+    assert serialize_segments(different.segments) != serialize_segments(a.segments)
 
 
 def test_zero_noise_streams_identical(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=4, seed=1)
     corpus = generate(spec, table)
-    assert corpus.record_lines() == corpus.truth_record_lines()
+    assert serialize_segments(corpus.segments) == serialize_segments(corpus.truth_segments)
 
 
 def test_full_drop_empties_objects(table):
@@ -130,7 +130,7 @@ def test_generated_records_pass_ingest_validation(table):
     spec = distractor_genspec(participants=3, segments_per_participant=7, frames_per_segment=5, seed=7)
     corpus = generate(spec, table)
     result, diagnostics = load_corpus(
-        "\n".join(corpus.record_lines()), corpus.manifest_text()
+        "\n".join(serialize_segments(corpus.segments)), write_manifest(corpus.truth_segments)
     )
     assert diagnostics == []
     assert len(result.segments) == len(corpus.segments)

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from adlrec.cli import main
 from adlrec.features import FeatureConfig
-from adlrec.models import TrainConfig, train_matrix, tree as tree_module
+from adlrec.models import TrainConfig, boosting, forest, train_matrix, tree as tree_module
 from adlrec.models.tree import Tree, build_classification_tree, build_regression_tree, presort
 from adlrec.rng import make_generator
 
 from helpers import reference_apply, reference_node_order, reference_pick_best
 
 FC = FeatureConfig("counts", False, "t" * 64)
-ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+ORACLE = settings(max_examples=200, deadline=None)
 
 # few distinct values, so columns repeat values and tie; 1.0 and its float
 # successors have midpoints that round onto the upper value
@@ -74,16 +74,13 @@ def test_classification_tree_weighted_split_choice():
     assert np.array_equal(np.argmax(tree.predict_value(X), axis=1), y)
 
 
-def test_single_tree_no_bootstrap_perfect_fit():
+def test_single_tree_no_bootstrap_perfect_fit(monkeypatch):
     rng = make_generator(0, "uniq")
     X = np.unique(rng.normal(size=(80, 6)).round(2), axis=0)
     y = rng.integers(0, 3, size=X.shape[0])
-    cfg = TrainConfig(
-        kind="random_forest",
-        seed=1,
-        hyperparameters={"n_trees": 1, "bootstrap": False},
-    )
-    model = train_matrix(X, y, cfg, FC)
+    monkeypatch.setitem(forest.DEFAULTS, "n_trees", 1)
+    monkeypatch.setitem(forest.DEFAULTS, "bootstrap", False)
+    model = train_matrix(X, y, TrainConfig(kind="random_forest", seed=1), FC)
     assert (model.predict_labels(X) == y).mean() == 1.0
 
 
@@ -92,13 +89,15 @@ def test_forest_and_boosting_fit_blobs():
     centers = rng.normal(size=(3, 8)) * 4
     X = np.vstack([c + 0.3 * rng.normal(size=(20, 8)) for c in centers])
     y = np.repeat(np.arange(3), 20)
-    for kind, hp in (
-        ("random_forest", {"n_trees": 30}),
-        ("gradient_boosting", {"n_stages": 30}),
+    for kind, module, name in (
+        ("random_forest", forest, "n_trees"),
+        ("gradient_boosting", boosting, "n_stages"),
     ):
-        model = train_matrix(X, y, TrainConfig(kind=kind, seed=2, hyperparameters=hp), FC)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(module.DEFAULTS, name, 30)
+            model = train_matrix(X, y, TrainConfig(kind=kind, seed=2), FC)
         assert (model.predict_labels(X) == y).mean() == 1.0
-        assert model.metadata["iterations"] == hp[list(hp)[0]]
+        assert model.metadata["iterations"] == 30
 
 
 def test_tree_document_roundtrip():
@@ -113,14 +112,13 @@ def test_tree_document_roundtrip():
     assert np.allclose(restored.predict_value(X), tree.predict_value(X))
 
 
-def test_boosting_prior_initialization():
+def test_boosting_prior_initialization(monkeypatch):
     # with zero stages the prediction is the class prior
     X = np.zeros((10, 2))
     X[:, 0] = np.arange(10)
     y = np.array([0] * 7 + [1] * 3)
-    model = train_matrix(
-        X, y, TrainConfig(kind="gradient_boosting", seed=0, hyperparameters={"n_stages": 0}), FC
-    )
+    monkeypatch.setitem(boosting.DEFAULTS, "n_stages", 0)
+    model = train_matrix(X, y, TrainConfig(kind="gradient_boosting", seed=0), FC)
     proba = model.predict_proba_matrix(np.zeros((1, 2)))
     assert np.allclose(proba, [[0.7, 0.3]])
 
@@ -160,6 +158,26 @@ def test_saved_tree_models_on_larger_nodes_are_pinned(tmp_path):
         {
             "gb": "c8910f9b48853514df480be54617c71998fc577cd19b450fd214ed191f344239",
             "rf": "45e23a6b42633b04ea4308b3c086e82f6379e01366c90308d36e6d05f15af923",
+        },
+    )
+
+
+def test_saved_logreg_and_mlp_models_are_pinned(tmp_path):
+    # as above, for the two kinds without trees, on both corpora
+    assert_saved_models_pinned(
+        tmp_path / "distractor",
+        ["--preset", "distractor", "--participants", "3", "--segments", "14", "--frames", "6"],
+        {
+            "logreg": "85bff34e9ffabc91f2bd6dc104b18da222fe1ee8f9f8d0598f1e7429cadc6a31",
+            "mlp": "eaa661c2650b3b88157c097210b2de08990f47e0417993d63e58073548f49efd",
+        },
+    )
+    assert_saved_models_pinned(
+        tmp_path / "clean",
+        ["--preset", "clean", "--participants", "2", "--segments", "40", "--frames", "13"],
+        {
+            "logreg": "ee9f2c2f86a65bf08fc59041b58c703286afc7135617f541da769409138d57f1",
+            "mlp": "b636cab31e3f94635dc315e29e15a6ee4d1bcffcbcf2f12b699ee9c2d36a6f6a",
         },
     )
 
