@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .features import FeatureConfig, FeatureError, feature_matrix, feature_names
 from .models import (
-    KIND_ALIASES,
+    KINDS,
     ModelFormatError,
     TrainConfig,
     TrainingError,
@@ -57,12 +57,6 @@ from .taxonomy import (
 )
 
 DEFAULT_SEED = 1729
-
-# model kinds whose fits stop on a convergence test
-ITERATIVE_KINDS = ("logreg", "mlp")
-# stopping reasons of a fit whose convergence test passed: logreg's gradient
-# test or the mlp's validation-loss stall
-CONVERGED_REASONS = ("converged", "early-stopped")
 
 _ERRORS = (
     TaxonomyError,
@@ -264,7 +258,7 @@ def cmd_train(args) -> int:
     X, keys = feature_matrix(result.segments, table, config)
     labels = {s.key: s.label.id for s in result.segments}
     y = [labels[k] for k in keys]
-    cfg = TrainConfig(kind=resolve_kind(args.model), seed=args.seed)
+    cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=args.seed)
     model = train_matrix(X, y, cfg, feature_config=config)
     files = {"model.json": save_model(model) + "\n"}
     _write_run(
@@ -308,7 +302,7 @@ def _score_fixed_model(args, table, inputs) -> int:
         "evaluate",
         {"model_file": args.model, "taxonomy_hash": table.content_hash},
         inputs + more_inputs + [Path(args.model)],
-        args.seed,
+        None,  # scoring draws no random number
         files,
     )
     print(f"weighted F1 on {len(y_true)} segments: {report['weighted_f1']:.2f}")
@@ -318,17 +312,17 @@ def _score_fixed_model(args, table, inputs) -> int:
 def cmd_evaluate(args) -> int:
     table, table_inputs = _load_table(args)
     # a model kind always selects LOSO, even where a file has its name
-    if args.model not in KIND_ALIASES and Path(args.model).is_file():
+    if not any(args.model in (k.NAME, *k.ALIASES) for k in KINDS) and Path(args.model).is_file():
         return _score_fixed_model(args, table, table_inputs)
     result, diagnostics, inputs = _load_segments(args)
     config = _feature_config(args, table)
-    cfg = TrainConfig(kind=resolve_kind(args.model), seed=args.seed)
+    cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=args.seed)
     report = run_loso(result.segments, table, config, cfg)
     files = {"report.json": json.dumps(report_to_document(report), indent=2) + "\n"}
     _write_run(
         Path(args.out),
         "evaluate",
-        {"model": cfg.resolved()[0], **asdict(config)},
+        {"model": cfg.kind, **asdict(config)},
         inputs + table_inputs,
         args.seed,
         files,
@@ -345,7 +339,7 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     table, table_inputs = _load_table(args)
     result, diagnostics, inputs = _load_segments(args)
-    kinds = [resolve_kind(k.strip()) for k in args.models.split(",") if k.strip()]
+    kinds = [resolve_kind(k.strip()).NAME for k in args.models.split(",") if k.strip()]
     if not kinds:
         raise TrainingError("no models requested")
     cells = run_ablation(result.segments, table, kinds, args.seed)
@@ -397,16 +391,17 @@ def _render_report(doc: dict) -> str:
         cells = " ".join(f"{v:.2f}" for v in row)
         out.append(f"  {name:<32} {cells}")
     folds = doc.get("folds", [])
-    # forests and boosting build a fixed number of trees: nothing to converge
-    iterative = bool(folds) and doc["provenance"]["train_config"]["kind"] in ITERATIVE_KINDS
+    kind = doc["provenance"]["train_config"]["kind"] if folds else None
+    # empty for a kind with no convergence test, or one this version lacks
+    converged_reasons = next((k.CONVERGED_REASONS for k in KINDS if k.NAME == kind), ())
     # reports written before folds recorded convergence have no reasons
-    reasons = [fold.get("stopping_reason") if iterative else None for fold in folds]
-    if iterative and None not in reasons:
-        converged = sum(reason in CONVERGED_REASONS for reason in reasons)
+    reasons = [fold.get("stopping_reason") if converged_reasons else None for fold in folds]
+    if converged_reasons and None not in reasons:
+        converged = sum(reason in converged_reasons for reason in reasons)
         out.append(f"converged folds: {converged}/{len(folds)}")
     for fold, reason in zip(folds, reasons):
         line = f"  {fold['participant_id']}: F1 {fold['weighted_f1']:.2f}"
-        if reason is not None and reason not in CONVERGED_REASONS:
+        if reason is not None and reason not in converged_reasons:
             line += f"  not converged: {reason} after {fold['iterations']} iterations"
         out.append(line)
     return "\n".join(out) + "\n"
@@ -471,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Object-centric ADL recognition pipeline over detection records.",
     )
     parser.add_argument("--version", action="version", version=f"adlrec {__version__}")
+    # each kind as its name, then its aliases: "NAME|ALIAS, ..."
+    kind_names = ", ".join("|".join((k.NAME, *k.ALIASES)) for k in KINDS)
     commands = parser.add_subparsers(dest="command", required=True)
 
     synth = commands.add_parser("synth", help="generate a synthetic labeled corpus")
@@ -504,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = commands.add_parser("train", help="train one classifier on all segments")
     _add_common_io(train)
     _add_feature_flags(train)
-    train.add_argument("--model", default="logreg", help="logreg|rf|gb|mlp")
+    train.add_argument("--model", default=KINDS[0].NAME, help=kind_names)
     train.set_defaults(func=cmd_train)
 
     evaluate = commands.add_parser(
@@ -514,15 +511,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_feature_flags(evaluate)
     evaluate.add_argument(
         "--model",
-        default="logreg",
-        help="model kind (logreg|rf|gb|mlp) for LOSO, or a saved model.json path",
+        default=KINDS[0].NAME,
+        help=f"model kind ({kind_names}) for LOSO, or a saved model.json path",
     )
     evaluate.set_defaults(func=cmd_evaluate)
 
     ablate = commands.add_parser("ablate", help="run the feature x model ablation grid")
     _add_common_io(ablate)
     ablate.add_argument(
-        "--models", default="logreg,rf,gb,mlp", help="comma-separated model kinds"
+        "--models",
+        default=",".join(k.NAME for k in KINDS),
+        help=f"comma-separated model kinds ({kind_names})",
     )
     ablate.set_defaults(func=cmd_ablate)
 

@@ -190,7 +190,7 @@ def run_loso(
     kind, hp = train_config.resolved()
     provenance = {
         "feature_config": asdict(feature_config),
-        "train_config": {"kind": kind, "seed": int(train_config.seed), "hyperparameters": hp},
+        "train_config": {"kind": kind.NAME, "seed": int(train_config.seed), "hyperparameters": hp},
         "fold_seeds": {f.participant_id: f.train_seed for f in folds},
         "std_convention": "population",
         "threshold_rule": "weighted_f1 > 0.5 (strict)",
@@ -234,7 +234,7 @@ def _ablation_cell(
 ) -> AblationCell:
     cfg = TrainConfig(kind=kind, seed=seed)
     report = run_loso(segments, table, feature_config, cfg)
-    return AblationCell(feature_config=feature_config, kind=cfg.resolved()[0], report=report)
+    return AblationCell(feature_config=feature_config, kind=cfg.resolved()[0].NAME, report=report)
 
 
 # Set once per pool worker by _init_worker; never assigned in the parent.

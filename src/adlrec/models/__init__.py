@@ -1,14 +1,23 @@
 """From-scratch classifiers over Bag-of-Objects features.
 
-Four model kinds share one training entry point:
+Each model kind is one module of this package, listed once in KINDS. A kind
+module declares:
 
-* ``logreg`` — multinomial softmax regression, balanced class weights;
-* ``random_forest`` — 100 bagged weighted-Gini trees, sqrt features/split;
-* ``gradient_boosting`` — 100 stages of multinomial deviance, depth 3;
-* ``mlp`` — one 100-unit rectified hidden layer, Adam + early stop.
+* ``NAME``, the kind's name in documents and reports, and ``ALIASES``, the
+  other names the command line accepts for it;
+* ``DEFAULTS``, its hyperparameters;
+* ``PARAMS``, the dataclass of a fitted model's parameters, with
+  ``predict_proba(X)`` and ``check(d, k)``, which raises ValueError unless
+  the parameters fit d features and k classes, so that prediction cannot
+  fail on them; ``models.store`` writes and reads its fields;
+* ``CONVERGED_REASONS``, the stopping reasons of a fit whose convergence
+  test passed, empty for a kind that has no such test;
+* ``fit(X, y, n_classes, class_weight, seed, hp)``, returning the PARAMS
+  instance and metadata with "iterations" and "stopping_reason". A kind
+  ignores the arguments it does not use.
 
-Training is bit-reproducible for a fixed seed, and models round-trip through
-a digest-protected JSON document.
+Every kind trains through ``train_matrix``. Training is bit-reproducible for
+a fixed seed, and models round-trip through a digest-protected JSON document.
 """
 
 from dataclasses import dataclass
@@ -21,35 +30,20 @@ from . import boosting, forest, logreg, mlp
 from .store import ModelFormatError, load_model, save_model
 from .weights import balanced_weights
 
-KINDS = ("logreg", "random_forest", "gradient_boosting", "mlp")
-
-KIND_ALIASES = {
-    "logreg": "logreg",
-    "lr": "logreg",
-    "random_forest": "random_forest",
-    "rf": "random_forest",
-    "gradient_boosting": "gradient_boosting",
-    "gb": "gradient_boosting",
-    "mlp": "mlp",
-}
-
-_DEFAULTS = {
-    "logreg": logreg.DEFAULTS,
-    "random_forest": forest.DEFAULTS,
-    "gradient_boosting": boosting.DEFAULTS,
-    "mlp": mlp.DEFAULTS,
-}
+KINDS = (logreg, forest, boosting, mlp)
 
 
 class TrainingError(ValueError):
     pass
 
 
-def resolve_kind(name: str) -> str:
-    try:
-        return KIND_ALIASES[name]
-    except KeyError:
-        raise TrainingError(f"unknown model kind {name!r} (choose from {KINDS})") from None
+def resolve_kind(name: str):
+    """The kind in KINDS whose NAME or one of whose ALIASES is `name`."""
+    for kind in KINDS:
+        if name in (kind.NAME, *kind.ALIASES):
+            return kind
+    names = tuple(kind.NAME for kind in KINDS)
+    raise TrainingError(f"unknown model kind {name!r} (choose from {names})")
 
 
 @dataclass(frozen=True)
@@ -60,9 +54,10 @@ class TrainConfig:
     kind: str
     seed: int = 0
 
-    def resolved(self) -> tuple[str, dict]:
+    def resolved(self) -> tuple:
+        """The kind module and a copy of its hyperparameters."""
         kind = resolve_kind(self.kind)
-        return kind, dict(_DEFAULTS[kind])
+        return kind, dict(kind.DEFAULTS)
 
 
 @dataclass
@@ -111,25 +106,14 @@ def train_matrix(
     if classes.size < 2:
         raise TrainingError("training data contains a single class")
     y_local = np.searchsorted(classes, y)
-    counts = np.bincount(y_local, minlength=classes.size)
+    weights = balanced_weights(np.bincount(y_local, minlength=classes.size)).values
     kind, hp = cfg.resolved()
-
-    if kind == "logreg":
-        weights = balanced_weights(counts).values
-        params, meta = logreg.fit_logreg(X, y_local, weights, hp)
-    elif kind == "random_forest":
-        weights = balanced_weights(counts).values
-        params, meta = forest.fit_forest(X, y_local, weights, cfg.seed, hp)
-    elif kind == "gradient_boosting":
-        params, meta = boosting.fit_boosting(X, y_local, classes.size, hp)
-    else:
-        params, meta = mlp.fit_mlp(X, y_local, classes.size, cfg.seed, hp)
-
+    params, meta = kind.fit(X, y_local, classes.size, weights, cfg.seed, hp)
     names = tuple(ADL_NAMES[c] if 0 <= c < len(ADL_NAMES) else str(c) for c in classes)
     meta = dict(meta)
     meta["seed"] = int(cfg.seed)
     return TrainedModel(
-        kind=kind,
+        kind=kind.NAME,
         classes=tuple(int(c) for c in classes),
         class_names=names,
         feature_dim=X.shape[1],

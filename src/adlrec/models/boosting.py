@@ -9,15 +9,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logreg import softmax
+from .logreg import check_shapes, softmax
 from .tree import Tree, build_regression_tree, presort
 
+NAME = "gradient_boosting"
+ALIASES = ("gb",)
 DEFAULTS = {
     "n_stages": 100,
     "learning_rate": 0.1,
     "max_depth": 3,
     "min_samples_split": 2,
 }
+CONVERGED_REASONS = ()  # a fixed number of stages: nothing to converge
 
 
 @dataclass
@@ -36,12 +39,21 @@ class BoostingModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.decision(X))
 
+    def check(self, d: int, k: int) -> None:
+        """Raise ValueError unless the stages fit d features and k classes."""
+        if any(len(stage) != k for stage in self.stages):
+            raise ValueError("boosting stage tree count differs from the class count")
+        check_shapes(NAME, self, {"init_raw": (k,)})
+        for stage in self.stages:
+            for tree in stage:
+                tree.check(d, 1)
 
-def fit_boosting(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    hp: dict,
+
+PARAMS = BoostingModel
+
+
+def fit(
+    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int, hp: dict
 ) -> tuple[BoostingModel, dict]:
     n = X.shape[0]
     onehot = np.zeros((n, n_classes))

@@ -8,7 +8,10 @@ import numpy as np
 from ..rng import make_generator
 from .tree import Tree, build_classification_tree
 
+NAME = "random_forest"
+ALIASES = ("rf",)
 DEFAULTS = {"n_trees": 100, "min_samples_split": 2, "bootstrap": True}
+CONVERGED_REASONS = ()  # a fixed number of trees: nothing to converge
 
 
 @dataclass
@@ -22,16 +25,23 @@ class ForestModel:
             total += tree.predict_value(X)
         return total / len(self.trees)
 
+    def check(self, d: int, k: int) -> None:
+        """Raise ValueError unless the trees fit d features and k classes."""
+        if not self.trees:
+            raise ValueError("forest has no trees")
+        if self.n_classes != k:
+            raise ValueError("forest n_classes differs from the class count")
+        for tree in self.trees:
+            tree.check(d, k)
 
-def fit_forest(
-    X: np.ndarray,
-    y: np.ndarray,
-    class_weight: np.ndarray,
-    seed: int,
-    hp: dict,
+
+PARAMS = ForestModel
+
+
+def fit(
+    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int, hp: dict
 ) -> tuple[ForestModel, dict]:
     n, d = X.shape
-    n_classes = len(class_weight)
     sample_weight = class_weight[y]
     n_trees = int(hp["n_trees"])
     max_features = max(1, math.ceil(math.sqrt(d)))

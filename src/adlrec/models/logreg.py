@@ -17,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+NAME = "logreg"
+ALIASES = ("lr",)
 DEFAULTS = {"l2": 1.0, "max_iter": 1000, "grad_tol": 1e-4}
+CONVERGED_REASONS = ("converged",)  # the gradient test passed
 
 MEMORY = 20  # curvature pairs (s, y) kept by L-BFGS
 ARMIJO = 1e-4  # sufficient-decrease constant
@@ -31,6 +34,20 @@ class LogisticModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(X @ self.weights + self.bias)
+
+    def check(self, d: int, k: int) -> None:
+        """Raise ValueError unless the parameters fit d features and k classes."""
+        check_shapes(NAME, self, {"weights": (d, k), "bias": (k,)})
+
+
+PARAMS = LogisticModel
+
+
+def check_shapes(kind: str, params, expected: dict) -> None:
+    """Raise ValueError unless each named array of `params` has its expected shape."""
+    for name, shape in expected.items():
+        if getattr(params, name).shape != shape:
+            raise ValueError(f"{kind} {name} has shape {getattr(params, name).shape}, not {shape}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -103,14 +120,10 @@ def _line_search(objective, theta, loss, grad, direction):
     return None
 
 
-def fit_logreg(
-    X: np.ndarray,
-    y: np.ndarray,
-    class_weight: np.ndarray,
-    hp: dict,
+def fit(
+    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int, hp: dict
 ) -> tuple[LogisticModel, dict]:
     d = X.shape[1]
-    n_classes = len(class_weight)
     sample_weight = class_weight[y]
     l2 = float(hp["l2"])
     grad_tol = float(hp["grad_tol"])

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import make_generator
-from .logreg import softmax
+from .logreg import check_shapes, softmax
 
+NAME = "mlp"
+ALIASES = ()
 DEFAULTS = {
     "hidden": 100,
     "batch_size": 32,
@@ -23,6 +25,7 @@ DEFAULTS = {
     "max_epochs": 200,
     "validation_fraction": 0.1,
 }
+CONVERGED_REASONS = ("early-stopped",)  # the validation loss stalled
 
 # Below this many samples a validation split is too small to be meaningful;
 # early stopping then monitors training loss instead.
@@ -44,6 +47,15 @@ class MlpModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         hidden = np.maximum(X @ self.w1 + self.b1, 0.0)
         return softmax(hidden @ self.w2 + self.b2)
+
+    def check(self, d: int, k: int) -> None:
+        """Raise ValueError unless the layers fit d features and k classes."""
+        hidden = len(self.b1)
+        expected = {"w1": (d, hidden), "b1": (hidden,), "w2": (hidden, k), "b2": (k,)}
+        check_shapes(NAME, self, expected)
+
+
+PARAMS = MlpModel
 
 
 def init_params(d: int, hidden: int, n_classes: int, rng: np.random.Generator) -> MlpModel:
@@ -98,8 +110,8 @@ def _validation_split(y: np.ndarray, n_classes: int, fraction: float) -> np.ndar
     return val_mask
 
 
-def fit_mlp(
-    X: np.ndarray, y: np.ndarray, n_classes: int, seed: int, hp: dict
+def fit(
+    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int, hp: dict
 ) -> tuple[MlpModel, dict]:
     rng = make_generator(seed, "mlp")
     model = init_params(X.shape[1], int(hp["hidden"]), n_classes, rng)

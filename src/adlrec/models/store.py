@@ -1,8 +1,8 @@
 """Model persistence: versioned, digest-protected JSON documents.
 
 A document's "parameters" are written from the dataclass fields of the
-model's parameter class and read back by each field's type, so a kind's
-fields are named only in its dataclass."""
+model's parameter class, its kind's PARAMS, and read back by each field's
+type, so a kind's fields are named only in its dataclass."""
 
 import hashlib
 import json
@@ -12,10 +12,6 @@ from typing import get_args, get_origin
 import numpy as np
 
 from ..features import FeatureConfig
-from .boosting import BoostingModel
-from .forest import ForestModel
-from .logreg import LogisticModel
-from .mlp import MlpModel
 from .tree import Tree
 
 SCHEMA_VERSION = 1
@@ -31,16 +27,6 @@ def _canonical(doc: dict) -> str:
 
 def _digest(doc: dict) -> str:
     return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
-
-
-# the parameter dataclass of each model kind; its fields are the document's
-# "parameters" entries
-_PARAMS = {
-    "logreg": LogisticModel,
-    "random_forest": ForestModel,
-    "gradient_boosting": BoostingModel,
-    "mlp": MlpModel,
-}
 
 
 def _encode(value):
@@ -65,10 +51,11 @@ def _decode(annotation, value):
     return annotation(value)  # int or float
 
 
-def _params_of(kind, doc: dict):
-    if not isinstance(kind, str) or kind not in _PARAMS:
-        raise ModelFormatError(f"unknown model kind {kind!r}")
-    cls = _PARAMS[kind]
+def _params_of(kinds, name, doc: dict):
+    """The PARAMS instance of the kind called `name`, read from `doc`."""
+    cls = next((kind.PARAMS for kind in kinds if kind.NAME == name), None)
+    if cls is None:
+        raise ModelFormatError(f"unknown model kind {name!r}")
     return cls(**{f.name: _decode(f.type, doc[f.name]) for f in fields(cls)})
 
 
@@ -93,7 +80,7 @@ def save_model(model) -> str:
 
 
 def load_model(text: str):
-    from . import TrainedModel  # local import: __init__ builds on this module
+    from . import KINDS, TrainedModel  # local import: __init__ builds on this module
 
     try:
         doc = json.loads(text)
@@ -108,9 +95,12 @@ def load_model(text: str):
         raise ModelFormatError(
             f"unsupported model schema version {version!r} (supported: {SCHEMA_VERSION})"
         )
-    stored_digest = doc.get("digest")
     body = {k: v for k, v in doc.items() if k != "digest"}
-    if stored_digest != _digest(body):
+    try:
+        digest = _digest(body)
+    except ValueError:  # json reads NaN, Infinity and 1e999, which save_model never writes
+        raise ModelFormatError("corrupted model document: number is NaN or infinite") from None
+    if doc.get("digest") != digest:
         raise ModelFormatError("model digest mismatch: document corrupted or tampered")
     # a document can be self-consistent and still not describe a model
     try:
@@ -127,42 +117,13 @@ def load_model(text: str):
             feature_dim=int(doc["feature_dim"]),
             feature_config=feature_config,
             hyperparameters=dict(doc["hyperparameters"]),
-            params=_params_of(doc["kind"], doc["parameters"]),
+            params=_params_of(KINDS, doc["kind"], doc["parameters"]),
             metadata=dict(doc["metadata"]),
         )
-        _check_shapes(model)
+        model.params.check(model.feature_dim, len(model.classes))
     except KeyError as exc:
         raise ModelFormatError(f"malformed model document: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
     return model
 
-
-def _check_shapes(model) -> None:
-    """Raise ValueError unless the parameters fit the model's feature
-    dimension and class count, so that prediction cannot fail on them."""
-    d, k = model.feature_dim, len(model.classes)
-    params = model.params
-    expected, trees, width = {}, [], 0
-    if model.kind == "logreg":
-        expected = {"weights": (d, k), "bias": (k,)}
-    elif model.kind == "mlp":
-        hidden = len(params.b1)
-        expected = {"w1": (d, hidden), "b1": (hidden,), "w2": (hidden, k), "b2": (k,)}
-    elif model.kind == "random_forest":
-        if params.n_classes != k:
-            raise ValueError("forest n_classes differs from the class count")
-        trees, width = params.trees, k
-    else:
-        if any(len(stage) != k for stage in params.stages):
-            raise ValueError("boosting stage tree count differs from the class count")
-        expected = {"init_raw": (k,)}
-        trees, width = [tree for stage in params.stages for tree in stage], 1
-    for name, shape in expected.items():
-        if getattr(params, name).shape != shape:
-            raise ValueError(f"{model.kind} {name} has shape {getattr(params, name).shape}, not {shape}")
-    for tree in trees:
-        if tree.feature.max() >= d:
-            raise ValueError("tree feature index out of range")
-        if tree.value.shape[1] != width:
-            raise ValueError(f"tree leaf value width is not {width}")

@@ -60,6 +60,13 @@ class Tree:
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
 
+    def check(self, d: int, width: int) -> None:
+        """Raise ValueError unless the tree fits d features and leaves of `width` values."""
+        if self.feature.max() >= d:
+            raise ValueError("tree feature index out of range")
+        if self.value.shape[1] != width:
+            raise ValueError(f"tree leaf value width is not {width}")
+
     def to_document(self) -> dict:
         leaf = self.feature == LEAF
         return {

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -122,3 +124,33 @@ def redigest(doc: dict) -> str:
     body = {k: v for k, v in doc.items() if k != "digest"}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return json.dumps(dict(body, digest=hashlib.sha256(canonical.encode("utf-8")).hexdigest()))
+
+
+@dataclass
+class PriorModel:
+    """A prior-only classifier: every row gets the training class frequencies."""
+
+    proba: np.ndarray  # (K,)
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        return np.tile(self.proba, (X.shape[0], 1))
+
+    def check(self, d: int, k: int) -> None:
+        if self.proba.shape != (k,):
+            raise ValueError(f"prior proba has shape {self.proba.shape}, not {(k,)}")
+
+
+def fit_prior(X, y, n_classes, class_weight, seed, hp):
+    proba = np.bincount(y, minlength=n_classes) / y.size
+    return PriorModel(proba=proba), {"iterations": 0, "stopping_reason": "converged"}
+
+
+# a fifth model kind, with everything a kind module of adlrec.models declares
+PRIOR_KIND = SimpleNamespace(
+    NAME="prior",
+    ALIASES=("pr",),
+    DEFAULTS={},
+    PARAMS=PriorModel,
+    CONVERGED_REASONS=("converged",),
+    fit=fit_prior,
+)

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adlrec import cli, models
 from adlrec.cli import main
 from adlrec.features import feature_matrix
-from adlrec.models import load_model
+from adlrec.models import load_model, save_model
 from adlrec.records import load_corpus
 from adlrec.taxonomy import default_category_table
 
-from helpers import redigest
+from helpers import PRIOR_KIND, redigest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -231,6 +232,8 @@ def test_train_then_evaluate_saved_model(synth_dir, tmp_path):
     report = json.loads((eval_out / "report.json").read_text())
     assert report["mode"] == "fixed-model"
     assert 0.0 <= report["weighted_f1"] <= 1.0
+    # scoring draws no random number, so the manifest records no seed
+    assert json.loads((eval_out / "run_manifest.json").read_text())["seed"] is None
 
 
 # sha256 of what `adlrec evaluate --model model.json` writes when a gb model
@@ -275,6 +278,29 @@ def test_model_kind_is_never_read_as_a_file(synth_dir, tmp_path, monkeypatch, ca
     # any other name is still read as a model path
     assert main(["evaluate", "--model", "svm", *data, "--out", "file"]) == 1
     assert capsys.readouterr().err.startswith("error: corrupted model document")
+
+
+def test_a_fifth_kind_is_one_module_and_one_entry_in_kinds(synth_dir, tmp_path, monkeypatch, capsys):
+    kinds = (*models.KINDS, PRIOR_KIND)
+    monkeypatch.setattr(models, "KINDS", kinds)
+    monkeypatch.setattr(cli, "KINDS", kinds)
+    data = ["--records", str(synth_dir / "records.jsonl"),
+            "--manifest", str(synth_dir / "manifest.csv")]
+    assert main(["train", *data, "--model", "prior", "--out", str(tmp_path / "m")]) == 0
+    text = (tmp_path / "m" / "model.json").read_text()
+    assert json.loads(text)["kind"] == "prior"
+    assert save_model(load_model(text)) + "\n" == text
+    assert main(["evaluate", *data, "--model", str(tmp_path / "m" / "model.json"),
+                 "--out", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s" / "report.json").read_text())["model_kind"] == "prior"
+    assert main(["evaluate", *data, "--model", "pr", "--out", str(tmp_path / "l")]) == 0
+    doc = json.loads((tmp_path / "l" / "report.json").read_text())
+    assert doc["provenance"]["train_config"]["kind"] == "prior"
+    assert len(doc["folds"]) == 3
+    capsys.readouterr()
+    # the report takes the prior kind's convergence rule from KINDS
+    assert main(["report", "--in", str(tmp_path / "l" / "report.json")]) == 0
+    assert "converged folds: 3/3" in capsys.readouterr().out
 
 
 def test_evaluate_loso_clean_corpus(tmp_path, capsys):
@@ -397,8 +423,12 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path):
     def drop_parameters(doc):
         del doc["parameters"]
 
+    def drop_trees(doc):
+        doc["parameters"]["trees"] = []
+
     edits = [
         drop_parameters,
+        drop_trees,
         drop_threshold,
         tree_edit("left", [0] * len(good["parameters"]["trees"][0]["left"])),
         tree_edit("feature", good["parameters"]["trees"][0]["feature"][:-1]),
@@ -465,9 +495,12 @@ NOT_UTF8 = b"\xff\xfe{}"
          "error: model file {f} is not valid UTF-8"),
         (["synth", "--spec", "{f}"], NOT_UTF8, "error: generator spec {f} is not valid UTF-8"),
         (["synth", "--taxonomy", "{f}"], NOT_UTF8, "error: category table {f} is not valid UTF-8"),
+        (["evaluate", "--model", "{f}", "--records", "r.jsonl", "--manifest", "m.csv"],
+         b'{"schema_version":1,"x":NaN}', "error: corrupted model document: number is NaN or infinite"),
     ],
     ids=["evaluate-model", "synth-spec", "synth-taxonomy",
-         "evaluate-model-not-utf8", "synth-spec-not-utf8", "synth-taxonomy-not-utf8"],
+         "evaluate-model-not-utf8", "synth-spec-not-utf8", "synth-taxonomy-not-utf8",
+         "evaluate-model-nan"],
 )
 def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, content, message):
     deep = tmp_path / "deep.json"

@@ -21,7 +21,7 @@ from adlrec.models import (
     save_model,
     train_matrix,
 )
-from adlrec.models.logreg import LogisticModel, fit_logreg, loss_and_grad
+from adlrec.models.logreg import LogisticModel, loss_and_grad
 from adlrec.models.weights import WeightError
 from adlrec.rng import make_generator
 from adlrec.synthgen import distractor_genspec, generate
@@ -87,7 +87,7 @@ def test_logreg_separates_two_clusters():
 def test_training_is_byte_reproducible(fast_fits):
     X, y, _ = blobs(seed=7)
     for kind in KINDS:
-        cfg = TrainConfig(kind=kind, seed=7)
+        cfg = TrainConfig(kind=kind.NAME, seed=7)
         a = save_model(train_matrix(X, y, cfg, FC))
         b = save_model(train_matrix(X, y, cfg, FC))
         assert a == b, kind
@@ -119,7 +119,7 @@ def test_predict_proba_is_simplex_for_all_kinds(fast_fits):
     X, y, _ = blobs(n_classes=3, per_class=15, seed=5)
     probe = make_generator(2, "probe").normal(size=(40, X.shape[1]))
     for kind in KINDS:
-        cfg = TrainConfig(kind=kind, seed=1)
+        cfg = TrainConfig(kind=kind.NAME, seed=1)
         model = train_matrix(X, y, cfg, FC)
         proba = model.predict_proba_matrix(probe)
         assert proba.min() >= 0.0
@@ -151,7 +151,7 @@ def test_save_load_roundtrip_predictions(fast_fits):
     X, y, _ = blobs(seed=11)
     probe = make_generator(3, "probe").normal(size=(100, X.shape[1]))
     for kind in KINDS:
-        cfg = TrainConfig(kind=kind, seed=4)
+        cfg = TrainConfig(kind=kind.NAME, seed=4)
         model = train_matrix(X, y, cfg, FC)
         text = save_model(model)
         restored = load_model(text)
@@ -179,7 +179,7 @@ def test_tampered_digest_rejected():
 def test_consistent_but_malformed_documents_rejected(fast_fits):
     X, y, _ = blobs(n_classes=3, per_class=10, seed=2)
     for kind in KINDS:
-        cfg = TrainConfig(kind=kind, seed=0)
+        cfg = TrainConfig(kind=kind.NAME, seed=0)
         good = json.loads(save_model(train_matrix(X, y, cfg, FC)))
         doc = json.loads(json.dumps(good))
         del doc["feature_dim"]
@@ -208,7 +208,7 @@ def test_label_permutation_equivariance(fast_fits):
     perm = np.array([2, 0, 1])  # new label of original class c is perm[c]
     probe = make_generator(4, "probe").normal(size=(25, X.shape[1]))
     for kind in KINDS:
-        cfg = TrainConfig(kind=kind, seed=3)
+        cfg = TrainConfig(kind=kind.NAME, seed=3)
         base = train_matrix(X, y, cfg, FC)
         permuted = train_matrix(X, perm[y], cfg, FC)
         p_base = base.predict_proba_matrix(probe)
@@ -290,7 +290,7 @@ def distractor_fold(table):
 def test_logreg_converges_on_distractor_fold(distractor_fold):
     X, y, class_weight = distractor_fold
     hp = dict(logreg.DEFAULTS)
-    model, meta = fit_logreg(X, y, class_weight, hp)
+    model, meta = logreg.fit(X, y, len(class_weight), class_weight, 0, hp)
     assert meta["stopping_reason"] == "converged"
     assert meta["iterations"] <= 100
     loss, grad_w, grad_b = loss_and_grad(
@@ -303,7 +303,7 @@ def test_logreg_converges_on_distractor_fold(distractor_fold):
 def test_logreg_fit_is_byte_identical(distractor_fold):
     X, y, class_weight = distractor_fold
     hp = dict(logreg.DEFAULTS)
-    first, _ = fit_logreg(X, y, class_weight, hp)
-    second, _ = fit_logreg(X, y, class_weight, hp)
+    first, _ = logreg.fit(X, y, len(class_weight), class_weight, 0, hp)
+    second, _ = logreg.fit(X, y, len(class_weight), class_weight, 0, hp)
     assert first.weights.tobytes() == second.weights.tobytes()
     assert first.bias.tobytes() == second.bias.tobytes()
