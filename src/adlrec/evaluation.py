@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .documents import to_document
 from .features import FeatureConfig, all_feature_configs, feature_matrix
 from .models import TrainConfig, TrainedModel, train_matrix
 from .records import Segment
@@ -76,8 +77,8 @@ class _Score(NamedTuple):
 
     weighted_f1: float
     per_class_f1: np.ndarray
-    confusion: np.ndarray
     support: np.ndarray
+    confusion: np.ndarray
 
 
 def _score(y_true, y_pred, n_classes: int = NUM_ADL_CLASSES) -> _Score:
@@ -93,7 +94,7 @@ def _score(y_true, y_pred, n_classes: int = NUM_ADL_CLASSES) -> _Score:
         recall = tp[c] / support[c] if support[c] > 0 else 0.0
         if precision + recall > 0:
             f1[c] = 2 * precision * recall / (precision + recall)
-    return _Score(float((support * f1).sum() / support.sum()), f1, matrix, support)
+    return _Score(float((support * f1).sum() / support.sum()), f1, support, matrix)
 
 
 def weighted_f1(y_true, y_pred, n_classes: int) -> float:
@@ -106,8 +107,8 @@ class FoldResult:
     participant_id: str
     weighted_f1: float
     per_class_f1: np.ndarray
-    confusion: np.ndarray
     support: np.ndarray
+    confusion: np.ndarray
     train_seed: int
     iterations: int
     stopping_reason: str
@@ -117,15 +118,18 @@ class FoldResult:
         return int(self.confusion.sum())
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EvaluationReport:
-    folds: list[FoldResult]
+    """A LOSO run; its fields, in order, are the keys of report.json."""
+
     mean_weighted_f1: float
     std_weighted_f1: float
     percent_above_half: float
+    class_names: tuple[str, ...] = ADL_NAMES
     pooled_confusion: np.ndarray
     normalized_confusion: np.ndarray
     zero_support_rows: list[int]
+    folds: list[FoldResult]
     provenance: dict
 
 
@@ -206,10 +210,7 @@ def score_model(model: TrainedModel, X: np.ndarray, y_true) -> tuple[dict, np.nd
     normalized, zero_rows = normalize_rows(score.confusion)
     report = {
         "mode": "fixed-model",
-        "weighted_f1": score.weighted_f1,
-        "per_class_f1": score.per_class_f1.tolist(),
-        "support": score.support.tolist(),
-        "confusion": score.confusion.tolist(),
+        **to_document(score._asdict()),
         "normalized_confusion": normalized.tolist(),
         "zero_support_rows": zero_rows,
         "model_kind": model.kind,
@@ -340,26 +341,4 @@ def ablation_to_document(cells: list[AblationCell]) -> list[dict]:
 
 def report_to_document(report: EvaluationReport) -> dict:
     """Full-precision JSON-ready form of an evaluation report."""
-    return {
-        "mean_weighted_f1": report.mean_weighted_f1,
-        "std_weighted_f1": report.std_weighted_f1,
-        "percent_above_half": report.percent_above_half,
-        "class_names": list(ADL_NAMES),
-        "pooled_confusion": report.pooled_confusion.tolist(),
-        "normalized_confusion": report.normalized_confusion.tolist(),
-        "zero_support_rows": report.zero_support_rows,
-        "folds": [
-            {
-                "participant_id": f.participant_id,
-                "weighted_f1": f.weighted_f1,
-                "per_class_f1": f.per_class_f1.tolist(),
-                "support": f.support.tolist(),
-                "confusion": f.confusion.tolist(),
-                "train_seed": f.train_seed,
-                "iterations": f.iterations,
-                "stopping_reason": f.stopping_reason,
-            }
-            for f in report.folds
-        ],
-        "provenance": report.provenance,
-    }
+    return to_document(report)

@@ -9,7 +9,8 @@ module declares:
 * ``PARAMS``, the dataclass of a fitted model's parameters, with
   ``predict_proba(X)`` and ``check(d, k)``, which raises ValueError unless
   the parameters fit d features and k classes, so that prediction cannot
-  fail on them; ``models.store`` writes and reads its fields;
+  fail on them; a model.json's "parameters" object is written from PARAMS
+  fields and read back into them;
 * ``CONVERGED_REASONS``, the stopping reasons of a fit whose convergence
   test passed, empty for a kind that has no such test;
 * ``fit(X, y, n_classes, class_weight, seed, hp)``, returning the PARAMS
@@ -68,7 +69,7 @@ class TrainedModel:
     feature_dim: int
     feature_config: FeatureConfig
     hyperparameters: dict
-    params: object
+    parameters: object  # its kind's PARAMS
     metadata: dict
 
     def predict_proba_matrix(self, X: np.ndarray) -> np.ndarray:
@@ -79,7 +80,7 @@ class TrainedModel:
                 f"feature dimension mismatch: model expects {self.feature_dim}, "
                 f"got {X.shape[1] if X.ndim == 2 else X.shape}"
             )
-        return self.params.predict_proba(X)
+        return self.parameters.predict_proba(X)
 
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
         """Argmax class ids (original label ids); ties go to the lowest index."""
@@ -119,7 +120,7 @@ def train_matrix(
         feature_dim=X.shape[1],
         feature_config=feature_config,
         hyperparameters=hp,
-        params=params,
+        parameters=params,
         metadata=meta,
     )
 

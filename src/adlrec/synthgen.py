@@ -10,8 +10,10 @@ so noise-robustness comparisons have a clean reference.
 """
 
 import json
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import dataclass
 
+from .documents import from_document, to_document
 from .records import (
     Box2D,
     FrameObservation,
@@ -34,10 +36,12 @@ class GenError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AdlProfile:
-    """Object behaviour of one activity class."""
+    """Object behaviour of one activity class, named by `adl`; a profile
+    that names no class fails GenSpec.validate's canonical-order check."""
 
+    adl: str = ""
     core: tuple[str, ...]
     core_prob: float
     context: tuple[tuple[str, float], ...]
@@ -52,17 +56,22 @@ class NoiseSpec:
     box_jitter_px: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GenSpec:
+    """A synthetic corpus: genspec.json is this dataclass's document, with its
+    fields as keys in declaration order (see `adlrec.documents`)."""
+
     seed: int
     participants: int
     segments_per_participant: tuple[int, ...]  # per-ADL counts, canonical order
     frames_per_segment: int
-    adl_profiles: tuple[AdlProfile, ...]
     participant_effect: float = 0.0
     noise: NoiseSpec = NoiseSpec()
+    adl_profiles: tuple[AdlProfile, ...]  # one per ADL class, canonical order
 
     def validate(self) -> None:
+        if [p.adl for p in self.adl_profiles] != list(ADL_NAMES):
+            raise GenError("adl_profiles must list all 7 ADL classes in canonical order")
         if self.participants < 1:
             raise GenError("participants must be >= 1")
         if len(self.segments_per_participant) != len(ADL_LABELS):
@@ -75,8 +84,6 @@ class GenSpec:
             raise GenError("spec generates zero segments")
         if not 1 <= self.frames_per_segment <= 60:
             raise GenError("frames_per_segment must be in [1, 60]")
-        if len(self.adl_profiles) != len(ADL_LABELS):
-            raise GenError(f"need {len(ADL_LABELS)} adl_profiles")
         if not 0.0 <= self.participant_effect <= 1.0:
             raise GenError("participant_effect must be in [0, 1]")
         for profile in self.adl_profiles:
@@ -96,6 +103,8 @@ class GenSpec:
                 raise GenError("noise rate outside [0, 1]")
         if self.noise.box_jitter_px < 0:
             raise GenError("box_jitter_px must be >= 0")
+        if not math.isfinite(2.0 * self.noise.box_jitter_px):  # else rng.uniform(-j, j) overflows
+            raise GenError("box_jitter_px must be finite and at most half the largest float")
 
 
 # Core object categories per activity class; pairwise disjoint so the clean
@@ -145,8 +154,8 @@ def clean_genspec(
 ) -> GenSpec:
     """Separable default: disjoint cores, shared passive context."""
     profiles = tuple(
-        AdlProfile(core=core, core_prob=0.6, context=SHARED_CONTEXT, active_prob=0.9)
-        for core in CORE_CATEGORIES
+        AdlProfile(adl=adl, core=core, core_prob=0.6, context=SHARED_CONTEXT, active_prob=0.9)
+        for adl, core in zip(ADL_NAMES, CORE_CATEGORIES)
     )
     return GenSpec(
         seed=seed,
@@ -184,6 +193,7 @@ def distractor_genspec(
         )
         profiles.append(
             AdlProfile(
+                adl=ADL_NAMES[adl_id],
                 core=core,
                 core_prob=0.7,
                 context=SHARED_CONTEXT + distractors,
@@ -393,25 +403,7 @@ def generate(spec: GenSpec, table: CategoryTable) -> GeneratedCorpus:
 
 
 def genspec_to_json(spec: GenSpec) -> str:
-    doc = {
-        "seed": spec.seed,
-        "participants": spec.participants,
-        "segments_per_participant": list(spec.segments_per_participant),
-        "frames_per_segment": spec.frames_per_segment,
-        "participant_effect": spec.participant_effect,
-        "noise": asdict(spec.noise),
-        "adl_profiles": [
-            {
-                "adl": ADL_NAMES[i],
-                "core": list(p.core),
-                "core_prob": p.core_prob,
-                "context": [[c, prob] for c, prob in p.context],
-                "active_prob": p.active_prob,
-            }
-            for i, p in enumerate(spec.adl_profiles)
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=False)
+    return json.dumps(to_document(spec), indent=2, sort_keys=False)
 
 
 def genspec_from_json(text: str) -> GenSpec:
@@ -422,32 +414,8 @@ def genspec_from_json(text: str) -> GenSpec:
     except RecursionError:
         raise GenError("generator spec parse failure: nested too deeply") from None
     try:
-        profiles_doc = doc["adl_profiles"]
-        if [p.get("adl") for p in profiles_doc] != list(ADL_NAMES):
-            raise GenError(
-                "adl_profiles must list all 7 ADL classes in canonical order"
-            )
-        profiles = tuple(
-            AdlProfile(
-                core=tuple(p["core"]),
-                core_prob=float(p["core_prob"]),
-                context=tuple((str(c), float(prob)) for c, prob in p["context"]),
-                active_prob=float(p["active_prob"]),
-            )
-            for p in profiles_doc
-        )
-        spec = GenSpec(
-            seed=int(doc["seed"]),
-            participants=int(doc["participants"]),
-            segments_per_participant=tuple(int(c) for c in doc["segments_per_participant"]),
-            frames_per_segment=int(doc["frames_per_segment"]),
-            adl_profiles=profiles,
-            participant_effect=float(doc.get("participant_effect", 0.0)),
-            noise=NoiseSpec(**doc.get("noise", {})),
-        )
-    except GenError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        spec = from_document(GenSpec, doc)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GenError(f"invalid generator spec: {exc}") from None
     spec.validate()
     return spec

@@ -17,6 +17,7 @@ from adlrec.cli import main
 from adlrec.features import feature_matrix
 from adlrec.models import load_model, save_model
 from adlrec.records import load_corpus
+from adlrec.synthgen import clean_genspec, genspec_to_json
 from adlrec.taxonomy import default_category_table
 
 from helpers import PRIOR_KIND, redigest
@@ -406,7 +407,7 @@ def test_unknown_model_kind_fails(synth_dir, tmp_path, capsys):
     assert "unknown model kind" in capsys.readouterr().err
 
 
-def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path):
+def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys):
     records = ["--records", str(synth_dir / "records.jsonl"),
                "--manifest", str(synth_dir / "manifest.csv")]
     assert main(["train", *records, "--model", "rf", "--out", str(tmp_path / "m")]) == 0
@@ -420,35 +421,52 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path):
     def drop_threshold(doc):
         del doc["parameters"]["trees"][3]["threshold"]
 
-    def drop_parameters(doc):
-        del doc["parameters"]
-
     def drop_trees(doc):
         doc["parameters"]["trees"] = []
 
+    def delete(field):
+        def edit(doc):
+            del doc[field]
+        return edit
+
+    def put(field, value):
+        def edit(doc):
+            doc[field] = value
+        return edit
+
+    malformed = "error: malformed model document: "
+    n_nodes = len(good["parameters"]["trees"][0]["left"])
     edits = [
-        drop_parameters,
-        drop_trees,
-        drop_threshold,
-        tree_edit("left", [0] * len(good["parameters"]["trees"][0]["left"])),
-        tree_edit("feature", good["parameters"]["trees"][0]["feature"][:-1]),
-        tree_edit("feature", [2**70] * len(good["parameters"]["trees"][0]["feature"])),
-        tree_edit("value", [[0.5]] * len(good["parameters"]["trees"][0]["value"])),
+        (drop_trees, malformed + "forest has no trees"),
+        (drop_threshold, malformed + "missing field 'threshold'"),
+        (tree_edit("left", [0] * n_nodes),
+         malformed + "tree node 0: child 0 out of range or not after it"),
+        (tree_edit("feature", good["parameters"]["trees"][0]["feature"][:-1]),
+         malformed + "tree arrays differ in length"),
+        (tree_edit("feature", [2**70] * n_nodes),
+         malformed + "tree internal node 2 carries a value"),
+        (tree_edit("value", [[0.5]] * n_nodes),
+         malformed + "tree internal node 0 carries a value"),
+        (put("kind", 5), malformed + "unknown model kind 5"),
+        (put("classes", "ab"), malformed + "invalid literal for int() with base 10: 'a'"),
+        (put("feature_config", {}), malformed + "missing field 'representation'"),
+        (delete("schema_version"), "error: unsupported model schema version None (supported: 1)"),
+        # written without a digest, since the edit deleted it
+        (delete("digest"), "error: model digest mismatch: document corrupted or tampered"),
+    ] + [
+        (delete(field), malformed + f"missing field {field!r}")
+        for field in ("kind", "hyperparameters", "feature_config", "feature_dim", "classes",
+                      "class_names", "metadata", "parameters")
     ]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    for n, edit in enumerate(edits):
+    for n, (edit, message) in enumerate(edits):
         doc = json.loads(json.dumps(good))
         edit(doc)
         bad = tmp_path / f"bad{n}.json"
-        bad.write_text(redigest(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "adlrec", "evaluate", *records, "--model", str(bad),
-             "--out", str(tmp_path / f"e{n}")],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 1, (edit, proc.stderr)
-        assert proc.stderr.startswith("error: malformed model document"), (edit, proc.stderr)
-        assert "Traceback" not in proc.stderr
+        bad.write_text(redigest(doc) if "digest" in doc else json.dumps(doc))
+        code = main(["evaluate", *records, "--model", str(bad), "--out", str(tmp_path / f"e{n}")])
+        err = capsys.readouterr().err
+        assert code == 1, (message, err)
+        assert err.splitlines()[0] == message, err
 
 
 @pytest.mark.parametrize(
@@ -481,6 +499,14 @@ def test_report_on_malformed_input_fails_legibly(tmp_path, name, content, reason
 
 NESTED = b"[" * 100_000
 NOT_UTF8 = b"\xff\xfe{}"
+SMALL_SPEC = genspec_to_json(clean_genspec(participants=2, segments_per_participant=7,
+                                           frames_per_segment=2))
+
+
+def _spec_with(section, field, value) -> bytes:
+    doc = json.loads(SMALL_SPEC)
+    (doc[section] if section else doc)[field] = value
+    return json.dumps(doc).encode()
 
 
 @pytest.mark.parametrize(
@@ -497,10 +523,21 @@ NOT_UTF8 = b"\xff\xfe{}"
         (["synth", "--taxonomy", "{f}"], NOT_UTF8, "error: category table {f} is not valid UTF-8"),
         (["evaluate", "--model", "{f}", "--records", "r.jsonl", "--manifest", "m.csv"],
          b'{"schema_version":1,"x":NaN}', "error: corrupted model document: number is NaN or infinite"),
+        (["synth", "--spec", "{f}"], _spec_with("noise", "drop_rate", "x"),
+         "error: invalid generator spec: could not convert string to float: 'x'"),
+        (["synth", "--spec", "{f}"], _spec_with(None, "seed", float("inf")),
+         "error: invalid generator spec: cannot convert float infinity to integer"),
+        (["synth", "--spec", "{f}"], _spec_with("noise", "box_jitter_px", float("inf")),
+         "error: box_jitter_px must be finite and at most half the largest float"),
+        (["synth", "--box-jitter", "inf"], b"",
+         "error: box_jitter_px must be finite and at most half the largest float"),
+        (["synth", "--box-jitter", "nan"], b"",
+         "error: box_jitter_px must be finite and at most half the largest float"),
     ],
     ids=["evaluate-model", "synth-spec", "synth-taxonomy",
          "evaluate-model-not-utf8", "synth-spec-not-utf8", "synth-taxonomy-not-utf8",
-         "evaluate-model-nan"],
+         "evaluate-model-nan", "synth-spec-rate-not-a-number", "synth-spec-seed-infinite",
+         "synth-spec-jitter-infinite", "synth-box-jitter-infinite", "synth-box-jitter-nan"],
 )
 def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, content, message):
     deep = tmp_path / "deep.json"
@@ -646,6 +683,12 @@ def report_sources(tmp_path_factory):
     }
 
 
+def _at(node, path):
+    for step in path:
+        node = node[step]
+    return node
+
+
 def _paths(node, path=()):
     yield path
     if isinstance(node, dict):
@@ -713,5 +756,44 @@ def test_report_on_mutated_files_exits_0_or_1_with_error_line(report_sources, da
     if code == 1:
         assert err.getvalue().startswith(f"error: {path} is not a report.json or grid.csv")
         assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
+
+
+SPEC_VALUES = [None, "x", -1, 0, 0.5, 2, float("nan"), float("inf"), [], {}, True]
+
+
+def _draw_leaf(data, node) -> tuple:
+    """A path to a leaf, one uniform choice per level, so that the few
+    top-level fields are drawn as often as the many profile entries."""
+    path = ()
+    while isinstance(node, (dict, list)) and node:
+        step = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (step,), node[step]
+    return path
+
+
+# Large finite numbers stay out of SPEC_VALUES: participants has no upper
+# bound, so a spec asking for 1e308 of them generates forever.
+@settings(deadline=None)
+@given(data=st.data())
+def test_synth_on_mutated_spec_exits_0_or_1_with_error_line(tmp_path_factory, data):
+    doc = json.loads(SMALL_SPEC)
+    path = _draw_leaf(data, doc)
+    if data.draw(st.booleans()):
+        keys = [path[: i + 1] for i, step in enumerate(path) if isinstance(step, str)]
+        path = data.draw(st.sampled_from(keys))
+        del _at(doc, path[:-1])[path[-1]]
+    else:
+        _at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(SPEC_VALUES))
+    work = tmp_path_factory.mktemp("spec_fuzz")
+    spec = work / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["synth", "--spec", str(spec), "--out", str(work / "out")])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), err.getvalue()
     else:
         assert err.getvalue() == ""

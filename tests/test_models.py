@@ -134,7 +134,7 @@ def test_zero_weight_logreg_is_uniform():
         feature_dim=6,
         feature_config=FC,
         hyperparameters=dict(logreg.DEFAULTS),
-        params=LogisticModel(weights=np.zeros((6, 4)), bias=np.zeros(4)),
+        parameters=LogisticModel(weights=np.zeros((6, 4)), bias=np.zeros(4)),
         metadata={},
     )
     proba = model.predict_proba_matrix(np.ones((3, 6)))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from adlrec.synthgen import (
     perturb,
     proportional_allocation,
 )
-from adlrec.taxonomy import NUM_ADL_CLASSES
+from adlrec.taxonomy import ADL_NAMES, NUM_ADL_CLASSES
 
 
 def test_manifest_row_count(table):
@@ -205,7 +207,9 @@ def test_spec_validation_errors(table):
         profiles = list(good.adl_profiles)
         from adlrec.synthgen import AdlProfile
 
-        profiles[0] = AdlProfile(core=("no_such",), core_prob=0.5, context=(), active_prob=0.5)
+        profiles[0] = AdlProfile(
+            adl=ADL_NAMES[0], core=("no_such",), core_prob=0.5, context=(), active_prob=0.5
+        )
         generate(
             GenSpec(
                 seed=0,
@@ -218,10 +222,23 @@ def test_spec_validation_errors(table):
         )
 
 
+# sha256 of genspec.json for each preset at its default size with every noise
+# rate non-zero: any change to the spec's fields, their order or values moves
+# these bytes.
+GENSPEC_PINS = {
+    clean_genspec: "48642f805d3123911fe88a3b60acad020d388a2521b5cc5a975b60aaeac9e1dd",
+    distractor_genspec: "85f86db6aa61fff190214010c4a03d5daf6382b8b2cfd46a13dfef370f469782",
+}
+
+
 def test_genspec_json_roundtrip():
     spec = distractor_genspec(participants=5, segments_per_participant=14, seed=33,
                               noise=NoiseSpec(drop_rate=0.1, box_jitter_px=2.0))
     assert genspec_from_json(genspec_to_json(spec)) == spec
+    noise = NoiseSpec(drop_rate=0.1, spurious_rate=0.2, label_confusion_rate=0.05, box_jitter_px=2.5)
+    for preset, digest in GENSPEC_PINS.items():
+        text = genspec_to_json(preset(noise=noise))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, preset.__name__
     with pytest.raises(GenError, match="parse failure"):
         genspec_from_json("{oops")
     with pytest.raises(GenError, match="invalid generator spec"):
