@@ -28,7 +28,7 @@ from .evaluation import (
     run_loso,
     score_model,
 )
-from .features import FeatureConfig, FeatureError, feature_matrix, feature_names
+from .features import REPRESENTATIONS, FeatureConfig, FeatureError, feature_matrix, feature_names
 from .models import (
     KINDS,
     ModelFormatError,
@@ -39,7 +39,7 @@ from .models import (
     save_model,
     train_matrix,
 )
-from .records import RecordError, load_corpus, serialize_segments, write_manifest
+from .records import MANIFEST_HEADER, RecordError, load_corpus, serialize_segments, write_manifest
 from .synthgen import (
     GenError,
     NoiseSpec,
@@ -57,6 +57,7 @@ from .taxonomy import (
 )
 
 DEFAULT_SEED = 1729
+PRESETS = {"clean": clean_genspec, "distractor": distractor_genspec}
 
 _ERRORS = (
     TaxonomyError,
@@ -70,29 +71,31 @@ _ERRORS = (
 )
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _names_model_file(model: str) -> bool:
+    """Whether a --model value is a saved model's path; a model kind never
+    is, even where a file has its name."""
+    return not any(model in (k.NAME, *k.ALIASES) for k in KINDS) and Path(model).is_file()
 
 
-def _write_run(
-    out_dir: Path,
-    command: str,
-    config: dict,
-    inputs: list[Path],
-    seed: int | None,
-    files: dict[str, str],
-) -> None:
-    """Write output files plus the directory's RunManifest."""
+def _write_run(args, config: dict, seed: int | None, files: dict[str, str]) -> None:
+    """Write output files to --out plus the directory's RunManifest, whose
+    inputs are the files the command's path arguments name."""
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
     for name, content in files.items():
         data = content.encode("utf-8")
         (out_dir / name).write_bytes(data)
-        outputs[name] = _sha256_bytes(data)
+        outputs[name] = hashlib.sha256(data).hexdigest()
+    paths = [getattr(args, name, None) for name in ("spec", "records", "manifest", "taxonomy")]
+    if hasattr(args, "model") and _names_model_file(args.model):
+        paths.append(args.model)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "inputs": {str(p): _sha256_bytes(Path(p).read_bytes()) for p in inputs},
+        "inputs": {
+            str(Path(p)): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths if p
+        },
         "outputs": outputs,
         "seed": seed,
         "tool_version": __version__,
@@ -112,18 +115,15 @@ def _read_utf8(path: str, error: type[Exception], what: str) -> str:
 
 def _load_table(args):
     if getattr(args, "taxonomy", None):
-        text = _read_utf8(args.taxonomy, TaxonomyError, "category table")
-        return load_category_table(text), [Path(args.taxonomy)]
-    return default_category_table(), []
+        return load_category_table(_read_utf8(args.taxonomy, TaxonomyError, "category table"))
+    return default_category_table()
 
 
 def _load_segments(args, require_labels=True):
-    inputs = [Path(args.records)]
     # a records line that is not UTF-8 becomes one rejected-record diagnostic
     with open(args.records, encoding="utf-8", errors="surrogateescape") as record_stream:
         manifest_stream = None
         if getattr(args, "manifest", None):
-            inputs.append(Path(args.manifest))
             manifest_stream = open(args.manifest, encoding="utf-8")
         elif require_labels:
             raise RecordError("training mode requires --manifest")
@@ -138,7 +138,7 @@ def _load_segments(args, require_labels=True):
                 manifest_stream.close()
     for diag in diagnostics:
         print(f"{args.records}:{diag.line}: rejected record: {diag.message}", file=sys.stderr)
-    return result, diagnostics, inputs
+    return result, diagnostics
 
 
 def _feature_config(args, table) -> FeatureConfig:
@@ -152,7 +152,6 @@ def _feature_config(args, table) -> FeatureConfig:
 def cmd_synth(args) -> int:
     if args.spec:
         spec = genspec_from_json(_read_utf8(args.spec, GenError, "generator spec"))
-        inputs = [Path(args.spec)]
     else:
         noise = NoiseSpec(
             drop_rate=args.drop_rate,
@@ -160,16 +159,14 @@ def cmd_synth(args) -> int:
             label_confusion_rate=args.label_confusion_rate,
             box_jitter_px=args.box_jitter,
         )
-        builder = clean_genspec if args.preset == "clean" else distractor_genspec
-        spec = builder(
+        spec = PRESETS[args.preset](
             participants=args.participants,
             segments_per_participant=args.segments,
             frames_per_segment=args.frames,
             seed=args.seed,
             noise=noise,
         )
-        inputs = []
-    table, table_inputs = _load_table(args)
+    table = _load_table(args)
     corpus = generate(spec, table)
     files = {
         "records.jsonl": "\n".join(serialize_segments(corpus.segments)) + "\n",
@@ -177,14 +174,8 @@ def cmd_synth(args) -> int:
         "manifest.csv": write_manifest(corpus.truth_segments),
         "genspec.json": genspec_to_json(spec) + "\n",
     }
-    _write_run(
-        Path(args.out),
-        "synth",
-        {"spec": args.spec, "preset": args.preset, "taxonomy_hash": table.content_hash},
-        inputs + table_inputs,
-        spec.seed,
-        files,
-    )
+    config = {"spec": args.spec, "preset": args.preset, "taxonomy_hash": table.content_hash}
+    _write_run(args, config, spec.seed, files)
     print(
         f"wrote {len(corpus.segments)} segments "
         f"({spec.participants} participants) to {args.out}"
@@ -194,7 +185,7 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest_validate(args) -> int:
     require = args.manifest is not None
-    result, diagnostics, _ = _load_segments(args, require_labels=require)
+    result, diagnostics = _load_segments(args, require_labels=require)
     n_valid = sum(len(s.frames) for s in result.segments)
     print(
         f"segments: {len(result.segments)}  valid records: {n_valid}  "
@@ -214,33 +205,19 @@ def _features_csv(segments, table, config) -> str:
         f"active={str(config.use_active).lower()} taxonomy={config.taxonomy_hash}\n"
     )
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["participant_id", "video_id", "segment_index", "adl_label"]
-        + feature_names(table, config)
-    )
+    writer.writerow([*MANIFEST_HEADER, *feature_names(table, config)])
     for row, key in zip(X, keys):
         label = labels[key]
-        writer.writerow(
-            [key.participant_id, key.video_id, key.segment_index]
-            + [label.name if label else ""]
-            + [repr(v) for v in row]
-        )
+        writer.writerow([*key, label.name if label else "", *map(repr, row)])
     return out.getvalue()
 
 
 def cmd_featurize(args) -> int:
-    table, table_inputs = _load_table(args)
-    result, diagnostics, inputs = _load_segments(args, require_labels=not args.inference)
+    table = _load_table(args)
+    result, diagnostics = _load_segments(args, require_labels=not args.inference)
     config = _feature_config(args, table)
     files = {"features.csv": _features_csv(result.segments, table, config)}
-    _write_run(
-        Path(args.out),
-        "featurize",
-        {**asdict(config), "rejected_records": len(diagnostics)},
-        inputs + table_inputs,
-        None,
-        files,
-    )
+    _write_run(args, {**asdict(config), "rejected_records": len(diagnostics)}, None, files)
     print(
         f"featurized {len(result.segments)} segments -> "
         f"{config.dimension(len(table))} columns"
@@ -252,8 +229,8 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    table, table_inputs = _load_table(args)
-    result, diagnostics, inputs = _load_segments(args)
+    table = _load_table(args)
+    result, diagnostics = _load_segments(args)
     config = _feature_config(args, table)
     X, keys = feature_matrix(result.segments, table, config)
     labels = {s.key: s.label.id for s in result.segments}
@@ -261,14 +238,8 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=args.seed)
     model = train_matrix(X, y, cfg, feature_config=config)
     files = {"model.json": save_model(model) + "\n"}
-    _write_run(
-        Path(args.out),
-        "train",
-        {"model": model.kind, **asdict(config), "hyperparameters": model.hyperparameters},
-        inputs + table_inputs,
-        args.seed,
-        files,
-    )
+    run_config = {"model": model.kind, **asdict(config), "hyperparameters": model.hyperparameters}
+    _write_run(args, run_config, args.seed, files)
     print(
         f"trained {model.kind} on {X.shape[0]} segments "
         f"({model.metadata['stopping_reason']} after {model.metadata['iterations']} iterations)"
@@ -276,11 +247,11 @@ def cmd_train(args) -> int:
     return 1 if diagnostics else 0
 
 
-def _score_fixed_model(args, table, inputs) -> int:
+def _score_fixed_model(args, table) -> int:
     model = load_model(_read_utf8(args.model, ModelFormatError, "model file"))
     if model.feature_config.taxonomy_hash != table.content_hash:
         raise FeatureError("model was trained under a different taxonomy version")
-    result, diagnostics, more_inputs = _load_segments(args)
+    result, diagnostics = _load_segments(args)
     X, keys = feature_matrix(result.segments, table, model.feature_config)
     labels = {s.key: s.label.id for s in result.segments}
     y_true = [labels[k] for k in keys]
@@ -288,45 +259,29 @@ def _score_fixed_model(args, table, inputs) -> int:
 
     predictions = io.StringIO()
     writer = csv.writer(predictions, lineterminator="\n")
-    writer.writerow(["participant_id", "video_id", "segment_index", "true_adl", "predicted_adl"])
+    writer.writerow([*MANIFEST_HEADER[:3], "true_adl", "predicted_adl"])
     for key, yt, yp in zip(keys, y_true, y_pred):
-        writer.writerow(
-            [key.participant_id, key.video_id, key.segment_index, ADL_NAMES[yt], ADL_NAMES[int(yp)]]
-        )
+        writer.writerow([*key, ADL_NAMES[yt], ADL_NAMES[int(yp)]])
     files = {
         "report.json": json.dumps(report, indent=2) + "\n",
         "predictions.csv": predictions.getvalue(),
     }
-    _write_run(
-        Path(args.out),
-        "evaluate",
-        {"model_file": args.model, "taxonomy_hash": table.content_hash},
-        inputs + more_inputs + [Path(args.model)],
-        None,  # scoring draws no random number
-        files,
-    )
+    config = {"model_file": args.model, "taxonomy_hash": table.content_hash}
+    _write_run(args, config, None, files)  # scoring draws no random number
     print(f"weighted F1 on {len(y_true)} segments: {report['weighted_f1']:.2f}")
     return 1 if diagnostics else 0
 
 
 def cmd_evaluate(args) -> int:
-    table, table_inputs = _load_table(args)
-    # a model kind always selects LOSO, even where a file has its name
-    if not any(args.model in (k.NAME, *k.ALIASES) for k in KINDS) and Path(args.model).is_file():
-        return _score_fixed_model(args, table, table_inputs)
-    result, diagnostics, inputs = _load_segments(args)
+    table = _load_table(args)
+    if _names_model_file(args.model):
+        return _score_fixed_model(args, table)
+    result, diagnostics = _load_segments(args)
     config = _feature_config(args, table)
     cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=args.seed)
     report = run_loso(result.segments, table, config, cfg)
     files = {"report.json": json.dumps(report_to_document(report), indent=2) + "\n"}
-    _write_run(
-        Path(args.out),
-        "evaluate",
-        {"model": cfg.kind, **asdict(config)},
-        inputs + table_inputs,
-        args.seed,
-        files,
-    )
+    _write_run(args, {"model": cfg.kind, **asdict(config)}, args.seed, files)
     print(
         f"LOSO weighted F1: {report.mean_weighted_f1:.2f} +/- {report.std_weighted_f1:.2f}  "
         f"participants > 0.5: {report.percent_above_half:.0f}%"
@@ -337,8 +292,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    table, table_inputs = _load_table(args)
-    result, diagnostics, inputs = _load_segments(args)
+    table = _load_table(args)
+    result, diagnostics = _load_segments(args)
     kinds = [resolve_kind(k.strip()).NAME for k in args.models.split(",") if k.strip()]
     if not kinds:
         raise TrainingError("no models requested")
@@ -348,14 +303,7 @@ def cmd_ablate(args) -> int:
         "grid.csv": grid_csv,
         "ablation.json": json.dumps(ablation_to_document(cells), indent=2) + "\n",
     }
-    _write_run(
-        Path(args.out),
-        "ablate",
-        {"models": kinds, "taxonomy_hash": table.content_hash},
-        inputs + table_inputs,
-        args.seed,
-        files,
-    )
+    _write_run(args, {"models": kinds, "taxonomy_hash": table.content_hash}, args.seed, files)
     print(_render_grid(grid_csv), end="")
     return 1 if diagnostics else 0
 
@@ -448,7 +396,7 @@ def _add_common_io(sub, records=True, taxonomy=True, out=True, seed=True):
 def _add_feature_flags(sub):
     sub.add_argument(
         "--representation",
-        choices=("counts", "binary", "both"),
+        choices=REPRESENTATIONS,
         default="binary",
         help="Bag-of-Objects representation",
     )
@@ -472,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = commands.add_parser("synth", help="generate a synthetic labeled corpus")
     synth.add_argument("--spec", help="generator spec JSON (overrides preset flags)")
-    synth.add_argument("--preset", choices=("clean", "distractor"), default="clean")
+    synth.add_argument("--preset", choices=PRESETS, default="clean")
     synth.add_argument("--participants", type=int, default=16)
     synth.add_argument(
         "--segments", type=int, default=50, help="segments per participant (per-ADL split is proportional)"

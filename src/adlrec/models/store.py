@@ -69,6 +69,8 @@ def load_model(text: str):
         model = from_document(TrainedModel, {k: v for k, v in body.items() if k not in ENVELOPE})
         model.parameters = from_document(params, model.parameters)
         model.parameters.check(model.feature_dim, len(model.classes))
+        if doc["taxonomy_hash"] != model.feature_config.taxonomy_hash:
+            raise ValueError("taxonomy_hash differs from feature_config.taxonomy_hash")
     except KeyError as exc:
         raise ModelFormatError(f"malformed model document: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .documents import from_document, to_document
 from .records import (
+    MAX_FRAMES_PER_SEGMENT,
     Box2D,
     FrameObservation,
     HoiObject,
@@ -30,6 +31,12 @@ CANVAS_H = 720.0
 # Probability of an unmatched hand-interaction box per frame (hand in view
 # without a confirmed object match); keeps the hoi channel non-degenerate.
 STRAY_HOI_PROB = 0.08
+
+# Upper bound on a spec's segments (participants x per-ADL counts): far above
+# the paper's 2261 segments and the benchmark's largest corpus of 800, and low
+# enough that a spec asking for 1e308 participants fails at once instead of
+# generating until killed.
+MAX_SEGMENTS = 1_000_000
 
 
 class GenError(ValueError):
@@ -71,7 +78,9 @@ class GenSpec:
 
     def validate(self) -> None:
         if [p.adl for p in self.adl_profiles] != list(ADL_NAMES):
-            raise GenError("adl_profiles must list all 7 ADL classes in canonical order")
+            raise GenError(
+                f"adl_profiles must list all {len(ADL_NAMES)} ADL classes in canonical order"
+            )
         if self.participants < 1:
             raise GenError("participants must be >= 1")
         if len(self.segments_per_participant) != len(ADL_LABELS):
@@ -82,8 +91,10 @@ class GenSpec:
             raise GenError("negative segment count")
         if sum(self.segments_per_participant) == 0:
             raise GenError("spec generates zero segments")
-        if not 1 <= self.frames_per_segment <= 60:
-            raise GenError("frames_per_segment must be in [1, 60]")
+        if self.participants * sum(self.segments_per_participant) > MAX_SEGMENTS:
+            raise GenError(f"spec generates more than {MAX_SEGMENTS} segments")
+        if not 1 <= self.frames_per_segment <= MAX_FRAMES_PER_SEGMENT:
+            raise GenError(f"frames_per_segment must be in [1, {MAX_FRAMES_PER_SEGMENT}]")
         if not 0.0 <= self.participant_effect <= 1.0:
             raise GenError("participant_effect must be in [0, 1]")
         for profile in self.adl_profiles:

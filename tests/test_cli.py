@@ -450,13 +450,15 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
         (put("kind", 5), malformed + "unknown model kind 5"),
         (put("classes", "ab"), malformed + "invalid literal for int() with base 10: 'a'"),
         (put("feature_config", {}), malformed + "missing field 'representation'"),
+        (put("taxonomy_hash", "0" * 64),
+         malformed + "taxonomy_hash differs from feature_config.taxonomy_hash"),
         (delete("schema_version"), "error: unsupported model schema version None (supported: 1)"),
         # written without a digest, since the edit deleted it
         (delete("digest"), "error: model digest mismatch: document corrupted or tampered"),
     ] + [
         (delete(field), malformed + f"missing field {field!r}")
         for field in ("kind", "hyperparameters", "feature_config", "feature_dim", "classes",
-                      "class_names", "metadata", "parameters")
+                      "class_names", "metadata", "parameters", "taxonomy_hash")
     ]
     for n, (edit, message) in enumerate(edits):
         doc = json.loads(json.dumps(good))
@@ -656,6 +658,39 @@ def test_report_on_tree_ensemble_folds_makes_no_convergence_claim(synth_dir, tmp
         assert f"  {fold['participant_id']}: F1 {fold['weighted_f1']:.2f}\n" in text
 
 
+def test_run_manifest_inputs_are_the_path_arguments(tmp_path, monkeypatch):
+    # relative paths, "./" prefixes, and a file named like a model kind that
+    # no command reads
+    monkeypatch.chdir(tmp_path)
+    Path("logreg").write_text("not a model")
+    Path("tax.json").write_bytes((ROOT / "src" / "adlrec" / "data" / "categories.json").read_bytes())
+    Path("spec.json").write_text(SMALL_SPEC)
+    data = ["--records", "./c/records.jsonl", "--manifest", "c/manifest.csv"]
+    labeled = ["c/records.jsonl", "c/manifest.csv"]
+    runs = [
+        (["synth", "--participants", "3", "--segments", "14", "--frames", "6", "--seed", "12",
+          "--out", "c"], []),
+        (["synth", "--spec", "./spec.json", "--taxonomy", "tax.json", "--out", "s"],
+         ["spec.json", "tax.json"]),
+        (["featurize", *data, "--out", "f"], labeled),
+        (["featurize", "--records", "c/records.jsonl", "--inference", "--out", "fi"],
+         ["c/records.jsonl"]),
+        (["train", *data, "--taxonomy", "./tax.json", "--model", "logreg", "--out", "m"],
+         [*labeled, "tax.json"]),
+        (["evaluate", *data, "--model", "logreg", "--out", "l"], labeled),
+        (["evaluate", *data, "--taxonomy", "tax.json", "--model", "./m/model.json", "--out", "e"],
+         [*labeled, "tax.json", "m/model.json"]),
+        (["ablate", *data, "--models", "logreg", "--out", "a"], labeled),
+    ]
+    for argv, inputs in runs:
+        assert main(argv) == 0, argv
+        doc = json.loads((tmp_path / argv[-1] / "run_manifest.json").read_text())
+        assert doc["command"] == argv[0]
+        assert doc["inputs"] == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs
+        }, argv
+
+
 def test_cli_import_loads_no_process_pool():
     code = ("import sys, adlrec.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
@@ -760,7 +795,7 @@ def test_report_on_mutated_files_exits_0_or_1_with_error_line(report_sources, da
         assert err.getvalue() == ""
 
 
-SPEC_VALUES = [None, "x", -1, 0, 0.5, 2, float("nan"), float("inf"), [], {}, True]
+SPEC_VALUES = [None, "x", -1, 0, 0.5, 2, 2**63, 1e308, float("nan"), float("inf"), [], {}, True]
 
 
 def _draw_leaf(data, node) -> tuple:
@@ -773,8 +808,6 @@ def _draw_leaf(data, node) -> tuple:
     return path
 
 
-# Large finite numbers stay out of SPEC_VALUES: participants has no upper
-# bound, so a spec asking for 1e308 of them generates forever.
 @settings(deadline=None)
 @given(data=st.data())
 def test_synth_on_mutated_spec_exits_0_or_1_with_error_line(tmp_path_factory, data):
