@@ -78,8 +78,8 @@ def _names_model_file(model: str) -> bool:
 
 
 def _write_run(args, config: dict, seed: int | None, files: dict[str, str]) -> None:
-    """Write output files to --out plus the directory's RunManifest, whose
-    inputs are the files the command's path arguments name."""
+    """Write output files to --out plus the directory's run_manifest.json,
+    whose inputs are the files the command's path arguments name."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -122,20 +122,12 @@ def _load_table(args):
 def _load_segments(args, require_labels=True):
     # a records line that is not UTF-8 becomes one rejected-record diagnostic
     with open(args.records, encoding="utf-8", errors="surrogateescape") as record_stream:
-        manifest_stream = None
-        if getattr(args, "manifest", None):
-            manifest_stream = open(args.manifest, encoding="utf-8")
+        manifest = None
+        if args.manifest:
+            manifest = _read_utf8(args.manifest, RecordError, "manifest")
         elif require_labels:
             raise RecordError("training mode requires --manifest")
-        try:
-            result, diagnostics = load_corpus(
-                record_stream, manifest_stream, require_labels=require_labels
-            )
-        except UnicodeDecodeError:
-            raise RecordError(f"manifest {args.manifest} is not valid UTF-8") from None
-        finally:
-            if manifest_stream is not None:
-                manifest_stream.close()
+        result, diagnostics = load_corpus(record_stream, manifest, require_labels=require_labels)
     for diag in diagnostics:
         print(f"{args.records}:{diag.line}: rejected record: {diag.message}", file=sys.stderr)
     return result, diagnostics

@@ -37,14 +37,14 @@ def loso_split(segments: list[Segment]) -> list[tuple[list[Segment], list[Segmen
     """One (train, test) fold per participant, ordered by participant id."""
     if any(s.label is None for s in segments):
         raise EvaluationError("all segments must be labeled for evaluation")
-    participants = sorted({s.participant_id for s in segments})
+    participants = sorted({s.key.participant_id for s in segments})
     if len(participants) < 2:
         raise EvaluationError("leave-one-subject-out needs at least 2 participants")
     ordered = sorted(segments, key=lambda s: s.key)
     folds = []
     for participant in participants:
-        test = [s for s in ordered if s.participant_id == participant]
-        train = [s for s in ordered if s.participant_id != participant]
+        test = [s for s in ordered if s.key.participant_id == participant]
+        train = [s for s in ordered if s.key.participant_id != participant]
         folds.append((train, test))
     return folds
 
@@ -173,7 +173,7 @@ def run_loso(
     owners = np.array([key.participant_id for key in keys])
     folds = []
     for _, test_segments in splits:
-        participant = test_segments[0].participant_id
+        participant = test_segments[0].key.participant_id
         fold_seed = derive_seed(train_config.seed, "fold", participant)
         fold_cfg = replace(train_config, seed=fold_seed)
         test = owners == participant

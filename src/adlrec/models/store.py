@@ -47,6 +47,8 @@ def load_model(text: str):
         raise ModelFormatError(f"corrupted model document: {exc.msg}") from None
     except RecursionError:
         raise ModelFormatError("corrupted model document: nested too deeply") from None
+    except ValueError:  # an integer longer than int's digit limit
+        raise ModelFormatError("corrupted model document: integer has too many digits") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = doc.get("schema_version")

@@ -83,9 +83,7 @@ class FrameObservation(NamedTuple):
 class Segment:
     """One labeled one-minute snippet; label is None for inference data."""
 
-    participant_id: str
-    video_id: str
-    segment_index: int
+    key: SegmentKey
     frames: tuple[FrameObservation, ...]
     label: AdlLabel | None = None
 
@@ -97,10 +95,6 @@ class Segment:
         indices = [f.frame_index for f in self.frames]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise RecordError("frame_index strictly increasing violated")
-
-    @property
-    def key(self) -> SegmentKey:
-        return SegmentKey(self.participant_id, self.video_id, self.segment_index)
 
 
 class Diagnostic(NamedTuple):
@@ -173,6 +167,8 @@ def parse_record_line(line: str) -> tuple[SegmentKey, FrameObservation]:
         raise RecordError(f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise RecordError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer longer than int's digit limit
+        raise RecordError("invalid JSON: integer has too many digits") from None
     if not isinstance(doc, dict):
         raise RecordError("record must be a JSON object")
     participant = doc.get("participant_id")
@@ -198,13 +194,6 @@ def parse_record_line(line: str) -> tuple[SegmentKey, FrameObservation]:
     return SegmentKey(participant, video, seg_idx), FrameObservation(frame_idx, detections, hois)
 
 
-class _FrameGroup(list):
-    """One segment's frames in reading order; bit i of `seen` is set once a
-    frame with frame_index i was read (frame indices are below 60)."""
-
-    seen = 0
-
-
 def parse_records(
     stream: Iterable[str] | TextIO,
 ) -> tuple[dict[SegmentKey, list[FrameObservation]], list[Diagnostic]]:
@@ -217,7 +206,7 @@ def parse_records(
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    groups: dict[SegmentKey, _FrameGroup] = {}
+    groups: dict[SegmentKey, dict[int, FrameObservation]] = {}
     duplicated: set[SegmentKey] = set()
     diagnostics: list[Diagnostic] = []
     for lineno, line in enumerate(stream, start=1):
@@ -228,11 +217,8 @@ def parse_records(
         except RecordError as exc:
             diagnostics.append(Diagnostic(lineno, str(exc)))
             continue
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = _FrameGroup()
-        bit = 1 << observation.frame_index
-        if group.seen & bit:
+        group = groups.setdefault(key, {})
+        if observation.frame_index in group:
             duplicated.add(key)
             diagnostics.append(
                 Diagnostic(
@@ -242,10 +228,9 @@ def parse_records(
                 )
             )
             continue
-        group.seen |= bit
-        group.append(observation)
+        group[observation.frame_index] = observation
     ordered = {
-        key: sorted(groups[key], key=lambda f: f.frame_index)
+        key: [groups[key][index] for index in sorted(groups[key])]
         for key in sorted(groups)
         if key not in duplicated
     }
@@ -331,14 +316,7 @@ def write_manifest(segments: Iterable[Segment]) -> str:
     for segment in segments:
         if segment.label is None:
             raise RecordError(f"segment {segment.key} has no label to write")
-        writer.writerow(
-            [
-                segment.participant_id,
-                segment.video_id,
-                segment.segment_index,
-                segment.label.name,
-            ]
-        )
+        writer.writerow([*segment.key, segment.label.name])
     return out.getvalue()
 
 
@@ -368,13 +346,7 @@ def assemble_segments(
             missing.append(key)
             continue
         try:
-            segment = Segment(
-                participant_id=key.participant_id,
-                video_id=key.video_id,
-                segment_index=key.segment_index,
-                frames=tuple(frames),
-                label=label,
-            )
+            segment = Segment(key, tuple(frames), label)
         except RecordError as exc:
             raise RecordError(f"segment {key}: {exc}") from None
         segments.append(segment)

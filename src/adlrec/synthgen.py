@@ -11,7 +11,7 @@ so noise-robustness comparisons have a clean reference.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .documents import from_document, to_document
 from .records import (
@@ -21,6 +21,7 @@ from .records import (
     HoiObject,
     ObjectDetection,
     Segment,
+    SegmentKey,
 )
 from .rng import derive_seed, make_generator
 from .taxonomy import ADL_LABELS, ADL_NAMES, PAPER_CLASS_COUNTS, CategoryTable
@@ -145,6 +146,8 @@ def proportional_allocation(total: int, weights=PAPER_CLASS_COUNTS) -> tuple[int
     """Largest-remainder apportionment of `total` across the class weights."""
     if total < 0:
         raise GenError("total must be >= 0")
+    if total > MAX_SEGMENTS:  # before the float division below can overflow
+        raise GenError(f"total must be <= {MAX_SEGMENTS}")
     weight_sum = sum(weights)
     quotas = [total * w / weight_sum for w in weights]
     floors = [int(q) for q in quotas]
@@ -255,15 +258,12 @@ def _emit_detection(rng, raw_labels: list[str]) -> ObjectDetection:
 
 def _generate_segment(
     spec: GenSpec,
-    table: CategoryTable,
-    participant_id: str,
-    video_id: str,
-    segment_index: int,
+    key: SegmentKey,
     adl_id: int,
     bias: dict[str, float],
     raws_by_cat: dict[str, list[str]],
 ) -> Segment:
-    rng = make_generator(spec.seed, "segment", participant_id, video_id, segment_index)
+    rng = make_generator(spec.seed, "segment", *key)
     profile = spec.adl_profiles[adl_id]
     frames = []
     for frame_index in range(spec.frames_per_segment):
@@ -303,13 +303,7 @@ def _generate_segment(
                 frame_index=frame_index, objects=tuple(objects), hoi_objects=tuple(hoi)
             )
         )
-    return Segment(
-        participant_id=participant_id,
-        video_id=video_id,
-        segment_index=segment_index,
-        frames=tuple(frames),
-        label=ADL_LABELS[adl_id],
-    )
+    return Segment(key, tuple(frames), ADL_LABELS[adl_id])
 
 
 def _jitter_box(rng, box: Box2D, jitter: float) -> Box2D:
@@ -329,9 +323,7 @@ def perturb(
     """Apply the detector noise model; hoi boxes pass through untouched."""
     out = []
     for segment in segments:
-        rng = make_generator(
-            seed, "perturb", segment.participant_id, segment.video_id, segment.segment_index
-        )
+        rng = make_generator(seed, "perturb", *segment.key)
         frames = []
         for frame in segment.frames:
             objects: list[ObjectDetection] = []
@@ -363,15 +355,7 @@ def perturb(
                     hoi_objects=frame.hoi_objects,
                 )
             )
-        out.append(
-            Segment(
-                participant_id=segment.participant_id,
-                video_id=segment.video_id,
-                segment_index=segment.segment_index,
-                frames=tuple(frames),
-                label=segment.label,
-            )
-        )
+        out.append(replace(segment, frames=tuple(frames)))
     return out
 
 
@@ -395,20 +379,9 @@ def generate(spec: GenSpec, table: CategoryTable) -> GeneratedCorpus:
         participant_id = f"p{p + 1:0{pad}d}"
         bias = _participant_bias(spec, participant_id, table)
         for adl_id, n_segments in enumerate(spec.segments_per_participant):
-            video_id = f"v{adl_id + 1:02d}"
             for segment_index in range(n_segments):
-                truth.append(
-                    _generate_segment(
-                        spec,
-                        table,
-                        participant_id,
-                        video_id,
-                        segment_index,
-                        adl_id,
-                        bias,
-                        raws_by_cat,
-                    )
-                )
+                key = SegmentKey(participant_id, f"v{adl_id + 1:02d}", segment_index)
+                truth.append(_generate_segment(spec, key, adl_id, bias, raws_by_cat))
     noisy = perturb(truth, spec.noise, derive_seed(spec.seed, "noise"), table)
     return GeneratedCorpus(truth_segments=truth, segments=noisy)
 
@@ -424,6 +397,8 @@ def genspec_from_json(text: str) -> GenSpec:
         raise GenError(f"generator spec parse failure at line {exc.lineno}: {exc.msg}") from None
     except RecursionError:
         raise GenError("generator spec parse failure: nested too deeply") from None
+    except ValueError:  # an integer longer than int's digit limit
+        raise GenError("generator spec parse failure: integer has too many digits") from None
     try:
         spec = from_document(GenSpec, doc)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

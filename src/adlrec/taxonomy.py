@@ -144,6 +144,10 @@ def load_category_table(config_text: str) -> CategoryTable:
         ) from None
     except RecursionError:
         raise TaxonomyError("category table parse failure: nested too deeply") from None
+    except TaxonomyError:  # a duplicate category, from the pairs hook
+        raise
+    except ValueError:  # an integer longer than int's digit limit
+        raise TaxonomyError("category table parse failure: integer has too many digits") from None
     if not isinstance(doc, dict):
         raise TaxonomyError("category table document must be an object")
     categories = doc.get("categories")

@@ -13,6 +13,7 @@ from adlrec.records import (
     HoiObject,
     ObjectDetection,
     Segment,
+    SegmentKey,
 )
 from adlrec.taxonomy import ADL_LABELS
 
@@ -36,13 +37,7 @@ def frame(index=0, objects=(), hois=()):
 
 
 def segment(frames, participant="p1", video="v1", index=0, label=ADL_LABELS[0]):
-    return Segment(
-        participant_id=participant,
-        video_id=video,
-        segment_index=index,
-        frames=tuple(frames),
-        label=label,
-    )
+    return Segment(SegmentKey(participant, video, index), tuple(frames), label)
 
 
 def config_label(config):

@@ -246,6 +246,34 @@ SCORED_PINS = {
 }
 
 
+# sha256 of what `adlrec synth` writes for each preset at one small size and
+# seed with every noise rate non-zero: any change to generation, the noise
+# model, record serialization or the manifest moves these bytes.
+SYNTH_PINS = {
+    "clean": {
+        "records.jsonl": "8d802acdcd9de92510e32b1943d0fbf041b64074add9cd49d5191e314e7ece7f",
+        "truth_records.jsonl": "9e9d5adae3ad9baf5417dae6a66f66d7d771129412a9559815d603746ade8b21",
+        "manifest.csv": "9090caa97160ded74c6d08e8f34da99cf265cf79c5416522a130d10289dd125f",
+    },
+    "distractor": {
+        "records.jsonl": "418dc63805fb3329b9ff0a3bf484519e39ac17f7bc58471726906daa4f870feb",
+        "truth_records.jsonl": "438094ee25bf984134958bfa6255042089fed6b9e915838e0e7073fdc49609d8",
+        "manifest.csv": "9090caa97160ded74c6d08e8f34da99cf265cf79c5416522a130d10289dd125f",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", SYNTH_PINS)
+def test_synth_bytes_are_pinned(tmp_path, preset):
+    out = tmp_path / preset
+    assert main(["synth", "--preset", preset, "--participants", "3", "--segments", "14",
+                 "--frames", "6", "--drop-rate", "0.1", "--spurious-rate", "0.2",
+                 "--label-confusion-rate", "0.05", "--box-jitter", "2.5", "--seed", "12",
+                 "--out", str(out)]) == 0
+    for name, digest in SYNTH_PINS[preset].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_saved_model_scoring_bytes_are_pinned(tmp_path):
     data = {}
     for name, seed in (("train", "12"), ("score", "13")):
@@ -500,6 +528,7 @@ def test_report_on_malformed_input_fails_legibly(tmp_path, name, content, reason
 
 
 NESTED = b"[" * 100_000
+LONG_INTEGER = b'{"segment_index": ' + b"1" * 5000 + b"}"  # beyond int's digit limit
 NOT_UTF8 = b"\xff\xfe{}"
 SMALL_SPEC = genspec_to_json(clean_genspec(participants=2, segments_per_participant=7,
                                            frames_per_segment=2))
@@ -535,11 +564,20 @@ def _spec_with(section, field, value) -> bytes:
          "error: box_jitter_px must be finite and at most half the largest float"),
         (["synth", "--box-jitter", "nan"], b"",
          "error: box_jitter_px must be finite and at most half the largest float"),
+        (["evaluate", "--model", "{f}", "--records", "r.jsonl", "--manifest", "m.csv"], LONG_INTEGER,
+         "error: corrupted model document: integer has too many digits"),
+        (["synth", "--spec", "{f}"], LONG_INTEGER,
+         "error: generator spec parse failure: integer has too many digits"),
+        (["synth", "--taxonomy", "{f}"], LONG_INTEGER,
+         "error: category table parse failure: integer has too many digits"),
+        (["synth", "--segments", str(10**400)], b"", "error: total must be <= 1000000"),
     ],
     ids=["evaluate-model", "synth-spec", "synth-taxonomy",
          "evaluate-model-not-utf8", "synth-spec-not-utf8", "synth-taxonomy-not-utf8",
          "evaluate-model-nan", "synth-spec-rate-not-a-number", "synth-spec-seed-infinite",
-         "synth-spec-jitter-infinite", "synth-box-jitter-infinite", "synth-box-jitter-nan"],
+         "synth-spec-jitter-infinite", "synth-box-jitter-infinite", "synth-box-jitter-nan",
+         "evaluate-model-long-integer", "synth-spec-long-integer", "synth-taxonomy-long-integer",
+         "synth-segments-overflow"],
 )
 def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, content, message):
     deep = tmp_path / "deep.json"

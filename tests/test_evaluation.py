@@ -62,9 +62,9 @@ def test_loso_partition_counts():
     folds = loso_split(segments)
     assert [len(test) for _, test in folds] == [5, 7, 9]
     for train, test in folds:
-        held_out = {s.participant_id for s in test}
+        held_out = {s.key.participant_id for s in test}
         assert len(held_out) == 1
-        assert held_out.isdisjoint({s.participant_id for s in train})
+        assert held_out.isdisjoint({s.key.participant_id for s in train})
         assert len(train) + len(test) == len(segments)
         assert sorted(train + test, key=lambda s: s.key) == sorted(
             segments, key=lambda s: s.key

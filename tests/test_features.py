@@ -209,7 +209,7 @@ def test_frame_order_permutation_invariance(table):
             frame(i, f.objects, f.hoi_objects)
             for i, f in enumerate(reversed(seg.frames))
         ],
-        participant=seg.participant_id,
+        participant=seg.key.participant_id,
         label=seg.label,
     )
     assert np.array_equal(raw_block(seg, table), raw_block(reversed_seg, table))

@@ -129,6 +129,7 @@ def test_unreadable_numbers_and_nesting_reject_only_their_line():
         _bad_box(f"[0, 0, 1, {huge}]"),
         record_line(frame_idx=1, objects=[("cup", 0.5, (0, 0, 1, 1))]).replace("0.5", huge),
         "[" * 100_000,
+        record_line(seg="SEG").replace('"SEG"', "1" * 5000),  # beyond int's digit limit
     ]
     groups, diags = parse_records("\n".join([good, *bad]))
     assert [f.frame_index for f in groups[SegmentKey("p1", "v1", 0)]] == [0]
@@ -136,6 +137,7 @@ def test_unreadable_numbers_and_nesting_reject_only_their_line():
         Diagnostic(2, "box coordinates must be numbers"),
         Diagnostic(3, "score must be a number"),
         Diagnostic(4, "invalid JSON: nested too deeply"),
+        Diagnostic(5, "invalid JSON: integer has too many digits"),
     ]
 
 
@@ -213,7 +215,7 @@ def test_sixteen_participants_partition():
         manifest.append(f"{pid},v1,0,Self-Feeding")
     result, diagnostics = load_corpus("\n".join(lines), "\n".join(manifest))
     assert not diagnostics
-    assert len({s.participant_id for s in result.segments}) == 16
+    assert len({s.key.participant_id for s in result.segments}) == 16
 
 
 def test_roundtrip_parse_serialize_parse(table):

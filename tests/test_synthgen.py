@@ -12,6 +12,7 @@ from adlrec.synthgen import (
     CORE_CATEGORIES,
     GenError,
     GenSpec,
+    MAX_SEGMENTS,
     NoiseSpec,
     clean_genspec,
     distractor_genspec,
@@ -39,6 +40,9 @@ def test_proportional_allocation():
         assert sum(alloc) == total
         assert all(c >= 0 for c in alloc)
     assert proportional_allocation(2261) == (257, 207, 172, 428, 407, 625, 165)
+    assert sum(proportional_allocation(MAX_SEGMENTS)) == MAX_SEGMENTS
+    with pytest.raises(GenError, match="total must be <= 1000000"):
+        proportional_allocation(10**400)  # a float division would overflow
 
 
 def test_generation_is_deterministic(table):
