@@ -166,7 +166,8 @@ def cmd_synth(args) -> int:
         "manifest.csv": write_manifest(corpus.truth_segments),
         "genspec.json": genspec_to_json(spec) + "\n",
     }
-    config = {"spec": args.spec, "preset": args.preset, "taxonomy_hash": table.content_hash}
+    preset = None if args.spec else args.preset
+    config = {"spec": args.spec, "preset": preset, "taxonomy_hash": table.content_hash}
     _write_run(args, config, spec.seed, files)
     print(
         f"wrote {len(corpus.segments)} segments "

@@ -259,9 +259,9 @@ def run_ablation(
 ) -> list[AblationCell]:
     """All six feature configurations crossed with the requested models.
 
-    Every cell featurizes through the same pass, which marks active objects;
-    the no-active cells ignore the active rows, so their values do not
-    depend on the marking.
+    Each cell featurizes the corpus for its own config, through the one
+    pass that marks active objects; the no-active cells ignore the active
+    rows, so their values do not depend on the marking.
 
     Cells are independent (fold seeds derive from (seed, participant)), so
     they run in a pool of one worker process per usable CPU, at most one per

@@ -272,13 +272,21 @@ def serialize_segments(segments: Iterable[Segment]) -> list[str]:
 MANIFEST_HEADER = ("participant_id", "video_id", "segment_index", "adl_label")
 
 
+def _manifest_rows(reader):
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field longer than the csv module's field limit
+        raise RecordError(f"manifest line {reader.line_num}: {exc}") from None
+
+
 def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, AdlLabel]:
     """Read the per-segment label manifest; duplicate keys are an error."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
+    rows = _manifest_rows(reader)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise RecordError("manifest is empty (header row required)") from None
     if tuple(h.strip() for h in header) != MANIFEST_HEADER:
@@ -286,7 +294,8 @@ def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, AdlLabel]:
             f"manifest header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}"
         )
     labels: dict[SegmentKey, AdlLabel] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for row in rows:
+        lineno = reader.line_num  # the row's last line: a quoted field may span lines
         if not row:
             continue
         if len(row) != 4:

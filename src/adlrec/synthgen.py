@@ -39,6 +39,12 @@ STRAY_HOI_PROB = 0.08
 # generating until killed.
 MAX_SEGMENTS = 1_000_000
 
+# Strength of each participant's per-category frequency bias in the presets.
+PARTICIPANT_EFFECT = 0.3
+
+# Presence probability of another class's core object in the distractor preset.
+DISTRACTOR_PROB = 0.45
+
 
 class GenError(ValueError):
     pass
@@ -163,7 +169,6 @@ def clean_genspec(
     segments_per_participant: int = 50,
     frames_per_segment: int = 13,
     seed: int = 0,
-    participant_effect: float = 0.3,
     noise: NoiseSpec = NoiseSpec(),
 ) -> GenSpec:
     """Separable default: disjoint cores, shared passive context."""
@@ -177,7 +182,7 @@ def clean_genspec(
         segments_per_participant=proportional_allocation(segments_per_participant),
         frames_per_segment=frames_per_segment,
         adl_profiles=profiles,
-        participant_effect=participant_effect,
+        participant_effect=PARTICIPANT_EFFECT,
         noise=noise,
     )
 
@@ -187,8 +192,6 @@ def distractor_genspec(
     segments_per_participant: int = 21,
     frames_per_segment: int = 13,
     seed: int = 0,
-    participant_effect: float = 0.3,
-    distractor_prob: float = 0.45,
     noise: NoiseSpec = NoiseSpec(),
 ) -> GenSpec:
     """Ablation-trend corpus: other classes' core objects appear passively.
@@ -197,32 +200,16 @@ def distractor_genspec(
     channel stays clean, giving the active-object distinction something
     real to contribute.
     """
-    profiles = []
-    for adl_id, core in enumerate(CORE_CATEGORIES):
-        distractors = tuple(
-            (cat, distractor_prob)
-            for other_id, other_core in enumerate(CORE_CATEGORIES)
-            if other_id != adl_id
-            for cat in other_core
-        )
-        profiles.append(
-            AdlProfile(
-                adl=ADL_NAMES[adl_id],
-                core=core,
-                core_prob=0.7,
-                context=SHARED_CONTEXT + distractors,
-                active_prob=0.9,
-            )
-        )
-    return GenSpec(
-        seed=seed,
-        participants=participants,
-        segments_per_participant=proportional_allocation(segments_per_participant),
-        frames_per_segment=frames_per_segment,
-        adl_profiles=tuple(profiles),
-        participant_effect=participant_effect,
-        noise=noise,
+    spec = clean_genspec(participants, segments_per_participant, frames_per_segment, seed, noise)
+    profiles = tuple(
+        replace(profile, core_prob=0.7, context=profile.context + tuple(
+            (cat, DISTRACTOR_PROB)
+            for other in spec.adl_profiles if other.adl != profile.adl
+            for cat in other.core
+        ))
+        for profile in spec.adl_profiles
     )
+    return replace(spec, adl_profiles=profiles)
 
 
 def _random_box(rng) -> Box2D:
@@ -256,6 +243,13 @@ def _emit_detection(rng, raw_labels: list[str]) -> ObjectDetection:
     return ObjectDetection(raw_label=label, score=score, box=box)
 
 
+def _hoi(rng, box: Box2D, contact_state: str, low: float, high: float) -> HoiObject:
+    side = "left" if rng.integers(0, 2) == 0 else "right"
+    return HoiObject(
+        box=box, hand_side=side, contact_state=contact_state, score=float(rng.uniform(low, high))
+    )
+
+
 def _generate_segment(
     spec: GenSpec,
     key: SegmentKey,
@@ -265,39 +259,26 @@ def _generate_segment(
 ) -> Segment:
     rng = make_generator(spec.seed, "segment", *key)
     profile = spec.adl_profiles[adl_id]
+    # (category, presence probability, contact probability or None), core
+    # objects first: a core object draws its contact uniform even when the
+    # probability is 0, a context object never draws one
+    draws = [(cat, profile.core_prob, profile.active_prob) for cat in profile.core]
+    draws += [(cat, p, None) for cat, p in profile.context]
+    # the participant's bias scales each presence probability, once per segment
+    draws = [(raws_by_cat[cat], min(1.0, max(0.0, p * bias[cat])), c) for cat, p, c in draws]
     frames = []
     for frame_index in range(spec.frames_per_segment):
         objects: list[ObjectDetection] = []
         hoi: list[HoiObject] = []
-        for cat in profile.core:
-            p = min(1.0, max(0.0, profile.core_prob * bias[cat]))
+        for raw_labels, p, contact_prob in draws:
             if rng.random() < p:
-                det = _emit_detection(rng, raws_by_cat[cat])
+                det = _emit_detection(rng, raw_labels)
                 objects.append(det)
-                if rng.random() < profile.active_prob:
+                if contact_prob is not None and rng.random() < contact_prob:
                     # in-contact box coincides with the detection: IoU 1
-                    side = "left" if rng.integers(0, 2) == 0 else "right"
-                    hoi.append(
-                        HoiObject(
-                            box=det.box,
-                            hand_side=side,
-                            contact_state="portable_object",
-                            score=float(rng.uniform(0.5, 1.0)),
-                        )
-                    )
-        for cat, base_p in profile.context:
-            p = min(1.0, max(0.0, base_p * bias[cat]))
-            if rng.random() < p:
-                objects.append(_emit_detection(rng, raws_by_cat[cat]))
+                    hoi.append(_hoi(rng, det.box, "portable_object", 0.5, 1.0))
         if rng.random() < STRAY_HOI_PROB:
-            hoi.append(
-                HoiObject(
-                    box=_random_box(rng),
-                    hand_side="left" if rng.integers(0, 2) == 0 else "right",
-                    contact_state="stationary_object",
-                    score=float(rng.uniform(0.3, 0.9)),
-                )
-            )
+            hoi.append(_hoi(rng, _random_box(rng), "stationary_object", 0.3, 0.9))
         frames.append(
             FrameObservation(
                 frame_index=frame_index, objects=tuple(objects), hoi_objects=tuple(hoi)

@@ -161,11 +161,13 @@ def load_category_table(config_text: str) -> CategoryTable:
                 f"field 'categories.{name}': raw labels must be a list of strings"
             )
     fallback = doc.get("fallback", "other")
-    if fallback not in categories:
+    if not isinstance(fallback, str) or fallback not in categories:
         raise TaxonomyError(f"field 'fallback': {fallback!r} is not a listed category")
-    placeholders = tuple(doc.get("placeholders", ()))
+    placeholders = doc.get("placeholders", [])
+    if not isinstance(placeholders, list):
+        raise TaxonomyError("field 'placeholders': must be a list of category names")
     for name in placeholders:
-        if name not in categories:
+        if not isinstance(name, str) or name not in categories:
             raise TaxonomyError(f"field 'placeholders': {name!r} is not a listed category")
 
     raw_map: dict[str, str] = {}
@@ -183,7 +185,7 @@ def load_category_table(config_text: str) -> CategoryTable:
         raw_map=raw_map,
         fallback=fallback,
         content_hash=_table_hash(fallback, categories),
-        placeholders=placeholders,
+        placeholders=tuple(placeholders),
     )
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from adlrec.cli import main
 from adlrec.features import feature_matrix
 from adlrec.models import load_model, save_model
 from adlrec.records import load_corpus
-from adlrec.synthgen import clean_genspec, genspec_to_json
+from adlrec.synthgen import NoiseSpec, clean_genspec, genspec_to_json
 from adlrec.taxonomy import default_category_table
 
 from helpers import PRIOR_KIND, redigest
@@ -124,6 +125,18 @@ def test_ingest_validate_rejects_lines_that_are_not_utf8(synth_dir, tmp_path, ca
                  "--manifest", str(bad_manifest)])
     assert code == 1
     assert capsys.readouterr().err == f"error: manifest {bad_manifest} is not valid UTF-8\n"
+
+
+def test_ingest_validate_rejects_an_overlong_manifest_field(synth_dir, tmp_path, capsys):
+    lines = (synth_dir / "manifest.csv").read_text().splitlines(keepends=True)
+    bad_manifest = tmp_path / "manifest.csv"
+    bad_manifest.write_text("".join(lines[:3]) + "p" * 200_000 + ",v01,0,Self-Feeding\n")
+    code = main(["ingest-validate", "--records", str(synth_dir / "records.jsonl"),
+                 "--manifest", str(bad_manifest)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: manifest line 4: field larger than field limit (131072)\n"
+    )
 
 
 def feature_header(path: Path):
@@ -272,6 +285,37 @@ def test_synth_bytes_are_pinned(tmp_path, preset):
                  "--out", str(out)]) == 0
     for name, digest in SYNTH_PINS[preset].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of what `adlrec synth --spec` writes for a spec whose profiles the
+# presets never produce: Self-Feeding is never hand-active, Functional
+# Mobility has no context, Grooming's core always appears, and participant
+# biases are at full strength. Any change to the per-object draw order moves
+# these bytes, even one that keeps every preset's output.
+SPEC_PINS = {
+    "records.jsonl": "1fd96b8bfca253fdb6753336bfa9bb30b5720066b69ffa775aeb5260e3857143",
+    "truth_records.jsonl": "7eafb75e51835406995ba8833a87eba4068c6112581cd69d7f68ee7d34effc28",
+    "manifest.csv": "9090caa97160ded74c6d08e8f34da99cf265cf79c5416522a130d10289dd125f",
+}
+
+
+def test_synth_spec_bytes_are_pinned(tmp_path):
+    spec = clean_genspec(participants=3, segments_per_participant=14, frames_per_segment=6, seed=12,
+                         noise=NoiseSpec(0.1, 0.2, 0.05, 2.5))
+    profiles = list(spec.adl_profiles)
+    profiles[0] = replace(profiles[0], active_prob=0.0)
+    profiles[1] = replace(profiles[1], context=())
+    profiles[2] = replace(profiles[2], core_prob=1.0)
+    spec = replace(spec, participant_effect=1.0, adl_profiles=tuple(profiles))
+    path = tmp_path / "spec.json"
+    path.write_text(genspec_to_json(spec))
+    out = tmp_path / "out"
+    assert main(["synth", "--spec", str(path), "--out", str(out)]) == 0
+    for name, digest in SPEC_PINS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    # the spec made the corpus, so the run used no preset
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert config["spec"] == str(path) and config["preset"] is None
 
 
 def test_saved_model_scoring_bytes_are_pinned(tmp_path):
@@ -571,13 +615,21 @@ def _spec_with(section, field, value) -> bytes:
         (["synth", "--taxonomy", "{f}"], LONG_INTEGER,
          "error: category table parse failure: integer has too many digits"),
         (["synth", "--segments", str(10**400)], b"", "error: total must be <= 1000000"),
+        (["synth", "--taxonomy", "{f}"], b'{"fallback": ["other"], "categories": {"other": []}}',
+         "error: field 'fallback': ['other'] is not a listed category"),
+        (["synth", "--taxonomy", "{f}"],
+         b'{"placeholders": [["other"]], "categories": {"other": []}}',
+         "error: field 'placeholders': ['other'] is not a listed category"),
+        (["synth", "--taxonomy", "{f}"], b'{"placeholders": 5, "categories": {"other": []}}',
+         "error: field 'placeholders': must be a list of category names"),
     ],
     ids=["evaluate-model", "synth-spec", "synth-taxonomy",
          "evaluate-model-not-utf8", "synth-spec-not-utf8", "synth-taxonomy-not-utf8",
          "evaluate-model-nan", "synth-spec-rate-not-a-number", "synth-spec-seed-infinite",
          "synth-spec-jitter-infinite", "synth-box-jitter-infinite", "synth-box-jitter-nan",
          "evaluate-model-long-integer", "synth-spec-long-integer", "synth-taxonomy-long-integer",
-         "synth-segments-overflow"],
+         "synth-segments-overflow", "synth-taxonomy-fallback-list",
+         "synth-taxonomy-placeholder-list", "synth-taxonomy-placeholders-number"],
 )
 def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, content, message):
     deep = tmp_path / "deep.json"
@@ -868,3 +920,80 @@ def test_synth_on_mutated_spec_exits_0_or_1_with_error_line(tmp_path_factory, da
         assert err.getvalue().startswith("error: "), err.getvalue()
     else:
         assert err.getvalue() == ""
+
+
+@pytest.fixture(scope="module")
+def input_sources(tmp_path_factory):
+    """A small corpus's manifest.csv and records.jsonl and the default
+    category table to mutate, plus a scratch path."""
+    work = tmp_path_factory.mktemp("input_fuzz")
+    corpus = work / "corpus"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--participants", "2", "--segments", "7", "--frames", "2",
+                     "--seed", "3", "--out", str(corpus)]) == 0
+    sources = {name: (corpus / name).read_bytes() for name in ("manifest.csv", "records.jsonl")}
+    sources["categories.json"] = (ROOT / "src" / "adlrec" / "data" / "categories.json").read_bytes()
+    return sources, work
+
+
+LONG_FIELD = "x" * 200_000  # beyond the csv module's 131,072-character field limit
+INPUT_VALUES = st.one_of(st.sampled_from(SPEC_VALUES), WRONG_TYPES)
+
+
+def _mutate_json(data, doc, mutation: str):
+    """One leaf, or one list or object on the path to it, replaced or deleted."""
+    path = _draw_leaf(data, doc)
+    path = path[: data.draw(st.integers(1, len(path)))]
+    parent = _at(doc, path[:-1])
+    if mutation == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = LONG_FIELD if mutation == "long" else data.draw(INPUT_VALUES)
+    return doc
+
+
+def _mutate_input(data, name: str, source: bytes) -> bytes:
+    mutation = data.draw(st.sampled_from(["replace", "delete", "long", "truncate", "non-utf8"]))
+    if mutation == "truncate":
+        return source[: data.draw(st.integers(0, len(source) - 1))]
+    if mutation == "non-utf8":
+        at = data.draw(st.integers(0, len(source)))
+        return source[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + source[at:]
+    if name == "categories.json":
+        return json.dumps(_mutate_json(data, json.loads(source), mutation)).encode()
+    lines = source.decode().splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    if name == "records.jsonl":
+        lines[row] = json.dumps(_mutate_json(data, json.loads(lines[row]), mutation))
+    else:
+        fields = lines[row].split(",")
+        column = data.draw(st.integers(0, len(fields) - 1))
+        if mutation == "delete":
+            del fields[column]
+        else:
+            fields[column] = LONG_FIELD if mutation == "long" else data.draw(st.text(max_size=6))
+        lines[row] = ",".join(fields)
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", ["manifest.csv", "records.jsonl", "categories.json"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_commands_on_mutated_inputs_exit_0_or_1_with_a_message(input_sources, name, data):
+    sources, work = input_sources
+    path = work / name
+    path.write_bytes(_mutate_input(data, name, sources[name]))
+    if name == "categories.json":
+        argv = ["synth", "--taxonomy", str(path), "--participants", "1", "--segments", "7",
+                "--frames", "1", "--out", str(work / "out")]
+    else:
+        files = {n: str(path if n == name else work / "corpus" / n)
+                 for n in ("records.jsonl", "manifest.csv")}
+        argv = ["ingest-validate", "--records", files["records.jsonl"],
+                "--manifest", files["manifest.csv"]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue(), "exit 1 without a message"

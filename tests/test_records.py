@@ -158,6 +158,12 @@ def test_manifest_lookup_and_errors():
         )
     with pytest.raises(RecordError, match="header"):
         load_manifest("a,b,c\n")
+    # lines, not rows: the quoted participant id spans lines 2 and 3
+    with pytest.raises(RecordError, match="^manifest line 4: segment_index 'x' is not"):
+        load_manifest(
+            "participant_id,video_id,segment_index,adl_label\n"
+            '"p\n1",v1,0,Self-Feeding\np2,v1,x,Self-Feeding\n'
+        )
 
 
 def test_assemble_full_minute():

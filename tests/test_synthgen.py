@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,8 +167,8 @@ def test_nearest_centroid_oracle_on_clean_corpus(table):
 
 
 def test_participant_effect_never_moves_core_assignment(table):
-    spec = clean_genspec(
-        participants=4, segments_per_participant=14, frames_per_segment=10, seed=9,
+    spec = replace(
+        clean_genspec(participants=4, segments_per_participant=14, frames_per_segment=10, seed=9),
         participant_effect=1.0,
     )
     corpus = generate(spec, table)
