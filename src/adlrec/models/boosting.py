@@ -67,8 +67,9 @@ def fit(
     min_split = int(hp["min_samples_split"])
     factor = (n_classes - 1) / n_classes
 
-    # every tree of the fit grows on X, so its columns are sorted once
-    presorted = presort(X)
+    # every tree of the fit grows on X: its columns are sorted once, and
+    # each node row set met in this or the previous stage keeps its cuts
+    cache = presort(X)
     stages: list[list[Tree]] = []
     for _ in range(n_stages):
         proba = softmax(raw)
@@ -83,10 +84,11 @@ def fit(
                 return 0.0 if denom < 1e-150 else factor * r[member].sum() / denom
 
             tree, leaf_of = build_regression_tree(
-                X, r, presorted, newton_step, max_depth=max_depth, min_samples_split=min_split
+                X, r, cache, newton_step, max_depth=max_depth, min_samples_split=min_split
             )
             raw[:, c] += lr * tree.value[leaf_of, 0]
             stage.append(tree)
         stages.append(stage)
+        cache.rotate()
     meta = {"iterations": n_stages, "stopping_reason": "max-iterations"}
     return BoostingModel(init_raw=init_raw, stages=stages, learning_rate=lr), meta

@@ -9,6 +9,7 @@ import hashlib
 import json
 
 from ..documents import from_document, to_document
+from ..taxonomy import NUM_ADL_CLASSES
 
 SCHEMA_VERSION = 1
 # keys of a model.json that are not TrainedModel fields, the digest aside
@@ -71,6 +72,9 @@ def load_model(text: str):
         model = from_document(TrainedModel, {k: v for k, v in body.items() if k not in ENVELOPE})
         model.parameters = from_document(params, model.parameters)
         model.parameters.check(model.feature_dim, len(model.classes))
+        # predictions index classes, and are scored and named as ADL labels
+        if list(model.classes) != sorted(set(model.classes) & set(range(NUM_ADL_CLASSES))):
+            raise ValueError("classes must be distinct ADL label ids in ascending order")
         if doc["taxonomy_hash"] != model.feature_config.taxonomy_hash:
             raise ValueError("taxonomy_hash differs from feature_config.taxonomy_hash")
     except KeyError as exc:

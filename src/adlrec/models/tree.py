@@ -11,21 +11,25 @@ memory a leaf is its own left and right child, so `apply` can move every
 row one level per step for `depth` steps with no per-row work and no
 recursion; documents store -1 there instead.
 
-Both tree kinds share one exact split kernel, `_best_split`. It takes a
-node's rows in each candidate column's sorted order, stored column-major as a
-`Presort` (k, m), takes prefix sums of per-row statistics along each order
-(weighted class one-hots and weights for Gini, target and squared target for
-squared error), and scores every cut between consecutive distinct values at
-once. Candidate thresholds are the midpoints between those values; ties go to
-the lowest feature index, then the lowest threshold (`_pick_best`).
+Both tree kinds share one exact split kernel, `_best_split`, over a node's
+`Cuts`: its rows in the stable sorted order of each column that varies in
+it, and a vector of every cut between neighbouring distinct values, ascending
+by (feature, position), with the cut's midpoint threshold. The kernel takes
+prefix sums of per-row statistics along each order (weighted class one-hots
+and weights for Gini, target and squared target for squared error), scores
+the cuts only, and takes the first minimum: ties go to the lowest feature,
+then the lowest threshold.
 
-The orders come from stable sorts. Gradient boosting grows every tree of a
-fit on one matrix, so `presort` sorts its columns once per fit: the root reads
-that presort directly, and every other node filters it with a boolean mask of
-its rows (`Presort.subset`). Node rows are ascending and a stable sort breaks
-ties by row id, so the filter equals a fresh stable sort of the node and the
-scores stay bit-identical. Random-forest trees each grow on their own
-bootstrap rows, so a classification node sorts its candidate columns itself.
+A random-forest tree grows on its own bootstrap rows, so each node sorts its
+candidate columns itself. Gradient boosting grows every tree of a fit on one
+matrix, and nodes of its trees meet the same row sets again and again. So
+`presort` sorts the matrix's columns once per fit into a `CutCache` that keeps
+each row set's cuts. A node the cache has not seen filters its parent's
+orders; node rows are ascending and a stable sort breaks ties by row id, so
+that equals a fresh stable sort, and every score is the same float
+expression as a per-node sort gives. The cache holds only the row sets met in
+the current or the previous boosting stage (`CutCache.rotate`), so its memory
+is bounded by the split nodes of two stages, not of the whole fit.
 """
 
 import math
@@ -169,111 +173,129 @@ class _Growth:
         )
 
 
-class Presort(NamedTuple):
-    """Rows of a matrix in each column's sorted order, stored column-major.
+class Cuts(NamedTuple):
+    """A node's candidate splits: every cut between neighbouring distinct
+    values of each column that varies in the node.
 
-    `rows[j]` lists row ids in stable ascending order of column j, and
-    `values[j]` those rows' values in column j: both (columns, rows).
+    `rows`, (k, m), holds the node's row ids in each varying column's stable
+    sorted order, columns by ascending feature. Cut i puts the first
+    `left[i]` rows of its column's order on the left; in `rows` flattened,
+    `at[i]` is the last of those and `end[i]` the column's last row. It
+    splits feature `feature[i]` at `threshold[i]`. Cuts run ascending by
+    (feature, position).
     """
 
     rows: np.ndarray
-    values: np.ndarray
-
-    def subset(self, member: np.ndarray) -> "Presort":
-        """The same orders restricted to the rows where `member`, (n,) by row
-        id, is True.
-
-        Filtering keeps each column's order, and a stable sort breaks ties by
-        row id, so this equals a fresh stable sort of the member rows.
-        """
-        keep = np.flatnonzero(member[self.rows])
-        k = len(self.rows)
-        return Presort(self.rows.take(keep).reshape(k, -1), self.values.take(keep).reshape(k, -1))
+    at: np.ndarray
+    end: np.ndarray
+    left: np.ndarray  # float64, for the squared-error means
+    feature: np.ndarray
+    threshold: np.ndarray
 
 
-def presort(X: np.ndarray) -> Presort:
-    """Stable sort of every column of X, (n, d), once."""
-    columns = X.T
-    rows = np.argsort(columns, axis=1, kind="stable")
-    return Presort(rows, np.take_along_axis(columns, rows, axis=1))
-
-
-def _pick_best(
-    scores: np.ndarray,
-    sorted_vals: np.ndarray,
-    valid: np.ndarray,
-    features: np.ndarray,
-) -> tuple[int, float] | None:
-    """Lexicographic (score, feature index, threshold) minimum over columns.
-
-    Column j of `scores` and `valid`, (m-1, k), and of `sorted_vals`, (m, k),
-    holds feature `features[j]`, in any order. Feature indices are distinct,
-    so the threshold only ranks cuts within a column, where the lowest cut of
-    equal score wins. A column whose best valid score is not finite (NaN
-    among them, or -inf) never wins. None when no column has a finite valid
-    score.
-    """
-    by_feature = np.argsort(features)
-    masked = np.where(valid, scores, np.inf).T[by_feature]  # (k, m-1), features ascending
-    # the first minimum in row-major order: lowest feature, then lowest cut
-    row, cut = divmod(int(np.argmin(masked)), masked.shape[1])
-    if not math.isfinite(masked[row, cut]):
-        # argmin stops at a NaN or -inf: drop every column holding one, look again
-        masked[~np.isfinite(masked.min(axis=1))] = np.inf
-        row, cut = divmod(int(np.argmin(masked)), masked.shape[1])
-        if not math.isfinite(masked[row, cut]):
-            return None
-    j = by_feature[row]
-    lower, upper = sorted_vals[cut, j], sorted_vals[cut + 1, j]
+def _cuts(X: np.ndarray, rows: np.ndarray, features: np.ndarray) -> Cuts:
+    """Cuts of a node whose row j of `rows`, (k, m), is its row ids in the
+    stable sorted order of column `features[j]` of X; features ascending."""
+    values = X[rows, features[:, None]]
+    varies = values[:, 0] < values[:, -1]
+    rows, features, values = rows[varies], features[varies], values[varies]
+    column, position = np.nonzero(values[:, :-1] < values[:, 1:])
+    lower, upper = values[column, position], values[column, position + 1]
     threshold = 0.5 * (lower + upper)
     # midpoint can collapse onto the upper value in float; fall back to
     # the lower value so the <= test still separates the two sides
-    if threshold >= upper:
-        threshold = lower
-    return int(features[j]), float(threshold)
+    threshold = np.where(threshold >= upper, lower, threshold)
+    m = values.shape[1]
+    return Cuts(rows, column * m + position, column * m + m - 1, position + 1.0, features[column], threshold)
 
 
-def _best_split(node: Presort, features: np.ndarray, stats: tuple, score):
-    """Best (feature, threshold) of one node, or None.
+class CutCache:
+    """The cuts of each node row set that the trees grown on one matrix meet,
+    kept only for the sets met in the current or the previous stage;
+    `rotate` starts the next stage."""
 
-    Row j of `node` holds candidate feature `features[j]`: the node's row ids
-    in that column's sorted order and their values, (k, m). Each array in
-    `stats` holds one statistic per row id, (n, ...). `score` maps their
-    prefix sums along each sorted order, (k, m, ...), to the cost of cutting
-    after each position, (k, m-1).
+    def __init__(self, X: np.ndarray, order: np.ndarray):
+        self.X, self.order = X, order  # order: `presort`'s sort of X's columns
+        self.features = np.arange(X.shape[1])
+        self.current: dict[bytes, Cuts] = {}
+        self.previous: dict[bytes, Cuts] = {}
+
+    def rotate(self) -> None:
+        self.previous, self.current = self.current, {}
+
+    def cuts(self, member: np.ndarray, parent: Cuts | None) -> Cuts:
+        """Cuts of the rows where `member`, (n,) by row id, is True. `parent`
+        is the cuts of the node they were split from, None at the root."""
+        key = member.tobytes()
+        found = self.current.get(key) or self.previous.get(key)
+        if found is None and parent is None:
+            found = _cuts(self.X, self.order, self.features)
+        elif found is None:
+            # filtering keeps each column's order; a column constant in the
+            # parent is constant here, and each varying one holds a cut
+            keep = member[parent.rows]
+            found = _cuts(self.X, parent.rows[keep].reshape(len(keep), -1), np.unique(parent.feature))
+        self.current[key] = found
+        return found
+
+
+def presort(X: np.ndarray) -> CutCache:
+    """Stable sort of every column of X, (n, d), once, in a cut cache that
+    every tree grown on X can share."""
+    return CutCache(X, np.argsort(X.T, axis=1, kind="stable"))
+
+
+def _best_split(cuts: Cuts, stats: tuple, score) -> tuple[int, float] | None:
+    """Lexicographic (score, feature, threshold) minimum over a node's cuts.
+
+    Each array in `stats` holds one statistic per row id, (n, ...). `score`
+    maps the cuts and the stats' prefix sums along each sorted order,
+    (k, m, ...), to the cost of each cut, (c,). A column holding a NaN or
+    -inf score never wins. None when no cut has a finite score.
     """
-    scores = score(*[np.cumsum(stat[node.rows], axis=1) for stat in stats])
-    vals = node.values
-    return _pick_best(scores.T, vals.T, (vals[:, :-1] < vals[:, 1:]).T, features)
+    if not cuts.at.size:
+        return None
+    # prefix sums in place: one (k, m, ...) array per statistic and node
+    gathered = [stat[cuts.rows] for stat in stats]
+    scores = score(cuts, *[g.cumsum(axis=1, out=g) for g in gathered])
+    # cuts run by (feature, position): the first minimum has the lowest
+    # feature, then the lowest threshold
+    best = int(np.argmin(scores))
+    if not math.isfinite(scores[best]):
+        # argmin stops at a NaN or -inf: drop every column holding one, look again
+        dropped = np.isin(cuts.end, cuts.end[np.isnan(scores) | (scores == -np.inf)])
+        scores = np.where(dropped, np.inf, scores)
+        best = int(np.argmin(scores))
+        if not math.isfinite(scores[best]):
+            return None
+    return int(cuts.feature[best]), float(cuts.threshold[best])
 
 
-def _gini_scores(cum: np.ndarray, cum_weight: np.ndarray, total_weight: float) -> np.ndarray:
-    """Weighted sum of child Gini impurities from prefix sums of weighted
-    class one-hots, (k, m, K), and of row weights, (k, m).
+def _gini_scores(cuts: Cuts, cum: np.ndarray, cum_weight: np.ndarray, total_weight: float) -> np.ndarray:
+    """Weighted sum of child Gini impurities at each cut from prefix sums of
+    weighted class one-hots, (k, m, K), and of row weights, (k, m).
 
     Reductions over the class axis go through sorted values so that scores
     (and hence tree structure) are exactly label-permutation-equivariant.
     """
-    left = cum[:, :-1]
-    right = cum[:, -1:] - left
-    wl = cum_weight[:, :-1]
+    cum = cum.reshape(-1, cum.shape[2])
+    left = cum[cuts.at]
+    right = cum[cuts.end] - left
+    wl = cum_weight.take(cuts.at)
     wr = total_weight - wl
     with np.errstate(divide="ignore", invalid="ignore"):
-        gini_l = wl - np.sort(left**2, axis=2).sum(axis=2) / wl  # wl * gini(left)
-        gini_r = wr - np.sort(right**2, axis=2).sum(axis=2) / wr
+        gini_l = wl - np.sort(left**2, axis=1).sum(axis=1) / wl  # wl * gini(left)
+        gini_r = wr - np.sort(right**2, axis=1).sum(axis=1) / wr
     return gini_l + gini_r
 
 
-def _sse_scores(csum: np.ndarray, csqr: np.ndarray) -> np.ndarray:
-    """Total child sum of squared errors from prefix sums of target and
-    target**2, (k, m)."""
-    m = csum.shape[1]
-    counts_l = np.arange(1, m, dtype=np.float64)
-    counts_r = m - counts_l
-    sum_l = csum[:, :-1]
-    sum_r = csum[:, -1:] - sum_l
-    sse_l = csqr[:, :-1] - sum_l**2 / counts_l
-    sse_r = (csqr[:, -1:] - csqr[:, :-1]) - sum_r**2 / counts_r
+def _sse_scores(cuts: Cuts, csum: np.ndarray, csqr: np.ndarray) -> np.ndarray:
+    """Total child sum of squared errors at each cut from prefix sums of
+    target and target**2, (k, m)."""
+    sum_l, sqr_l = csum.take(cuts.at), csqr.take(cuts.at)
+    sse_l = sqr_l - sum_l**2 / cuts.left
+    sum_r = csum.take(cuts.end) - sum_l
+    sse_r = (csqr.take(cuts.end) - sqr_l) - sum_r**2 / (csum.shape[1] - cuts.left)
     return sse_l + sse_r
 
 
@@ -309,18 +331,16 @@ def build_classification_tree(
         Xn = X[idx]
         perm = rng.permutation(d)
         varies = Xn.min(axis=0) < Xn.max(axis=0)
-        candidates = perm[varies[perm]][:max_features]
+        # ascending, so the kernel's first minimum has the lowest feature
+        candidates = np.sort(perm[varies[perm]][:max_features])
         if not candidates.size:
             continue
-        # each tree grows on its own bootstrap rows, so nodes sort their
-        # candidate columns here rather than filter a presort
         rows = idx[np.argsort(Xn[:, candidates].T, axis=1, kind="stable")]
         total_weight = float(sample_weight[idx].sum())
         best = _best_split(
-            Presort(rows, X[rows, candidates[:, None]]),
-            candidates,
+            _cuts(X, rows, candidates),
             (weighted_onehot, sample_weight),
-            lambda cum, cum_weight: _gini_scores(cum, cum_weight, total_weight),
+            lambda cuts, cum, cum_weight: _gini_scores(cuts, cum, cum_weight, total_weight),
         )
         if best is None:
             continue
@@ -336,27 +356,26 @@ def build_classification_tree(
 def build_regression_tree(
     X: np.ndarray,
     target: np.ndarray,
-    presorted: Presort,
+    cache: CutCache,
     leaf_value: Callable[[np.ndarray], float],
     max_depth: int,
     min_samples_split: int = 2,
 ) -> tuple[Tree, np.ndarray]:
     """Depth-capped tree over all features, split on squared error of `target`.
 
-    `presorted` is `presort(X)`; every tree grown on X can share it. The
-    caller owns the leaf values: `leaf_value` maps a leaf's rows, an (n,)
-    boolean mask by row id, to its value. Returns the tree and each training
-    row's leaf id.
+    `cache` is `presort(X)`; every tree grown on X can share it. The caller
+    owns the leaf values: `leaf_value` maps a leaf's rows, an (n,) boolean
+    mask by row id, to its value. Returns the tree and each training row's
+    leaf id.
     """
-    n, d = X.shape
-    features = np.arange(d)
+    n = X.shape[0]
     stats = (target, target**2)
     growth = _Growth(n, 1)
     leaf_of = np.zeros(n, dtype=np.int64)
-    # a node's rows, its parent's sorted rows, and its depth
-    stack = [(0, np.ones(n, dtype=bool), presorted, 0)]
+    # a node's rows, its parent's cuts, and its depth
+    stack = [(0, np.ones(n, dtype=bool), None, 0)]
     while stack:
-        node, member, within, depth = stack.pop()
+        node, member, parent, depth = stack.pop()
         values = target[member]
         best = None
         if (
@@ -364,9 +383,8 @@ def build_regression_tree(
             and values.size >= min_samples_split
             and values.min() != values.max()
         ):
-            # the root reads the presort; any other node filters its parent's
-            rows = within if node == 0 else within.subset(member)
-            best = _best_split(rows, features, stats, _sse_scores)
+            cuts = cache.cuts(member, parent)
+            best = _best_split(cuts, stats, _sse_scores)
         if best is None:
             growth.value[node, 0] = leaf_value(member)
             leaf_of[member] = node
@@ -374,6 +392,6 @@ def build_regression_tree(
         feat, threshold = best
         left_member = member & (X[:, feat] <= threshold)
         left, right = growth.split(node, feat, threshold)
-        stack.append((right, member ^ left_member, rows, depth + 1))
-        stack.append((left, left_member, rows, depth + 1))
+        stack.append((right, member ^ left_member, cuts, depth + 1))
+        stack.append((left, left_member, cuts, depth + 1))
     return growth.tree(), leaf_of

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
+from adlrec.models.tree import _Growth
 from adlrec.records import (
     Box2D,
     FrameObservation,
@@ -97,6 +100,165 @@ def reference_node_order(X, idx):
     order = np.argsort(X[idx], axis=0, kind="stable")
     rows = idx[order]
     return rows.T, X[rows, np.arange(X.shape[1])].T
+
+
+# The sort kernel that the cut-vector kernel of adlrec.models.tree replaced,
+# kept as its reference: every column of a node sorted, every position
+# scored, and the best cut picked from a (cuts, columns) score matrix.
+
+
+class Presort(NamedTuple):
+    """Rows of a matrix in each column's sorted order, stored column-major.
+
+    `rows[j]` lists row ids in stable ascending order of column j, and
+    `values[j]` those rows' values in column j: both (columns, rows).
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def subset(self, member: np.ndarray) -> "Presort":
+        """The same orders restricted to the rows where `member`, (n,) by row
+        id, is True.
+
+        Filtering keeps each column's order, and a stable sort breaks ties by
+        row id, so this equals a fresh stable sort of the member rows.
+        """
+        keep = np.flatnonzero(member[self.rows])
+        k = len(self.rows)
+        return Presort(self.rows.take(keep).reshape(k, -1), self.values.take(keep).reshape(k, -1))
+
+
+def reference_presort(X: np.ndarray) -> Presort:
+    """Stable sort of every column of X, (n, d), once."""
+    columns = X.T
+    rows = np.argsort(columns, axis=1, kind="stable")
+    return Presort(rows, np.take_along_axis(columns, rows, axis=1))
+
+
+def reference_matrix_pick(scores, sorted_vals, valid, features):
+    """Lexicographic (score, feature index, threshold) minimum over columns.
+
+    Column j of `scores` and `valid`, (m-1, k), and of `sorted_vals`, (m, k),
+    holds feature `features[j]`, in any order. Feature indices are distinct,
+    so the threshold only ranks cuts within a column, where the lowest cut of
+    equal score wins. A column whose best valid score is not finite (NaN
+    among them, or -inf) never wins. None when no column has a finite valid
+    score.
+    """
+    by_feature = np.argsort(features)
+    masked = np.where(valid, scores, np.inf).T[by_feature]  # (k, m-1), features ascending
+    # the first minimum in row-major order: lowest feature, then lowest cut
+    row, cut = divmod(int(np.argmin(masked)), masked.shape[1])
+    if not math.isfinite(masked[row, cut]):
+        # argmin stops at a NaN or -inf: drop every column holding one, look again
+        masked[~np.isfinite(masked.min(axis=1))] = np.inf
+        row, cut = divmod(int(np.argmin(masked)), masked.shape[1])
+        if not math.isfinite(masked[row, cut]):
+            return None
+    j = by_feature[row]
+    lower, upper = sorted_vals[cut, j], sorted_vals[cut + 1, j]
+    threshold = 0.5 * (lower + upper)
+    # midpoint can collapse onto the upper value in float; fall back to
+    # the lower value so the <= test still separates the two sides
+    if threshold >= upper:
+        threshold = lower
+    return int(features[j]), float(threshold)
+
+
+def _reference_best_split(node: Presort, features, stats, score):
+    scores = score(*[np.cumsum(stat[node.rows], axis=1) for stat in stats])
+    vals = node.values
+    return reference_matrix_pick(scores.T, vals.T, (vals[:, :-1] < vals[:, 1:]).T, features)
+
+
+def _reference_gini_scores(cum, cum_weight, total_weight):
+    left = cum[:, :-1]
+    right = cum[:, -1:] - left
+    wl = cum_weight[:, :-1]
+    wr = total_weight - wl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_l = wl - np.sort(left**2, axis=2).sum(axis=2) / wl
+        gini_r = wr - np.sort(right**2, axis=2).sum(axis=2) / wr
+    return gini_l + gini_r
+
+
+def _reference_sse_scores(csum, csqr):
+    m = csum.shape[1]
+    counts_l = np.arange(1, m, dtype=np.float64)
+    counts_r = m - counts_l
+    sum_l = csum[:, :-1]
+    sum_r = csum[:, -1:] - sum_l
+    sse_l = csqr[:, :-1] - sum_l**2 / counts_l
+    sse_r = (csqr[:, -1:] - csqr[:, :-1]) - sum_r**2 / counts_r
+    return sse_l + sse_r
+
+
+def reference_classification_tree(X, y, sample_weight, n_classes, rng, max_features, min_samples_split=2):
+    """`build_classification_tree` on the sort kernel: each node sorts its
+    candidate columns, in the random order drawn, and scores every position."""
+    n, d = X.shape
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    weighted_onehot = onehot * sample_weight[:, None]
+    growth = _Growth(n, n_classes)
+    stack = [(0, np.arange(n))]
+    while stack:
+        node, idx = stack.pop()
+        class_totals = weighted_onehot[idx].sum(axis=0)
+        growth.value[node] = class_totals / class_totals.sum()
+        if np.count_nonzero(class_totals) <= 1 or idx.size < min_samples_split:
+            continue
+        Xn = X[idx]
+        perm = rng.permutation(d)
+        varies = Xn.min(axis=0) < Xn.max(axis=0)
+        candidates = perm[varies[perm]][:max_features]
+        if not candidates.size:
+            continue
+        rows = idx[np.argsort(Xn[:, candidates].T, axis=1, kind="stable")]
+        total_weight = float(sample_weight[idx].sum())
+        best = _reference_best_split(
+            Presort(rows, X[rows, candidates[:, None]]),
+            candidates,
+            (weighted_onehot, sample_weight),
+            lambda cum, cum_weight: _reference_gini_scores(cum, cum_weight, total_weight),
+        )
+        if best is None:
+            continue
+        feat, threshold = best
+        mask = Xn[:, feat] <= threshold
+        left, right = growth.split(node, feat, threshold)
+        stack.append((right, idx[~mask]))
+        stack.append((left, idx[mask]))
+    return growth.tree()
+
+
+def reference_regression_tree(X, target, leaf_value, max_depth, min_samples_split=2):
+    """`build_regression_tree` on the sort kernel: the root reads a presort of
+    X, every other node filters its parent's, and every position is scored."""
+    n, d = X.shape
+    features = np.arange(d)
+    stats = (target, target**2)
+    growth = _Growth(n, 1)
+    leaf_of = np.zeros(n, dtype=np.int64)
+    stack = [(0, np.ones(n, dtype=bool), reference_presort(X), 0)]
+    while stack:
+        node, member, within, depth = stack.pop()
+        values = target[member]
+        best = None
+        if depth < max_depth and values.size >= min_samples_split and values.min() != values.max():
+            rows = within if node == 0 else within.subset(member)
+            best = _reference_best_split(rows, features, stats, _reference_sse_scores)
+        if best is None:
+            growth.value[node, 0] = leaf_value(member)
+            leaf_of[member] = node
+            continue
+        feat, threshold = best
+        left_member = member & (X[:, feat] <= threshold)
+        left, right = growth.split(node, feat, threshold)
+        stack.append((right, member ^ left_member, rows, depth + 1))
+        stack.append((left, left_member, rows, depth + 1))
+    return growth.tree(), leaf_of
 
 
 def reference_apply(tree, X):

@@ -3,7 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -506,8 +508,14 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
             doc[field] = value
         return edit
 
+    def second_class(value):
+        def edit(doc):
+            doc["classes"][1] = value
+        return edit
+
     malformed = "error: malformed model document: "
     n_nodes = len(good["parameters"]["trees"][0]["left"])
+    bad_classes = malformed + "classes must be distinct ADL label ids in ascending order"
     edits = [
         (drop_trees, malformed + "forest has no trees"),
         (drop_threshold, malformed + "missing field 'threshold'"),
@@ -520,6 +528,9 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
         (tree_edit("value", [[0.5]] * n_nodes),
          malformed + "tree internal node 0 carries a value"),
         (put("kind", 5), malformed + "unknown model kind 5"),
+        (second_class(good["classes"][0]), bad_classes),
+        (second_class(7), bad_classes),
+        (second_class(10**30), bad_classes),
         (put("classes", "ab"), malformed + "invalid literal for int() with base 10: 'a'"),
         (put("feature_config", {}), malformed + "missing field 'representation'"),
         (put("taxonomy_hash", "0" * 64),
@@ -808,6 +819,15 @@ def report_sources(tmp_path_factory):
     }
 
 
+def write_anew(path, content: bytes) -> None:
+    """Write `content` to a new file at `path`. Unlinking is cheap where
+    truncating an allocated file is not (tens of milliseconds on a
+    filesystem mounted with online discard), and the mutation tests write
+    one file per example."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(content)
+
+
 def _at(node, path):
     for step in path:
         node = node[step]
@@ -873,7 +893,7 @@ def test_report_on_mutated_files_exits_0_or_1_with_error_line(report_sources, da
         at = data.draw(st.integers(0, len(source)))
         content = source[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + source[at:]
     path = report_sources["scratch"] / name
-    path.write_bytes(content)
+    write_anew(path, content)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["report", "--in", str(path)])
@@ -982,8 +1002,9 @@ def _mutate_input(data, name: str, source: bytes) -> bytes:
 def test_commands_on_mutated_inputs_exit_0_or_1_with_a_message(input_sources, name, data):
     sources, work = input_sources
     path = work / name
-    path.write_bytes(_mutate_input(data, name, sources[name]))
+    write_anew(path, _mutate_input(data, name, sources[name]))
     if name == "categories.json":
+        shutil.rmtree(work / "out", ignore_errors=True)  # synth writes into a fresh directory
         argv = ["synth", "--taxonomy", str(path), "--participants", "1", "--segments", "7",
                 "--frames", "1", "--out", str(work / "out")]
     else:
@@ -997,3 +1018,44 @@ def test_commands_on_mutated_inputs_exit_0_or_1_with_a_message(input_sources, na
     assert code in (0, 1)
     if code == 1:
         assert err.getvalue(), "exit 1 without a message"
+
+
+MODEL_KINDS = ["logreg", "rf", "gb", "mlp"]
+# a re-digested document holds no NaN or infinity, which save_model never writes
+FINITE_VALUES = INPUT_VALUES.filter(lambda v: not isinstance(v, float) or math.isfinite(v))
+
+
+@pytest.fixture(scope="module")
+def model_sources(tmp_path_factory):
+    """Arguments naming a small corpus, and a scratch path holding a saved
+    model.json of each kind in a directory named after the kind."""
+    work = tmp_path_factory.mktemp("model_fuzz")
+    corpus = work / "corpus"
+    records = ["--records", str(corpus / "records.jsonl"), "--manifest", str(corpus / "manifest.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--participants", "2", "--segments", "7", "--frames", "2",
+                     "--seed", "3", "--out", str(corpus)]) == 0
+        for kind in MODEL_KINDS:
+            assert main(["train", *records, "--model", kind, "--out", str(work / kind)]) == 0
+    return records, work
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_evaluate_on_mutated_model_exits_0_or_1_with_error_line(model_sources, kind, data):
+    # one leaf of a saved model replaced, and the document re-digested so
+    # that the load reaches the content checks
+    records, work = model_sources
+    doc = json.loads((work / kind / "model.json").read_text())
+    path = _draw_leaf(data, doc)
+    _at(doc, path[:-1])[path[-1]] = data.draw(FINITE_VALUES)
+    model = work / "model.json"
+    write_anew(model, redigest(doc).encode())
+    shutil.rmtree(work / "e", ignore_errors=True)  # evaluate writes into a fresh directory
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["evaluate", *records, "--model", str(model), "--out", str(work / "e")])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), err.getvalue()

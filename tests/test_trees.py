@@ -11,7 +11,14 @@ from adlrec.models import TrainConfig, boosting, forest, train_matrix, tree as t
 from adlrec.models.tree import Tree, build_classification_tree, build_regression_tree, presort
 from adlrec.rng import make_generator
 
-from helpers import reference_apply, reference_node_order, reference_pick_best
+from helpers import (
+    reference_apply,
+    reference_classification_tree,
+    reference_matrix_pick,
+    reference_node_order,
+    reference_pick_best,
+    reference_regression_tree,
+)
 
 FC = FeatureConfig("counts", False, "t" * 64)
 ORACLE = settings(max_examples=200, deadline=None)
@@ -197,12 +204,28 @@ def pick_inputs(draw):
     return scores, sorted_vals, valid, features
 
 
+def pick(scores, sorted_vals, valid, features):
+    """The kernel's pick over the cuts of columns `sorted_vals`, (m, k), of
+    features `features`, each cut scored from `scores`, (m-1, k), or +inf
+    where not `valid`. Columns go in by ascending feature, as the builders
+    give them."""
+    m, k = sorted_vals.shape
+    X = np.zeros((m, 12))
+    X[:, features] = sorted_vals
+    by_feature = np.sort(features)
+    cuts = tree_module._cuts(X, np.tile(np.arange(m), (k, 1)), by_feature)
+    j = np.argsort(features)[np.searchsorted(by_feature, cuts.feature)]
+    position = cuts.at % m
+    at_cuts = np.where(valid[position, j], scores[position, j], np.inf)
+    return tree_module._best_split(cuts, (), lambda cuts: at_cuts)
+
+
 @ORACLE
 @given(pick_inputs())
 def test_pick_best_matches_scalar_reference(inputs):
-    got = tree_module._pick_best(*inputs)
-    want = reference_pick_best(*inputs)
-    assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
+    got = pick(*inputs)
+    assert repr(got) == repr(reference_pick_best(*inputs))  # repr tells -0.0 from 0.0
+    assert repr(got) == repr(reference_matrix_pick(*inputs))
 
 
 def test_pick_best_tie_rules():
@@ -210,25 +233,14 @@ def test_pick_best_tie_rules():
     sorted_vals = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     scores = np.array([[1.0, 1.0], [1.0, 1.0]])
     valid = np.ones((2, 2), dtype=bool)
-    assert tree_module._pick_best(scores, sorted_vals, valid, np.array([7, 3])) == (3, 0.5)
+    assert pick(scores, sorted_vals, valid, np.array([7, 3])) == (3, 0.5)
     # within a column the lowest threshold wins
-    assert tree_module._pick_best(scores, sorted_vals, valid, np.array([2, 3])) == (2, 0.5)
+    assert pick(scores, sorted_vals, valid, np.array([2, 3])) == (2, 0.5)
     # no valid cut anywhere
-    assert tree_module._pick_best(scores, sorted_vals, ~valid, np.array([2, 3])) is None
+    assert pick(scores, sorted_vals, ~valid, np.array([2, 3])) is None
     # a midpoint that rounds onto the upper value falls back to the lower one
     collapse = np.array([[1.0], [ONE_UP]])
-    assert tree_module._pick_best(np.zeros((1, 1)), collapse, np.ones((1, 1), bool), np.array([0])) == (0, 1.0)
-
-
-def counted(fn):
-    """`fn` that counts its calls in `.calls`, to show a patched oracle ran."""
-
-    def wrapper(*args):
-        wrapper.calls += 1
-        return fn(*args)
-
-    wrapper.calls = 0
-    return wrapper
+    assert pick(np.zeros((1, 1)), collapse, np.ones((1, 1), bool), np.array([0])) == (0, 1.0)
 
 
 def assert_same_tree(a: Tree, b: Tree):
@@ -247,46 +259,84 @@ def tree_inputs(draw):
     return X, draw(st.integers(0, 2**16))
 
 
+# 9e153 squares to a finite number but two of them sum to one whose square
+# overflows, so a cut's squared error is -inf; 1e200 squares to inf, and
+# inf - inf gives NaN scores
+HUGE_TARGETS = [-1.0, 0.0, 0.5, 9e153, -9e153, 1e200]
+
+
 @ORACLE
-@given(tree_inputs(), st.integers(1, 4))
-def test_regression_tree_matches_reference_kernel(inputs, max_depth):
+@given(tree_inputs(), st.integers(1, 4), st.integers(2, 4), st.data())
+def test_regression_tree_matches_reference_kernel(inputs, max_depth, min_split, data):
+    # several targets share one X and one cut cache over three stages, as a
+    # boosting fit's trees do, so row sets hit, miss and are evicted
     X, seed = inputs
-    target = make_generator(seed, "oracle-target").normal(size=X.shape[0]).round(1)
-    tree, leaf_of = build_regression_tree(X, target, presort(X), mean_of(target), max_depth=max_depth)
-    with pytest.MonkeyPatch.context() as patch:
-        reference = counted(reference_pick_best)
-        patch.setattr(tree_module, "_pick_best", reference)
-        want, want_leaf_of = build_regression_tree(
-            X, target, presort(X), mean_of(target), max_depth=max_depth
-        )
-    assert reference.calls or (tree.feature == -1).all()
-    assert_same_tree(tree, want)
-    assert np.array_equal(leaf_of, want_leaf_of)
-    assert np.array_equal(tree.apply(X), leaf_of)
-    for leaf in np.unique(leaf_of):
-        assert tree.value[leaf, 0] == target[leaf_of == leaf].mean()
+    rng = make_generator(seed, "oracle-target")
+    targets = [
+        rng.normal(size=X.shape[0]).round(1),
+        rng.choice(VALUES, size=X.shape[0]),
+        rng.choice(HUGE_TARGETS, size=X.shape[0]),
+    ]
+    cache = presort(X)
+    for _ in range(3):
+        for t in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)):
+            target = targets[t]
+            with np.errstate(over="ignore", invalid="ignore"):
+                tree, leaf_of = build_regression_tree(
+                    X, target, cache, mean_of(target), max_depth=max_depth, min_samples_split=min_split
+                )
+                want, want_leaf_of = reference_regression_tree(
+                    X, target, mean_of(target), max_depth, min_samples_split=min_split
+                )
+            assert_same_tree(tree, want)
+            assert np.array_equal(leaf_of, want_leaf_of)
+            assert np.array_equal(tree.apply(X), leaf_of)
+        cache.rotate()
+
+
+def test_cut_cache_keeps_only_the_last_two_stages(monkeypatch):
+    requested = [set()]  # node row sets asked for, per boosting stage
+    outcomes = {"hit": 0, "miss": 0, "evicted": 0}
+
+    class Watched(tree_module.CutCache):
+        def cuts(self, member, parent):
+            key = member.tobytes()
+            outcomes["hit" if key in self.current or key in self.previous else "miss"] += 1
+            requested[-1].add(key)
+            return super().cuts(member, parent)
+
+        def rotate(self):
+            held = set(self.current) | set(self.previous)
+            super().rotate()
+            assert set(self.current) | set(self.previous) == requested[-1]
+            outcomes["evicted"] += len(held - requested[-1])
+            requested.append(set())
+
+    monkeypatch.setattr(tree_module, "CutCache", Watched)
+    monkeypatch.setitem(boosting.DEFAULTS, "n_stages", 6)
+    rng = make_generator(4, "cache-bound")
+    X = rng.choice(VALUES, size=(60, 5))
+    y = rng.integers(0, 3, size=60)
+    train_matrix(X, y, TrainConfig(kind="gradient_boosting", seed=0), FC)
+    assert len(requested) == 7  # one rotation per stage
+    assert all(outcomes.values()), outcomes
 
 
 @ORACLE
-@given(tree_inputs(), st.integers(2, 4))
-def test_classification_tree_matches_reference_kernel(inputs, n_classes):
+@given(tree_inputs(), st.integers(2, 4), st.integers(2, 4))
+def test_classification_tree_matches_reference_kernel(inputs, n_classes, min_split):
     X, seed = inputs
     rng = make_generator(seed, "oracle-labels")
     y = rng.integers(0, n_classes, size=X.shape[0])
     weight = rng.choice([0.5, 1.0, 3.0], size=X.shape[0])
     max_features = int(rng.integers(1, X.shape[1] + 1))
-
-    def build():
-        return build_classification_tree(
-            X, y, weight, n_classes, make_generator(seed, "oracle-tree"), max_features
-        )
-
-    tree = build()
-    with pytest.MonkeyPatch.context() as patch:
-        reference = counted(reference_pick_best)
-        patch.setattr(tree_module, "_pick_best", reference)
-        want = build()
-    assert reference.calls or (tree.feature == -1).all()
+    args = (X, y, weight, n_classes)
+    tree = build_classification_tree(
+        *args, make_generator(seed, "oracle-tree"), max_features, min_samples_split=min_split
+    )
+    want = reference_classification_tree(
+        *args, make_generator(seed, "oracle-tree"), max_features, min_samples_split=min_split
+    )
     assert_same_tree(tree, want)
     assert_same_tree(Tree.from_document(tree.to_document()), tree)
 
@@ -301,11 +351,25 @@ def test_presort_subset_matches_a_fresh_stable_sort(inputs, data):
     parent = np.array(data.draw(masks))
     child = parent & np.array(data.draw(masks))
     # a child node filters its parent's rows, as the regression tree does
-    parent_rows = presort(X).subset(parent)
-    for member, node in ((parent, parent_rows), (child, parent_rows.subset(child))):
-        want_rows, want_values = reference_node_order(X, np.flatnonzero(member))
-        assert np.array_equal(node.rows, want_rows)
-        assert node.values.tobytes() == want_values.tobytes()  # bytes tell -0.0 from 0.0
+    cache = presort(X)
+    node = cache.cuts(np.ones(X.shape[0], dtype=bool), None)
+    for member in (parent, child):
+        if not member.any() or not node.at.size:
+            break  # the builders ask only for nodes with rows, split from one with a cut
+        node = cache.cuts(member, node)
+        rows, values = reference_node_order(X, np.flatnonzero(member))
+        varies = values[:, 0] < values[:, -1]
+        rows, values = rows[varies], values[varies]
+        assert np.array_equal(node.rows, rows)
+        column, position = np.nonzero(values[:, :-1] < values[:, 1:])
+        m = values.shape[1]
+        assert np.array_equal(node.at, column * m + position)
+        assert np.array_equal(node.end, column * m + m - 1)
+        assert node.left.tobytes() == (position + 1.0).tobytes()
+        assert np.array_equal(node.feature, np.flatnonzero(varies)[column])
+        want = [reference_pick_best(np.zeros((1, 1)), values[c, p : p + 2, None], np.ones((1, 1), bool), [0])[1]
+                for c, p in zip(column, position)]
+        assert node.threshold.tobytes() == np.array(want, dtype=np.float64).tobytes()  # bytes tell -0.0 from 0.0
 
 
 @ORACLE
