@@ -19,11 +19,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .documents import to_document
 from .evaluation import (
     EvaluationError,
     ablation_to_document,
     grid_to_csv,
-    report_to_document,
     run_ablation,
     run_loso,
     score_model,
@@ -273,7 +273,7 @@ def cmd_evaluate(args) -> int:
     config = _feature_config(args, table)
     cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=args.seed)
     report = run_loso(result.segments, table, config, cfg)
-    files = {"report.json": json.dumps(report_to_document(report), indent=2) + "\n"}
+    files = {"report.json": json.dumps(to_document(report), indent=2) + "\n"}
     _write_run(args, {"model": cfg.kind, **asdict(config)}, args.seed, files)
     print(
         f"LOSO weighted F1: {report.mean_weighted_f1:.2f} +/- {report.std_weighted_f1:.2f}  "

@@ -1,20 +1,53 @@
-"""One codec for every JSON document: a document is written from a dataclass
-and read back into it, so each of its fields is named only in its dataclass.
+"""One reader and one codec for every JSON document.
+
+``read_object`` reads each document from outside the program (a frame record,
+a category table, a generator spec, a saved model), so all fail alike: the
+reader's prefix, then json's error, "nested too deeply", "integer has too
+many digits" or "not a JSON object".
 
 ``to_document`` writes a dataclass as an object of its fields, in declaration
-order. ``from_document`` reads a value back by its field type: a nested
-dataclass, ``tuple[X, ...]``, a fixed ``tuple[A, B]``, ``list[X]``,
-``np.ndarray`` (as float64), ``int``, ``float``, ``bool`` and ``dict`` by
-casting, and ``str`` or ``object`` as it is. A required field that is missing
-raises KeyError; a field with a default may be absent; an unknown key raises
-the dataclass constructor's TypeError. A class with its own ``to_document``
-and ``from_document`` keeps its own format.
+order, so a document field is named only in its dataclass. ``from_document``
+reads a value back by its field type: a dataclass from an object, ``tuple``
+and ``list`` from a list, ``np.ndarray`` as float64, ``object`` as it is, and
+``int``, ``float``, ``bool``, ``str`` and ``dict`` from that JSON type only (a
+number is an int or a float, never a bool; an ``int`` takes no float). A wrong
+type raises TypeError, a missing required field KeyError, and an unknown key
+the constructor's TypeError. A class with its own ``to_document`` and
+``from_document`` keeps its own format.
 """
 
+import json
+import reprlib
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin
 
 import numpy as np
+
+# the types of the JSON values that are numbers: a bool is not one, though it is an int
+NUMBER_TYPES = frozenset({int, float})
+# what a field of each type must hold, and the JSON value types that are that
+_JSON_TYPES = {int: ("an integer", {int}), float: ("a number", NUMBER_TYPES),
+               bool: ("true or false", {bool}), str: ("a string", {str}),
+               dict: ("an object", {dict}), list: ("a list", {list})}
+
+
+def read_object(text: str, error: type[Exception], what: str, **options) -> dict:
+    """The JSON object in `text`, else `error` with a message that starts with
+    `what`; `options` go to json.loads, and an `error` from one of its hooks
+    passes through."""
+    try:
+        doc = json.loads(text, **options)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what}: {exc}") from None
+    except RecursionError:
+        raise error(f"{what}: nested too deeply") from None
+    except error:
+        raise
+    except ValueError:  # an integer longer than int's digit limit
+        raise error(f"{what}: integer has too many digits") from None
+    if not isinstance(doc, dict):
+        raise error(f"{what}: not a JSON object")
+    return doc
 
 
 def to_document(value):
@@ -32,27 +65,34 @@ def to_document(value):
     return value
 
 
+def _expect(field_type: type, value):
+    what, types = _JSON_TYPES[field_type]
+    if type(value) not in types:
+        raise TypeError(f"expected {what}, got {reprlib.repr(value)}")
+    return value
+
+
 def from_document(annotation, value):
     """`value`, read from a document, as the field type `annotation`."""
     if hasattr(annotation, "from_document"):
         return annotation.from_document(value)
     if is_dataclass(annotation):
-        return _from_object(annotation, value)
+        return _from_object(annotation, _expect(dict, value))
     if annotation is np.ndarray:
         return np.array(value, dtype=np.float64)
     args = get_args(annotation)
     if get_origin(annotation) is tuple:
+        items = _expect(list, value)
         if args[-1] is Ellipsis:
-            return tuple(from_document(args[0], item) for item in value)
-        items = tuple(value)
+            return tuple(from_document(args[0], item) for item in items)
         if len(items) != len(args):
             raise ValueError(f"expected {len(args)} values, got {len(items)}")
         return tuple(from_document(arg, item) for arg, item in zip(args, items))
     if get_origin(annotation) is list:
-        return [from_document(args[0], item) for item in value]
-    if annotation in (str, object):
+        return [from_document(args[0], item) for item in _expect(list, value)]
+    if annotation is object:
         return value
-    return annotation(value)
+    return annotation(_expect(annotation, value))
 
 
 def _from_object(cls, value):

@@ -333,12 +333,7 @@ def ablation_to_document(cells: list[AblationCell]) -> list[dict]:
             "representation": cell.feature_config.representation,
             "use_active": cell.feature_config.use_active,
             "model": cell.kind,
-            "report": report_to_document(cell.report),
+            "report": to_document(cell.report),
         }
         for cell in cells
     ]
-
-
-def report_to_document(report: EvaluationReport) -> dict:
-    """Full-precision JSON-ready form of an evaluation report."""
-    return to_document(report)

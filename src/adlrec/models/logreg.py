@@ -59,6 +59,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return expz / norm
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
+
+
 def loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -68,10 +73,7 @@ def loss_and_grad(
     l2: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted cross-entropy + ridge penalty, with analytic gradients."""
-    logits = X @ weights + bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    log_proba = shifted - log_norm[:, None]
+    log_proba = log_softmax(X @ weights + bias)
     n = X.shape[0]
     loss = -(sample_weight * log_proba[np.arange(n), y]).sum()
     loss += 0.5 * l2 * float((weights**2).sum())

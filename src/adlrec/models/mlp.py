@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import make_generator
-from .logreg import check_shapes, softmax
+from .logreg import check_shapes, log_softmax, softmax
 
 NAME = "mlp"
 ALIASES = ()
@@ -76,10 +76,7 @@ def loss_and_grads(
     n = X.shape[0]
     pre_hidden = X @ model.w1 + model.b1
     hidden = np.maximum(pre_hidden, 0.0)
-    logits = hidden @ model.w2 + model.b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    log_proba = shifted - log_norm[:, None]
+    log_proba = log_softmax(hidden @ model.w2 + model.b2)
     loss = float(-log_proba[np.arange(n), y].mean())
 
     delta_out = np.exp(log_proba)

@@ -8,7 +8,7 @@ named only in its dataclass."""
 import hashlib
 import json
 
-from ..documents import from_document, to_document
+from ..documents import from_document, read_object, to_document
 from ..taxonomy import NUM_ADL_CLASSES
 
 SCHEMA_VERSION = 1
@@ -42,16 +42,7 @@ def save_model(model) -> str:
 def load_model(text: str):
     from . import KINDS, TrainedModel  # local import: __init__ builds on this module
 
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"corrupted model document: {exc.msg}") from None
-    except RecursionError:
-        raise ModelFormatError("corrupted model document: nested too deeply") from None
-    except ValueError:  # an integer longer than int's digit limit
-        raise ModelFormatError("corrupted model document: integer has too many digits") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
+    doc = read_object(text, ModelFormatError, "corrupted model document")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ModelFormatError(

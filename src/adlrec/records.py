@@ -12,12 +12,12 @@ One frame record per line (UTF-8 JSON object)::
 The segment manifest is CSV with header
 ``participant_id,video_id,segment_index,adl_label``.
 
-Record values (keys, boxes, detections, frames, diagnostics) are plain named
-tuples that check nothing when built. Outside input is validated once, by
-the parser: malformed record lines are rejected individually and collected
-as diagnostics; they never affect neighbouring records. A frame_index that
-repeats within a segment leaves its frames ambiguous, so that whole segment
-is dropped, with one diagnostic per repeated line; other segments are kept.
+Records, segments and diagnostics check nothing when built: outside input is
+validated once, by the parser. A number is a JSON int or float, never a bool.
+A malformed line is rejected on its own, as a diagnostic. A frame_index that
+repeats within a segment leaves its frames ambiguous, so that segment is
+dropped, with one diagnostic per repeated line. So every parsed group holds 1
+to 60 frames in strictly increasing frame_index order.
 """
 
 import csv
@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, TextIO
 
+from .documents import NUMBER_TYPES, read_object
 from .taxonomy import AdlLabel, adl_by_name
 
 MAX_FRAMES_PER_SEGMENT = 60
@@ -87,15 +88,6 @@ class Segment:
     frames: tuple[FrameObservation, ...]
     label: AdlLabel | None = None
 
-    def __post_init__(self):
-        if not self.frames:
-            raise RecordError("segment has no frames")
-        if len(self.frames) > MAX_FRAMES_PER_SEGMENT:
-            raise RecordError("segment exceeds 60 frames")
-        indices = [f.frame_index for f in self.frames]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise RecordError("frame_index strictly increasing violated")
-
 
 class Diagnostic(NamedTuple):
     line: int
@@ -105,9 +97,14 @@ class Diagnostic(NamedTuple):
 def _parse_box(values) -> Box2D:
     if not isinstance(values, list) or len(values) != 4:
         raise RecordError("box must be a list [x1, y1, x2, y2]")
+    x1, y1, x2, y2 = values
+    # inline checks, not a helper: they run for every coordinate of every record
+    if not (type(x1) in NUMBER_TYPES and type(y1) in NUMBER_TYPES
+            and type(x2) in NUMBER_TYPES and type(y2) in NUMBER_TYPES):
+        raise RecordError("box coordinates must be numbers")
     try:
-        box = Box2D(*map(float, values))
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int beyond float range
+        box = Box2D(float(x1), float(y1), float(x2), float(y2))
+    except OverflowError:  # an int beyond float range
         raise RecordError("box coordinates must be numbers") from None
     if not all(map(math.isfinite, box)):
         raise RecordError("box coordinates must be finite")
@@ -119,9 +116,11 @@ def _parse_box(values) -> Box2D:
 
 
 def _check_score(value) -> float:
+    if type(value) not in NUMBER_TYPES:
+        raise RecordError("score must be a number")
     try:
         score = float(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # an int beyond float range
         raise RecordError("score must be a number") from None
     if not 0.0 <= score <= 1.0:
         raise RecordError(f"score {score} outside [0, 1]")
@@ -161,16 +160,7 @@ def parse_record_line(line: str) -> tuple[SegmentKey, FrameObservation]:
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise RecordError("line is not valid UTF-8") from None
-    try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"invalid JSON: {exc.msg}") from None
-    except RecursionError:
-        raise RecordError("invalid JSON: nested too deeply") from None
-    except ValueError:  # an integer longer than int's digit limit
-        raise RecordError("invalid JSON: integer has too many digits") from None
-    if not isinstance(doc, dict):
-        raise RecordError("record must be a JSON object")
+    doc = read_object(line, RecordError, "invalid JSON")
     participant = doc.get("participant_id")
     video = doc.get("video_id")
     if not isinstance(participant, str) or not participant:
@@ -262,11 +252,7 @@ def serialize_frame(key: SegmentKey, frame: FrameObservation) -> str:
 
 
 def serialize_segments(segments: Iterable[Segment]) -> list[str]:
-    lines = []
-    for segment in segments:
-        for frame in segment.frames:
-            lines.append(serialize_frame(segment.key, frame))
-    return lines
+    return [serialize_frame(segment.key, frame) for segment in segments for frame in segment.frames]
 
 
 MANIFEST_HEADER = ("participant_id", "video_id", "segment_index", "adl_label")
@@ -343,8 +329,7 @@ def assemble_segments(
     """Join frame groups with manifest labels into Segments.
 
     In training mode (require_labels) every group must have a manifest entry.
-    Manifest entries with no frames are reported, not fatal. Duplicate frame
-    indices inside a group violate the strictly-increasing invariant.
+    Manifest entries with no frames are reported, not fatal.
     """
     labels = labels or {}
     segments: list[Segment] = []
@@ -354,11 +339,7 @@ def assemble_segments(
         if label is None and require_labels:
             missing.append(key)
             continue
-        try:
-            segment = Segment(key, tuple(frames), label)
-        except RecordError as exc:
-            raise RecordError(f"segment {key}: {exc}") from None
-        segments.append(segment)
+        segments.append(Segment(key, tuple(frames), label))
     if missing:
         raise RecordError(
             f"training mode: {len(missing)} segment(s) missing manifest labels, "

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .documents import from_document, to_document
+from .documents import from_document, read_object, to_document
 from .records import (
     MAX_FRAMES_PER_SEGMENT,
     Box2D,
@@ -372,14 +372,7 @@ def genspec_to_json(spec: GenSpec) -> str:
 
 
 def genspec_from_json(text: str) -> GenSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GenError(f"generator spec parse failure at line {exc.lineno}: {exc.msg}") from None
-    except RecursionError:
-        raise GenError("generator spec parse failure: nested too deeply") from None
-    except ValueError:  # an integer longer than int's digit limit
-        raise GenError("generator spec parse failure: integer has too many digits") from None
+    doc = read_object(text, GenError, "generator spec parse failure")
     try:
         spec = from_document(GenSpec, doc)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
+from .documents import read_object
+
 
 class TaxonomyError(ValueError):
     """Raised for malformed category-table documents or unknown ADL names."""
@@ -136,20 +138,8 @@ def load_category_table(config_text: str) -> CategoryTable:
     Raises TaxonomyError with line/field context on parse failure,
     duplicate categories, duplicate raw labels, or an empty table.
     """
-    try:
-        doc = json.loads(config_text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise TaxonomyError(
-            f"category table parse failure at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    except RecursionError:
-        raise TaxonomyError("category table parse failure: nested too deeply") from None
-    except TaxonomyError:  # a duplicate category, from the pairs hook
-        raise
-    except ValueError:  # an integer longer than int's digit limit
-        raise TaxonomyError("category table parse failure: integer has too many digits") from None
-    if not isinstance(doc, dict):
-        raise TaxonomyError("category table document must be an object")
+    doc = read_object(config_text, TaxonomyError, "category table parse failure",
+                      object_pairs_hook=_reject_duplicate_keys)
     categories = doc.get("categories")
     if not isinstance(categories, dict) or not categories:
         raise TaxonomyError("field 'categories': must be a nonempty object")

@@ -531,7 +531,8 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
         (second_class(good["classes"][0]), bad_classes),
         (second_class(7), bad_classes),
         (second_class(10**30), bad_classes),
-        (put("classes", "ab"), malformed + "invalid literal for int() with base 10: 'a'"),
+        (put("classes", "ab"), malformed + "expected a list, got 'ab'"),
+        (put("classes", "12"), malformed + "expected a list, got '12'"),
         (put("feature_config", {}), malformed + "missing field 'representation'"),
         (put("taxonomy_hash", "0" * 64),
          malformed + "taxonomy_hash differs from feature_config.taxonomy_hash"),
@@ -584,6 +585,8 @@ def test_report_on_malformed_input_fails_legibly(tmp_path, name, content, reason
 
 NESTED = b"[" * 100_000
 LONG_INTEGER = b'{"segment_index": ' + b"1" * 5000 + b"}"  # beyond int's digit limit
+TRUNCATED = b'{"seed": 1,'
+TRUNCATED_MESSAGE = "Expecting property name enclosed in double quotes: line 1 column 12 (char 11)"
 NOT_UTF8 = b"\xff\xfe{}"
 SMALL_SPEC = genspec_to_json(clean_genspec(participants=2, segments_per_participant=7,
                                            frames_per_segment=2))
@@ -610,9 +613,15 @@ def _spec_with(section, field, value) -> bytes:
         (["evaluate", "--model", "{f}", "--records", "r.jsonl", "--manifest", "m.csv"],
          b'{"schema_version":1,"x":NaN}', "error: corrupted model document: number is NaN or infinite"),
         (["synth", "--spec", "{f}"], _spec_with("noise", "drop_rate", "x"),
-         "error: invalid generator spec: could not convert string to float: 'x'"),
+         "error: invalid generator spec: expected a number, got 'x'"),
         (["synth", "--spec", "{f}"], _spec_with(None, "seed", float("inf")),
-         "error: invalid generator spec: cannot convert float infinity to integer"),
+         "error: invalid generator spec: expected an integer, got inf"),
+        (["synth", "--spec", "{f}"], _spec_with(None, "participants", 2.7),
+         "error: invalid generator spec: expected an integer, got 2.7"),
+        (["synth", "--spec", "{f}"], _spec_with(None, "frames_per_segment", True),
+         "error: invalid generator spec: expected an integer, got True"),
+        (["synth", "--spec", "{f}"], _spec_with("noise", "drop_rate", "0.25"),
+         "error: invalid generator spec: expected a number, got '0.25'"),
         (["synth", "--spec", "{f}"], _spec_with("noise", "box_jitter_px", float("inf")),
          "error: box_jitter_px must be finite and at most half the largest float"),
         (["synth", "--box-jitter", "inf"], b"",
@@ -633,14 +642,28 @@ def _spec_with(section, field, value) -> bytes:
          "error: field 'placeholders': ['other'] is not a listed category"),
         (["synth", "--taxonomy", "{f}"], b'{"placeholders": 5, "categories": {"other": []}}',
          "error: field 'placeholders': must be a list of category names"),
+        (["evaluate", "--model", "{f}", "--records", "r.jsonl", "--manifest", "m.csv"], b"[]",
+         "error: corrupted model document: not a JSON object"),
+        (["synth", "--spec", "{f}"], b"[]", "error: generator spec parse failure: not a JSON object"),
+        (["synth", "--taxonomy", "{f}"], b"[]",
+         "error: category table parse failure: not a JSON object"),
+        (["evaluate", "--model", "{f}", "--records", "r.jsonl", "--manifest", "m.csv"], TRUNCATED,
+         "error: corrupted model document: " + TRUNCATED_MESSAGE),
+        (["synth", "--spec", "{f}"], TRUNCATED,
+         "error: generator spec parse failure: " + TRUNCATED_MESSAGE),
+        (["synth", "--taxonomy", "{f}"], TRUNCATED,
+         "error: category table parse failure: " + TRUNCATED_MESSAGE),
     ],
     ids=["evaluate-model", "synth-spec", "synth-taxonomy",
          "evaluate-model-not-utf8", "synth-spec-not-utf8", "synth-taxonomy-not-utf8",
          "evaluate-model-nan", "synth-spec-rate-not-a-number", "synth-spec-seed-infinite",
+         "synth-spec-participants-float", "synth-spec-frames-bool", "synth-spec-rate-string",
          "synth-spec-jitter-infinite", "synth-box-jitter-infinite", "synth-box-jitter-nan",
          "evaluate-model-long-integer", "synth-spec-long-integer", "synth-taxonomy-long-integer",
          "synth-segments-overflow", "synth-taxonomy-fallback-list",
-         "synth-taxonomy-placeholder-list", "synth-taxonomy-placeholders-number"],
+         "synth-taxonomy-placeholder-list", "synth-taxonomy-placeholders-number",
+         "evaluate-model-not-an-object", "synth-spec-not-an-object", "synth-taxonomy-not-an-object",
+         "evaluate-model-truncated", "synth-spec-truncated", "synth-taxonomy-truncated"],
 )
 def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, content, message):
     deep = tmp_path / "deep.json"

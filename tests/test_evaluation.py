@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adlrec import evaluation
+from adlrec.documents import to_document
 from adlrec.evaluation import (
     EvaluationError,
     FoldResult,
@@ -14,7 +15,6 @@ from adlrec.evaluation import (
     grid_to_csv,
     loso_split,
     normalize_rows,
-    report_to_document,
     run_ablation,
     run_loso,
     weighted_f1,
@@ -200,7 +200,7 @@ def test_run_loso_report_contents(table, small_corpus):
     assert set(report.provenance["fold_seeds"]) == {
         f.participant_id for f in report.folds
     }
-    doc = report_to_document(report)
+    doc = to_document(report)
     assert doc["mean_weighted_f1"] == report.mean_weighted_f1
     assert len(doc["folds"]) == 4
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from adlrec.documents import to_document
 from adlrec.features import (
     FeatureConfig,
     FeatureError,
@@ -16,7 +17,7 @@ from adlrec.features import (
     minmax_scale_row,
     raw_block,
 )
-from adlrec.evaluation import report_to_document, run_loso
+from adlrec.evaluation import run_loso
 from adlrec.models import TrainConfig
 from adlrec.synthgen import NoiseSpec, clean_genspec, distractor_genspec, generate
 
@@ -253,7 +254,7 @@ def test_feature_and_report_bytes_are_pinned(table):
         X, _ = feature_matrix(segments, table, config)
         assert hashlib.sha256(X.tobytes()).hexdigest() == FEATURE_PINS[config_label(config)]
     report = run_loso(segments, table, configs[-1], TrainConfig(kind="logreg", seed=3))
-    doc = report_to_document(report)
+    doc = to_document(report)
     # the pin predates per-fold convergence; every other byte must stay the same
     for fold in doc["folds"]:
         assert fold.pop("stopping_reason") == "converged"

@@ -96,6 +96,12 @@ def _bad_box(box: str) -> str:
         (record_line(objects=[("cup", 1.5, (0, 0, 1, 1))]), "score 1.5 outside [0, 1]"),
         (record_line(objects=[("cup", -0.1, (0, 0, 1, 1))]), "score -0.1 outside [0, 1]"),
         (record_line(objects=[("cup", "x", (0, 0, 1, 1))]), "score must be a number"),
+        (record_line(objects=[("cup", True, (0, 0, 1, 1))]), "score must be a number"),
+        (record_line(objects=[("cup", "0.5", (0, 0, 1, 1))]), "score must be a number"),
+        (record_line(hois=[((0, 0, 1, 1), "left", "contact", True)]), "score must be a number"),
+        (_bad_box('["0", "0", "1", "1"]'), "box coordinates must be numbers"),
+        (_bad_box("[false, 0, true, 1]"), "box coordinates must be numbers"),
+        ("[1]", "invalid JSON: not a JSON object"),
         (record_line(frame_idx=60), "frame_index 60 outside [0, 60)"),
         (record_line(frame_idx=-1), "frame_index -1 outside [0, 60)"),
         (
@@ -111,6 +117,12 @@ def _bad_box(box: str) -> str:
         "score-above-one",
         "score-below-zero",
         "score-not-a-number",
+        "score-bool",
+        "score-numeric-string",
+        "hoi-score-bool",
+        "box-numeric-strings",
+        "box-bools",
+        "record-not-an-object",
         "frame-index-60",
         "frame-index-negative",
         "frame-index-60-and-bad-box",
@@ -178,13 +190,8 @@ def test_assemble_full_minute():
 
 
 def test_assemble_duplicate_frame_index():
-    groups = {SegmentKey("p1", "v1", 0): [frame(0), frame(0), frame(1)]}
-    labels = load_manifest(
-        "participant_id,video_id,segment_index,adl_label\np1,v1,0,Self-Feeding\n"
-    )
-    with pytest.raises(RecordError, match="strictly increasing"):
-        assemble_segments(groups, labels)
-    # parsing drops such a group, with a diagnostic, and keeps its neighbours
+    # parsing drops a group whose frame_index repeats, with a diagnostic, and
+    # keeps its neighbours
     lines = [record_line(frame_idx=i) for i in (0, 0, 1)] + [record_line(seg=1)]
     parsed, diagnostics = parse_records("\n".join(lines))
     assert list(parsed) == [SegmentKey("p1", "v1", 1)]
