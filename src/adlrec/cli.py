@@ -17,6 +17,7 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .documents import to_document
@@ -77,33 +78,41 @@ def _names_model_file(model: str) -> bool:
     return not any(model in (k.NAME, *k.ALIASES) for k in KINDS) and Path(model).is_file()
 
 
-def _write_run(args, config: dict, seed: int | None, files: dict[str, str]) -> None:
-    """Write output files to --out plus the directory's run_manifest.json,
-    whose inputs are the files the command's path arguments name."""
+def _digest_file(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        while block := stream.read(1 << 18):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _write(path: Path, pieces: Iterable[str]) -> str:
+    """Write text pieces to `path` one at a time; return the file's sha256."""
+    with open(path, "wb") as out:
+        out.writelines(map(str.encode, pieces))
+    return _digest_file(path)
+
+
+def _write_run(args, config: dict, seed: int | None, files: dict[str, Iterable[str]]) -> None:
+    """Write output files, each given as text pieces (a one-item tuple for one
+    string), to --out plus the directory's run_manifest.json, whose inputs
+    are the files the command's path arguments name."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {}
-    for name, content in files.items():
-        data = content.encode("utf-8")
-        (out_dir / name).write_bytes(data)
-        outputs[name] = hashlib.sha256(data).hexdigest()
+    outputs = {name: _write(out_dir / name, pieces) for name, pieces in files.items()}
     paths = [getattr(args, name, None) for name in ("spec", "records", "manifest", "taxonomy")]
     if hasattr(args, "model") and _names_model_file(args.model):
         paths.append(args.model)
     manifest = {
         "command": args.command,
         "config": config,
-        "inputs": {
-            str(Path(p)): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths if p
-        },
+        "inputs": {str(Path(p)): _digest_file(p) for p in paths if p},
         "outputs": outputs,
         "seed": seed,
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    _write(out_dir / "run_manifest.json", (json.dumps(manifest, indent=2, sort_keys=True),))
 
 
 def _read_utf8(path: str, error: type[Exception], what: str) -> str:
@@ -161,10 +170,10 @@ def cmd_synth(args) -> int:
     table = _load_table(args)
     corpus = generate(spec, table)
     files = {
-        "records.jsonl": "\n".join(serialize_segments(corpus.segments)) + "\n",
-        "truth_records.jsonl": "\n".join(serialize_segments(corpus.truth_segments)) + "\n",
-        "manifest.csv": write_manifest(corpus.truth_segments),
-        "genspec.json": genspec_to_json(spec) + "\n",
+        "records.jsonl": (line + "\n" for line in serialize_segments(corpus.segments)),
+        "truth_records.jsonl": (line + "\n" for line in serialize_segments(corpus.truth_segments)),
+        "manifest.csv": (write_manifest(corpus.truth_segments),),
+        "genspec.json": (genspec_to_json(spec) + "\n",),
     }
     preset = None if args.spec else args.preset
     config = {"spec": args.spec, "preset": preset, "taxonomy_hash": table.content_hash}
@@ -209,7 +218,7 @@ def cmd_featurize(args) -> int:
     table = _load_table(args)
     result, diagnostics = _load_segments(args, require_labels=not args.inference)
     config = _feature_config(args, table)
-    files = {"features.csv": _features_csv(result.segments, table, config)}
+    files = {"features.csv": (_features_csv(result.segments, table, config),)}
     _write_run(args, {**asdict(config), "rejected_records": len(diagnostics)}, None, files)
     print(
         f"featurized {len(result.segments)} segments -> "
@@ -230,7 +239,7 @@ def cmd_train(args) -> int:
     y = [labels[k] for k in keys]
     cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=args.seed)
     model = train_matrix(X, y, cfg, feature_config=config)
-    files = {"model.json": save_model(model) + "\n"}
+    files = {"model.json": (save_model(model) + "\n",)}
     run_config = {"model": model.kind, **asdict(config), "hyperparameters": model.hyperparameters}
     _write_run(args, run_config, args.seed, files)
     print(
@@ -256,8 +265,8 @@ def _score_fixed_model(args, table) -> int:
     for key, yt, yp in zip(keys, y_true, y_pred):
         writer.writerow([*key, ADL_NAMES[yt], ADL_NAMES[int(yp)]])
     files = {
-        "report.json": json.dumps(report, indent=2) + "\n",
-        "predictions.csv": predictions.getvalue(),
+        "report.json": (json.dumps(report, indent=2) + "\n",),
+        "predictions.csv": (predictions.getvalue(),),
     }
     config = {"model_file": args.model, "taxonomy_hash": table.content_hash}
     _write_run(args, config, None, files)  # scoring draws no random number
@@ -273,7 +282,7 @@ def cmd_evaluate(args) -> int:
     config = _feature_config(args, table)
     cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=args.seed)
     report = run_loso(result.segments, table, config, cfg)
-    files = {"report.json": json.dumps(to_document(report), indent=2) + "\n"}
+    files = {"report.json": (json.dumps(to_document(report), indent=2) + "\n",)}
     _write_run(args, {"model": cfg.kind, **asdict(config)}, args.seed, files)
     print(
         f"LOSO weighted F1: {report.mean_weighted_f1:.2f} +/- {report.std_weighted_f1:.2f}  "
@@ -293,8 +302,8 @@ def cmd_ablate(args) -> int:
     cells = run_ablation(result.segments, table, kinds, args.seed)
     grid_csv = grid_to_csv(cells)
     files = {
-        "grid.csv": grid_csv,
-        "ablation.json": json.dumps(ablation_to_document(cells), indent=2) + "\n",
+        "grid.csv": (grid_csv,),
+        "ablation.json": (json.dumps(ablation_to_document(cells), indent=2) + "\n",),
     }
     _write_run(args, {"models": kinds, "taxonomy_hash": table.content_hash}, args.seed, files)
     print(_render_grid(grid_csv), end="")

@@ -8,12 +8,12 @@ many digits" or "not a JSON object".
 ``to_document`` writes a dataclass as an object of its fields, in declaration
 order, so a document field is named only in its dataclass. ``from_document``
 reads a value back by its field type: a dataclass from an object, ``tuple``
-and ``list`` from a list, ``np.ndarray`` as float64, ``object`` as it is, and
-``int``, ``float``, ``bool``, ``str`` and ``dict`` from that JSON type only (a
-number is an int or a float, never a bool; an ``int`` takes no float). A wrong
-type raises TypeError, a missing required field KeyError, and an unknown key
-the constructor's TypeError. A class with its own ``to_document`` and
-``from_document`` keeps its own format.
+and ``list`` from a list, ``np.ndarray`` by ``number_array``, ``object`` as
+it is, and ``int``, ``float``, ``bool``, ``str`` and ``dict`` from that JSON
+type only (a number is an int or a float, never a bool; an ``int`` takes no
+float). A wrong type raises TypeError, a missing required field KeyError, and
+an unknown key the constructor's TypeError. A class with its own
+``to_document`` and ``from_document`` keeps its own format.
 """
 
 import json
@@ -72,6 +72,14 @@ def _expect(field_type: type, value):
     return value
 
 
+def number_array(value) -> np.ndarray:
+    """`value`, a number or nested lists of numbers (never bools), as float64."""
+    items = np.array(value, dtype=object)
+    if not NUMBER_TYPES.issuperset(map(type, items.flat)):
+        _expect(float, next(item for item in items.flat if type(item) not in NUMBER_TYPES))
+    return items.astype(np.float64)
+
+
 def from_document(annotation, value):
     """`value`, read from a document, as the field type `annotation`."""
     if hasattr(annotation, "from_document"):
@@ -79,7 +87,7 @@ def from_document(annotation, value):
     if is_dataclass(annotation):
         return _from_object(annotation, _expect(dict, value))
     if annotation is np.ndarray:
-        return np.array(value, dtype=np.float64)
+        return number_array(value)
     args = get_args(annotation)
     if get_origin(annotation) is tuple:
         items = _expect(list, value)

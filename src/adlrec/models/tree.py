@@ -39,6 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..documents import number_array
+
 LEAF = -1
 
 
@@ -83,16 +85,16 @@ class Tree:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Tree":
-        """Rebuild a tree, raising ValueError for any document `apply` could
-        not walk: ragged arrays, children out of range or not after their
-        parent, or leaves of differing value widths."""
+        """Rebuild a tree, raising ValueError (TypeError for a non-number) for
+        any document `apply` could not walk: ragged arrays, children out of
+        range or not after their parent, or leaves of differing value widths."""
         feature, threshold, left, right, values = (
             doc[key] for key in ("feature", "threshold", "left", "right", "value")
         )
         n = len(feature)
         if n == 0:
             raise ValueError("tree has no nodes")
-        threshold = np.array(threshold, dtype=np.float64)
+        threshold = number_array(threshold)
         if threshold.shape != (n,) or any(len(items) != n for items in (left, right, values)):
             raise ValueError("tree arrays differ in length")
         if set(map(type, feature)) | set(map(type, left)) | set(map(type, right)) != {int}:
@@ -120,7 +122,7 @@ class Tree:
         if len(widths) != 1 or 0 in widths:
             raise ValueError("tree leaves differ in value width")
         unused = [0.0] * widths.pop()
-        value = np.array([v if len(v) else unused for v in values], dtype=np.float64)
+        value = number_array([v if len(v) else unused for v in values])
         if value.ndim != 2:
             raise ValueError("tree leaf values must be lists of numbers")
         return cls(

@@ -25,7 +25,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, TextIO
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .documents import NUMBER_TYPES, read_object
 from .taxonomy import AdlLabel, adl_by_name
@@ -127,16 +128,17 @@ def _check_score(value) -> float:
     return score
 
 
-def _parse_object(obj) -> ObjectDetection:
+def _parse_object(obj, strings: dict[str, str]) -> ObjectDetection:
     if not isinstance(obj, dict):
         raise RecordError("object entry must be an object")
     label = obj.get("label")
     if not isinstance(label, str):
         raise RecordError("object label must be a string")
+    label = strings.setdefault(label, label)
     return ObjectDetection(label, _check_score(obj.get("score")), _parse_box(obj.get("box")))
 
 
-def _parse_hoi(obj) -> HoiObject:
+def _parse_hoi(obj, strings: dict[str, str]) -> HoiObject:
     if not isinstance(obj, dict):
         raise RecordError("hoi entry must be an object")
     hand_side = obj.get("hand_side", "unknown")
@@ -145,13 +147,16 @@ def _parse_hoi(obj) -> HoiObject:
     contact_state = obj.get("contact_state", "")
     if not isinstance(contact_state, str):
         raise RecordError("contact_state must be a string")
+    hand_side = strings.setdefault(hand_side, hand_side)
+    contact_state = strings.setdefault(contact_state, contact_state)
     box = _parse_box(obj.get("box"))
     return HoiObject(box, hand_side, contact_state, _check_score(obj.get("score")))
 
 
-def parse_record_line(line: str) -> tuple[SegmentKey, FrameObservation]:
+def parse_record_line(line: str, strings: dict[str, str]) -> tuple[SegmentKey, FrameObservation]:
     """Parse one frame record; raises RecordError on any invariant violation.
 
+    Labels, hand sides and contact states are shared through the memo `strings`.
     Bytes that are not UTF-8 reach here as lone surrogates when the stream
     was opened with errors="surrogateescape"; such a line is rejected.
     """
@@ -177,8 +182,8 @@ def parse_record_line(line: str) -> tuple[SegmentKey, FrameObservation]:
     hoi_objects = doc.get("hoi_objects", [])
     if not isinstance(objects, list) or not isinstance(hoi_objects, list):
         raise RecordError("objects and hoi_objects must be lists")
-    detections = tuple(map(_parse_object, objects))
-    hois = tuple(map(_parse_hoi, hoi_objects))
+    detections = tuple(map(_parse_object, objects, repeat(strings)))
+    hois = tuple(map(_parse_hoi, hoi_objects, repeat(strings)))
     if not 0 <= frame_idx < MAX_FRAMES_PER_SEGMENT:
         raise RecordError(f"frame_index {frame_idx} outside [0, {MAX_FRAMES_PER_SEGMENT})")
     return SegmentKey(participant, video, seg_idx), FrameObservation(frame_idx, detections, hois)
@@ -192,10 +197,12 @@ def parse_records(
     Groups are ordered by key and frames by frame_index. Malformed lines are
     collected as diagnostics with 1-based line numbers; valid lines are kept.
     A group in which a frame_index repeats is left out, and each repeated
-    line becomes a diagnostic that names the segment.
+    line becomes a diagnostic that names the segment. Repeated strings are
+    held once, through a memo that lives only as long as this call.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
+    strings: dict[str, str] = {}
     groups: dict[SegmentKey, dict[int, FrameObservation]] = {}
     duplicated: set[SegmentKey] = set()
     diagnostics: list[Diagnostic] = []
@@ -203,7 +210,7 @@ def parse_records(
         if not line.strip():
             continue
         try:
-            key, observation = parse_record_line(line)
+            key, observation = parse_record_line(line, strings)
         except RecordError as exc:
             diagnostics.append(Diagnostic(lineno, str(exc)))
             continue
@@ -251,8 +258,8 @@ def serialize_frame(key: SegmentKey, frame: FrameObservation) -> str:
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
 
 
-def serialize_segments(segments: Iterable[Segment]) -> list[str]:
-    return [serialize_frame(segment.key, frame) for segment in segments for frame in segment.frames]
+def serialize_segments(segments: Iterable[Segment]) -> Iterator[str]:
+    return (serialize_frame(segment.key, frame) for segment in segments for frame in segment.frames)
 
 
 MANIFEST_HEADER = ("participant_id", "video_id", "segment_index", "adl_label")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -8,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -486,6 +488,8 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
                "--manifest", str(synth_dir / "manifest.csv")]
     assert main(["train", *records, "--model", "rf", "--out", str(tmp_path / "m")]) == 0
     good = json.loads((tmp_path / "m" / "model.json").read_text())
+    assert main(["train", *records, "--model", "logreg", "--out", str(tmp_path / "lr")]) == 0
+    logreg = json.loads((tmp_path / "lr" / "model.json").read_text())
 
     def tree_edit(field, value):
         def edit(doc):
@@ -513,6 +517,11 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
             doc["classes"][1] = value
         return edit
 
+    def first_bias(value):
+        def edit(doc):
+            doc["parameters"]["bias"][0] = value
+        return edit
+
     malformed = "error: malformed model document: "
     n_nodes = len(good["parameters"]["trees"][0]["left"])
     bad_classes = malformed + "classes must be distinct ADL label ids in ascending order"
@@ -527,6 +536,7 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
          malformed + "tree internal node 2 carries a value"),
         (tree_edit("value", [[0.5]] * n_nodes),
          malformed + "tree internal node 0 carries a value"),
+        (tree_edit("threshold", ["0.5"] * n_nodes), malformed + "expected a number, got '0.5'"),
         (put("kind", 5), malformed + "unknown model kind 5"),
         (second_class(good["classes"][0]), bad_classes),
         (second_class(7), bad_classes),
@@ -544,8 +554,13 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
         for field in ("kind", "hyperparameters", "feature_config", "feature_dim", "classes",
                       "class_names", "metadata", "parameters", "taxonomy_hash")
     ]
-    for n, (edit, message) in enumerate(edits):
-        doc = json.loads(json.dumps(good))
+    logreg_edits = [
+        (first_bias("1.5"), malformed + "expected a number, got '1.5'"),
+        (first_bias(True), malformed + "expected a number, got True"),
+    ]
+    cases = [(good, *case) for case in edits] + [(logreg, *case) for case in logreg_edits]
+    for n, (base, edit, message) in enumerate(cases):
+        doc = json.loads(json.dumps(base))
         edit(doc)
         bad = tmp_path / f"bad{n}.json"
         bad.write_text(redigest(doc) if "digest" in doc else json.dumps(doc))
@@ -813,6 +828,30 @@ def test_run_manifest_inputs_are_the_path_arguments(tmp_path, monkeypatch):
         assert doc["inputs"] == {
             path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs
         }, argv
+
+
+def test_write_run_holds_no_whole_input_or_output(tmp_path):
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(bytes(range(256)) * (1 << 15))  # 8 MiB
+    out = tmp_path / "out"
+    args = argparse.Namespace(command="featurize", out=str(out), records=str(records),
+                              manifest=None, taxonomy=None)
+    pieces = (f"{n:07d}\n" * 8192 for n in range(128))  # 128 pieces of 64 KiB: 8 MiB
+    tracemalloc.start()
+    try:
+        cli._write_run(args, {}, None, {"big.txt": pieces, "small.txt": ("one string",)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    doc = json.loads((out / "run_manifest.json").read_text())
+    assert doc["inputs"] == {str(records): hashlib.sha256(records.read_bytes()).hexdigest()}
+    assert doc["outputs"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("big.txt", "small.txt")
+    }
+    assert (out / "big.txt").stat().st_size == 8 << 20
+    assert (out / "small.txt").read_text() == "one string"
+    assert peak < 2 << 20, peak
 
 
 def test_cli_import_loads_no_process_pool():

@@ -234,7 +234,7 @@ def test_sixteen_participants_partition():
 def test_roundtrip_parse_serialize_parse(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=5, seed=11)
     corpus = generate(spec, table)
-    lines = serialize_segments(corpus.segments)
+    lines = list(serialize_segments(corpus.segments))
     groups1, d1 = parse_records("\n".join(lines))
     relines = [
         serialize_frame(key, f) for key, frames in groups1.items() for f in frames
@@ -243,6 +243,24 @@ def test_roundtrip_parse_serialize_parse(table):
     assert not d1 and not d2
     assert groups1 == groups2
     assert relines == lines  # generator emits in canonical order already
+
+
+def test_parse_records_shares_repeated_strings(table):
+    spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=5, seed=11)
+    corpus = generate(spec, table)
+    groups, diagnostics = parse_records("\n".join(serialize_segments(corpus.segments)))
+    assert not diagnostics
+    frames = [f for frames in groups.values() for f in frames]
+    columns = {
+        "raw_label": [o.raw_label for f in frames for o in f.objects],
+        "hand_side": [h.hand_side for f in frames for h in f.hoi_objects],
+        "contact_state": [h.contact_state for f in frames for h in f.hoi_objects],
+    }
+    for name, values in columns.items():
+        assert len(set(values)) < len(values), name  # the corpus repeats each field
+        first = {}
+        for value in values:
+            assert first.setdefault(value, value) is value, (name, value)
 
 
 def test_segment_count_matches_distinct_keys(table):
@@ -264,4 +282,4 @@ def test_write_manifest_roundtrip():
 
 def test_serialize_segments_matches_frames():
     seg = segment([frame(0), frame(1)])
-    assert len(serialize_segments([seg])) == 2
+    assert len(list(serialize_segments([seg]))) == 2

@@ -50,20 +50,20 @@ def test_generation_is_deterministic(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=4, seed=42)
     a = generate(spec, table)
     b = generate(spec, table)
-    assert serialize_segments(a.segments) == serialize_segments(b.segments)
-    assert serialize_segments(a.truth_segments) == serialize_segments(b.truth_segments)
+    assert list(serialize_segments(a.segments)) == list(serialize_segments(b.segments))
+    assert list(serialize_segments(a.truth_segments)) == list(serialize_segments(b.truth_segments))
     assert write_manifest(a.truth_segments) == write_manifest(b.truth_segments)
     different = generate(
         clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=4, seed=43),
         table,
     )
-    assert serialize_segments(different.segments) != serialize_segments(a.segments)
+    assert list(serialize_segments(different.segments)) != list(serialize_segments(a.segments))
 
 
 def test_zero_noise_streams_identical(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=4, seed=1)
     corpus = generate(spec, table)
-    assert serialize_segments(corpus.segments) == serialize_segments(corpus.truth_segments)
+    assert list(serialize_segments(corpus.segments)) == list(serialize_segments(corpus.truth_segments))
 
 
 def test_full_drop_empties_objects(table):
