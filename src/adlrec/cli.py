@@ -9,15 +9,17 @@ to 2 decimals; files keep full precision.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import __version__
 from .documents import to_document
@@ -86,20 +88,29 @@ def _digest_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _write(path: Path, pieces: Iterable[str]) -> str:
-    """Write text pieces to `path` one at a time; return the file's sha256."""
-    with open(path, "wb") as out:
-        out.writelines(map(str.encode, pieces))
-    return _digest_file(path)
+def _write(paths: list[Path], pieces: Iterable[str]) -> list[str]:
+    """Write text pieces to every path in one pass, one piece at a time;
+    return each file's sha256, read back from disk."""
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(open(path, "wb")) for path in paths]
+        for piece in pieces:
+            data = piece.encode()
+            for out in outs:
+                out.write(data)
+    return [_digest_file(path) for path in paths]
 
 
 def _write_run(args, config: dict, seed: int | None, files: dict[str, Iterable[str]]) -> None:
     """Write output files, each given as text pieces (a one-item tuple for one
     string), to --out plus the directory's run_manifest.json, whose inputs
-    are the files the command's path arguments name."""
+    are the files the command's path arguments name. Names given the very
+    same pieces object get equal files, written in one pass over it."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {name: _write(out_dir / name, pieces) for name, pieces in files.items()}
+    outputs = {}
+    for pieces in {id(pieces): pieces for pieces in files.values()}.values():
+        names = [name for name, named in files.items() if named is pieces]
+        outputs.update(zip(names, _write([out_dir / name for name in names], pieces)))
     paths = [getattr(args, name, None) for name in ("spec", "records", "manifest", "taxonomy")]
     if hasattr(args, "model") and _names_model_file(args.model):
         paths.append(args.model)
@@ -112,7 +123,7 @@ def _write_run(args, config: dict, seed: int | None, files: dict[str, Iterable[s
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    _write(out_dir / "run_manifest.json", (json.dumps(manifest, indent=2, sort_keys=True),))
+    _write([out_dir / "run_manifest.json"], (json.dumps(manifest, indent=2, sort_keys=True),))
 
 
 def _read_utf8(path: str, error: type[Exception], what: str) -> str:
@@ -169,9 +180,14 @@ def cmd_synth(args) -> int:
         )
     table = _load_table(args)
     corpus = generate(spec, table)
+    records = (line + "\n" for line in serialize_segments(corpus.segments))
+    if corpus.truth_segments is not corpus.segments:
+        truth = (line + "\n" for line in serialize_segments(corpus.truth_segments))
+    else:  # no noise: one stream, serialized once, written under both names
+        truth = records
     files = {
-        "records.jsonl": (line + "\n" for line in serialize_segments(corpus.segments)),
-        "truth_records.jsonl": (line + "\n" for line in serialize_segments(corpus.truth_segments)),
+        "records.jsonl": records,
+        "truth_records.jsonl": truth,
         "manifest.csv": (write_manifest(corpus.truth_segments),),
         "genspec.json": (genspec_to_json(spec) + "\n",),
     }
@@ -198,27 +214,33 @@ def cmd_ingest_validate(args) -> int:
     return 1 if diagnostics else 0
 
 
-def _features_csv(segments, table, config) -> str:
+class _Line:
+    """A file whose write returns its text, so that the writerow of a
+    csv.writer over it returns the row's line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _features_csv(segments, table, config) -> Iterator[str]:
+    """features.csv as its header and then one piece per row. The matrix is
+    built at the call, so a featurization error comes before any write."""
     X, keys = feature_matrix(segments, table, config)
-    labels = {s.key: s.label for s in segments}
-    out = io.StringIO()
-    out.write(
+    labels = {s.key: s.label.name if s.label else "" for s in segments}
+    line = csv.writer(_Line(), lineterminator="\n").writerow
+    header = (
         f"# adlrec-features representation={config.representation} "
         f"active={str(config.use_active).lower()} taxonomy={config.taxonomy_hash}\n"
-    )
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([*MANIFEST_HEADER, *feature_names(table, config)])
-    for row, key in zip(X, keys):
-        label = labels[key]
-        writer.writerow([*key, label.name if label else "", *map(repr, row)])
-    return out.getvalue()
+    ) + line([*MANIFEST_HEADER, *feature_names(table, config)])
+    rows = (line([*key, labels[key], *map(repr, row)]) for row, key in zip(X, keys))
+    return itertools.chain((header,), rows)
 
 
 def cmd_featurize(args) -> int:
     table = _load_table(args)
     result, diagnostics = _load_segments(args, require_labels=not args.inference)
     config = _feature_config(args, table)
-    files = {"features.csv": (_features_csv(result.segments, table, config),)}
+    files = {"features.csv": _features_csv(result.segments, table, config)}
     _write_run(args, {**asdict(config), "rejected_records": len(diagnostics)}, None, files)
     print(
         f"featurized {len(result.segments)} segments -> "

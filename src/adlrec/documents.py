@@ -73,9 +73,13 @@ def _expect(field_type: type, value):
 
 
 def number_array(value) -> np.ndarray:
-    """`value`, a number or nested lists of numbers (never bools), as float64."""
+    """`value`, a number or nested lists of numbers (never bools), as float64;
+    ValueError where nested lists differ in length, TypeError for a non-number."""
     items = np.array(value, dtype=object)
-    if not NUMBER_TYPES.issuperset(map(type, items.flat)):
+    types = set(map(type, items.flat))
+    if list in types:  # where nested lists differ in length, np.array keeps lists as items
+        raise ValueError("ragged array: nested lists differ in length")
+    if not NUMBER_TYPES.issuperset(types):
         _expect(float, next(item for item in items.flat if type(item) not in NUMBER_TYPES))
     return items.astype(np.float64)
 

@@ -213,10 +213,14 @@ def distractor_genspec(
 
 
 def _random_box(rng) -> Box2D:
-    w = rng.uniform(40.0, 240.0)
-    h = rng.uniform(40.0, 240.0)
-    x1 = rng.uniform(0.0, CANVAS_W - w)
-    y1 = rng.uniform(0.0, CANVAS_H - h)
+    # one call for four doubles, each scaled as rng.uniform(low, high) scales
+    # it, low + (high - low) * u: the same values and stream position as four
+    # uniform calls (low = 0 adds nothing to a non-negative product)
+    u = rng.random(4).tolist()
+    w = 40.0 + 200.0 * u[0]
+    h = 40.0 + 200.0 * u[1]
+    x1 = (CANVAS_W - w) * u[2]
+    y1 = (CANVAS_H - h) * u[3]
     return Box2D(x1, y1, x1 + w, y1 + h)
 
 
@@ -301,7 +305,13 @@ def _jitter_box(rng, box: Box2D, jitter: float) -> Box2D:
 def perturb(
     segments: list[Segment], noise: NoiseSpec, seed: int, table: CategoryTable
 ) -> list[Segment]:
-    """Apply the detector noise model; hoi boxes pass through untouched."""
+    """Apply the detector noise model; hoi boxes pass through untouched.
+
+    With no noise (`NoiseSpec()`) this is `segments` itself: the per-segment
+    "perturb" streams feed no other draw, so skipping them changes nothing.
+    """
+    if noise == NoiseSpec():
+        return segments
     out = []
     for segment in segments:
         rng = make_generator(seed, "perturb", *segment.key)
@@ -343,7 +353,7 @@ def perturb(
 @dataclass
 class GeneratedCorpus:
     truth_segments: list[Segment]
-    segments: list[Segment]  # after the noise model
+    segments: list[Segment]  # after the noise model; truth_segments itself without noise
 
 
 def generate(spec: GenSpec, table: CategoryTable) -> GeneratedCorpus:

@@ -18,6 +18,7 @@ from adlrec.records import (
     Segment,
     SegmentKey,
 )
+from adlrec.synthgen import CANVAS_H, CANVAS_W
 from adlrec.taxonomy import ADL_LABELS
 
 
@@ -66,6 +67,16 @@ def record_line(
     }
     doc.update(overrides)
     return json.dumps(doc)
+
+
+def reference_random_box(rng):
+    """A random detection box from four scalar uniform draws: the oracle for
+    `synthgen._random_box`, which takes the four doubles in one call."""
+    w = rng.uniform(40.0, 240.0)
+    h = rng.uniform(40.0, 240.0)
+    x1 = rng.uniform(0.0, CANVAS_W - w)
+    y1 = rng.uniform(0.0, CANVAS_H - h)
+    return Box2D(x1, y1, x1 + w, y1 + h)
 
 
 def reference_pick_best(scores, sorted_vals, valid, candidates):

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from adlrec import cli, models
 from adlrec.cli import main
-from adlrec.features import feature_matrix
+from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.models import load_model, save_model
 from adlrec.records import load_corpus
-from adlrec.synthgen import NoiseSpec, clean_genspec, genspec_to_json
+from adlrec.synthgen import NoiseSpec, clean_genspec, generate, genspec_to_json
 from adlrec.taxonomy import default_category_table
 
 from helpers import PRIOR_KIND, redigest
@@ -291,6 +291,33 @@ def test_synth_bytes_are_pinned(tmp_path, preset):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# the same at zero noise, which writes the one stream under both record
+# names; recorded before generation skipped its noise pass.
+ZERO_NOISE_SYNTH_PINS = {
+    "clean": {
+        "records.jsonl": "9e9d5adae3ad9baf5417dae6a66f66d7d771129412a9559815d603746ade8b21",
+        "truth_records.jsonl": "9e9d5adae3ad9baf5417dae6a66f66d7d771129412a9559815d603746ade8b21",
+        "manifest.csv": "9090caa97160ded74c6d08e8f34da99cf265cf79c5416522a130d10289dd125f",
+    },
+    "distractor": {
+        "records.jsonl": "438094ee25bf984134958bfa6255042089fed6b9e915838e0e7073fdc49609d8",
+        "truth_records.jsonl": "438094ee25bf984134958bfa6255042089fed6b9e915838e0e7073fdc49609d8",
+        "manifest.csv": "9090caa97160ded74c6d08e8f34da99cf265cf79c5416522a130d10289dd125f",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", ZERO_NOISE_SYNTH_PINS)
+def test_zero_noise_synth_bytes_are_pinned(tmp_path, preset):
+    out = tmp_path / preset
+    assert main(["synth", "--preset", preset, "--participants", "3", "--segments", "14",
+                 "--frames", "6", "--seed", "12", "--out", str(out)]) == 0
+    outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+    for name, digest in ZERO_NOISE_SYNTH_PINS[preset].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        assert outputs[name] == digest, name
+
+
 # sha256 of what `adlrec synth --spec` writes for a spec whose profiles the
 # presets never produce: Self-Feeding is never hand-active, Functional
 # Mobility has no context, Grooming's core always appears, and participant
@@ -522,6 +549,11 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
             doc["parameters"]["bias"][0] = value
         return edit
 
+    def first_weights_row(value):
+        def edit(doc):
+            doc["parameters"]["weights"][0] = value
+        return edit
+
     malformed = "error: malformed model document: "
     n_nodes = len(good["parameters"]["trees"][0]["left"])
     bad_classes = malformed + "classes must be distinct ADL label ids in ascending order"
@@ -557,6 +589,7 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
     logreg_edits = [
         (first_bias("1.5"), malformed + "expected a number, got '1.5'"),
         (first_bias(True), malformed + "expected a number, got True"),
+        (first_weights_row([0.5]), malformed + "ragged array: nested lists differ in length"),
     ]
     cases = [(good, *case) for case in edits] + [(logreg, *case) for case in logreg_edits]
     for n, (base, edit, message) in enumerate(cases):
@@ -830,16 +863,22 @@ def test_run_manifest_inputs_are_the_path_arguments(tmp_path, monkeypatch):
         }, argv
 
 
-def test_write_run_holds_no_whole_input_or_output(tmp_path):
+def test_write_run_holds_no_whole_input_or_output(tmp_path, monkeypatch):
     records = tmp_path / "records.jsonl"
     records.write_bytes(bytes(range(256)) * (1 << 15))  # 8 MiB
     out = tmp_path / "out"
     args = argparse.Namespace(command="featurize", out=str(out), records=str(records),
                               manifest=None, taxonomy=None)
     pieces = (f"{n:07d}\n" * 8192 for n in range(128))  # 128 pieces of 64 KiB: 8 MiB
+    digested = []
+    digest_file = cli._digest_file
+    monkeypatch.setattr(cli, "_digest_file", lambda path: digested.append(Path(path).name)
+                        or digest_file(path))
     tracemalloc.start()
     try:
-        cli._write_run(args, {}, None, {"big.txt": pieces, "small.txt": ("one string",)})
+        # two names given one stream get it whole, from one pass over it
+        cli._write_run(args, {}, None, {"big.txt": pieces, "copy.txt": pieces,
+                                        "small.txt": ("one string",)})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -847,11 +886,34 @@ def test_write_run_holds_no_whole_input_or_output(tmp_path):
     assert doc["inputs"] == {str(records): hashlib.sha256(records.read_bytes()).hexdigest()}
     assert doc["outputs"] == {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("big.txt", "small.txt")
+        for name in ("big.txt", "copy.txt", "small.txt")
     }
     assert (out / "big.txt").stat().st_size == 8 << 20
+    assert (out / "copy.txt").read_bytes() == (out / "big.txt").read_bytes()
+    # every digest is read back from its own file
+    assert sorted(digested) == ["big.txt", "copy.txt", "records.jsonl", "run_manifest.json",
+                                "small.txt"]
     assert (out / "small.txt").read_text() == "one string"
     assert peak < 2 << 20, peak
+
+
+def test_features_csv_is_written_a_row_at_a_time(tmp_path, table, monkeypatch):
+    segments = generate(clean_genspec(8, 250, 3, seed=1), table).segments
+    config = FeatureConfig(representation="both", use_active=True,
+                           taxonomy_hash=table.content_hash)
+    args = argparse.Namespace(command="featurize", out=str(tmp_path), records=None,
+                              manifest=None, taxonomy=None)
+    matrix = feature_matrix(segments, table, config)
+    monkeypatch.setattr(cli, "feature_matrix", lambda *_: matrix)  # built untraced
+    tracemalloc.start()
+    try:
+        cli._write_run(args, {}, None, {"features.csv": cli._features_csv(segments, table, config)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "features.csv").stat().st_size
+    assert size > 3 << 20
+    assert peak < 1 << 20, peak
 
 
 def test_cli_import_loads_no_process_pool():

@@ -3,13 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adlrec.evaluation import loso_split, weighted_f1
 from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.interaction import mark_active
 from adlrec.records import load_corpus, parse_records, serialize_segments, write_manifest
-from adlrec.rng import derive_seed
+from adlrec.rng import derive_seed, make_generator
 from adlrec.synthgen import (
+    _random_box,
     CORE_CATEGORIES,
     GenError,
     GenSpec,
@@ -24,6 +27,8 @@ from adlrec.synthgen import (
     proportional_allocation,
 )
 from adlrec.taxonomy import ADL_NAMES, NUM_ADL_CLASSES
+
+from helpers import reference_random_box
 
 
 def test_manifest_row_count(table):
@@ -63,7 +68,7 @@ def test_generation_is_deterministic(table):
 def test_zero_noise_streams_identical(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=4, seed=1)
     corpus = generate(spec, table)
-    assert list(serialize_segments(corpus.segments)) == list(serialize_segments(corpus.truth_segments))
+    assert corpus.segments is corpus.truth_segments  # one corpus under both names
 
 
 def test_full_drop_empties_objects(table):
@@ -84,7 +89,29 @@ def test_perturb_identity_at_zero_rates(table):
     spec = clean_genspec(participants=1, segments_per_participant=7, frames_per_segment=4, seed=3)
     corpus = generate(spec, table)
     out = perturb(corpus.truth_segments, NoiseSpec(), seed=99, table=table)
-    assert out == corpus.truth_segments
+    assert out is corpus.truth_segments
+
+
+@pytest.mark.parametrize("field", ["drop_rate", "spurious_rate", "label_confusion_rate",
+                                   "box_jitter_px"])
+def test_any_nonzero_noise_builds_new_segments(table, field):
+    spec = clean_genspec(participants=1, segments_per_participant=7, frames_per_segment=4, seed=3)
+    truth = generate(spec, table).truth_segments
+    out = perturb(truth, replace(NoiseSpec(), **{field: 1e-9}), seed=99, table=table)
+    assert out is not truth
+    assert all(after is not before for before, after in zip(truth, out))
+
+
+@given(seed=st.integers(0, 2**64 - 1),
+       label=st.lists(st.one_of(st.text(max_size=8), st.integers(-5, 10**6)), max_size=4))
+def test_random_box_matches_four_uniform_draws(seed, label):
+    batched, scalar = make_generator(seed, *label), make_generator(seed, *label)
+    for _ in range(3):
+        got, want = _random_box(batched), reference_random_box(scalar)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    # both streams stand at the same position afterwards
+    assert batched.random() == scalar.random()
+    assert batched.integers(0, 1000) == scalar.integers(0, 1000)
 
 
 def test_drop_rate_concentration(table):
