@@ -11,6 +11,7 @@ to 2 decimals; files keep full precision.
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -90,9 +91,13 @@ def _digest_file(path: str | Path) -> str:
 
 def _write(paths: list[Path], pieces: Iterable[str]) -> list[str]:
     """Write text pieces to every path in one pass, one piece at a time;
-    return each file's sha256, read back from disk."""
+    return each file's sha256, read back from disk. An old file at a path is
+    unlinked and a new one created, not truncated in place, so a link named
+    like an output is replaced, never written through."""
+    for path in paths:
+        path.unlink(missing_ok=True)
     with contextlib.ExitStack() as stack:
-        outs = [stack.enter_context(open(path, "wb")) for path in paths]
+        outs = [stack.enter_context(open(path, "xb")) for path in paths]
         for piece in pieces:
             data = piece.encode()
             for out in outs:
@@ -107,6 +112,8 @@ def _write_run(args, config: dict, seed: int | None, files: dict[str, Iterable[s
     same pieces object get equal files, written in one pass over it."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a run that fails part-way leaves no manifest describing other files
+    (out_dir / "run_manifest.json").unlink(missing_ok=True)
     outputs = {}
     for pieces in {id(pieces): pieces for pieces in files.values()}.values():
         names = [name for name, named in files.items() if named is pieces]
@@ -147,7 +154,16 @@ def _load_segments(args, require_labels=True):
             manifest = _read_utf8(args.manifest, RecordError, "manifest")
         elif require_labels:
             raise RecordError("training mode requires --manifest")
-        result, diagnostics = load_corpus(record_stream, manifest, require_labels=require_labels)
+        # the parser builds no reference cycle, so a collection during the
+        # load frees nothing and only rescans the growing corpus
+        gc.disable()
+        try:
+            result, diagnostics = load_corpus(record_stream, manifest, require_labels=require_labels)
+        finally:
+            gc.enable()
+    # the corpus lives until the command ends: later collections, and the
+    # ablation pool's forked workers, leave it untouched
+    gc.freeze()
     for diag in diagnostics:
         print(f"{args.records}:{diag.line}: rejected record: {diag.message}", file=sys.stderr)
     return result, diagnostics
@@ -281,14 +297,14 @@ def _score_fixed_model(args, table) -> int:
     y_true = [labels[k] for k in keys]
     report, y_pred = score_model(model, X, y_true)
 
-    predictions = io.StringIO()
-    writer = csv.writer(predictions, lineterminator="\n")
-    writer.writerow([*MANIFEST_HEADER[:3], "true_adl", "predicted_adl"])
-    for key, yt, yp in zip(keys, y_true, y_pred):
-        writer.writerow([*key, ADL_NAMES[yt], ADL_NAMES[int(yp)]])
+    line = csv.writer(_Line(), lineterminator="\n").writerow
+    header = line([*MANIFEST_HEADER[:3], "true_adl", "predicted_adl"])
+    rows = (
+        line([*key, ADL_NAMES[yt], ADL_NAMES[int(yp)]]) for key, yt, yp in zip(keys, y_true, y_pred)
+    )
     files = {
         "report.json": (json.dumps(report, indent=2) + "\n",),
-        "predictions.csv": (predictions.getvalue(),),
+        "predictions.csv": itertools.chain((header,), rows),
     }
     config = {"model_file": args.model, "taxonomy_hash": table.content_hash}
     _write_run(args, config, None, files)  # scoring draws no random number
@@ -511,6 +527,8 @@ def main(argv=None) -> int:
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.unfreeze()  # an in-process caller keeps nothing frozen
 
 
 if __name__ == "__main__":

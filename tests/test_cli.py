@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -21,7 +22,7 @@ from adlrec import cli, models
 from adlrec.cli import main
 from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.models import load_model, save_model
-from adlrec.records import load_corpus
+from adlrec.records import RecordError, load_corpus
 from adlrec.synthgen import NoiseSpec, clean_genspec, generate, genspec_to_json
 from adlrec.taxonomy import default_category_table
 
@@ -897,12 +898,93 @@ def test_write_run_holds_no_whole_input_or_output(tmp_path, monkeypatch):
     assert peak < 2 << 20, peak
 
 
+def _write_args(out):
+    return argparse.Namespace(command="featurize", out=str(out), records=None, manifest=None,
+                              taxonomy=None)
+
+
+def test_rerun_replaces_linked_outputs_instead_of_writing_through(tmp_path):
+    out = tmp_path / "out"
+    cli._write_run(_write_args(out), {}, None, {"hard.txt": ("old\n",), "soft.txt": ("old\n",),
+                                                "plain.txt": ("old\n",)})
+    # a snapshot of an earlier run, as `cp -l` or `ln -s` would leave it
+    hard, soft = tmp_path / "hard-snapshot.txt", tmp_path / "soft-snapshot.txt"
+    hard.write_text("kept\n")
+    soft.write_text("kept\n")
+    (out / "hard.txt").unlink()
+    os.link(hard, out / "hard.txt")
+    (out / "soft.txt").unlink()
+    (out / "soft.txt").symlink_to(soft)
+    cli._write_run(_write_args(out), {}, None, {"hard.txt": ("new\n",), "soft.txt": ("new\n",),
+                                                "plain.txt": ("new\n",)})
+    assert hard.read_text() == soft.read_text() == "kept\n"
+    assert hard.stat().st_nlink == 1
+    for name in ("hard.txt", "soft.txt", "plain.txt"):
+        path = out / name
+        assert not path.is_symlink() and path.is_file(), name
+        assert path.stat().st_nlink == 1, name
+        assert path.read_text() == "new\n", name
+    outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+    assert outputs == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                       for name in ("hard.txt", "soft.txt", "plain.txt")}
+
+
+def test_failed_rerun_leaves_no_stale_manifest(synth_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    cli._write_run(_write_args(out), {}, None, {"a.txt": ("old a\n",), "b.txt": ("old b\n",)})
+    (out / "b.txt").unlink()
+    (out / "b.txt").mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli._write_run(_write_args(out), {}, None, {"a.txt": ("new a\n",), "b.txt": ("new b\n",)})
+    assert (out / "a.txt").read_text() == "new a\n"
+    assert not (out / "run_manifest.json").exists()
+
+    # the same through the CLI: synth writes its records before manifest.csv
+    argv = ["synth", "--participants", "3", "--segments", "14", "--frames", "6", "--seed", "13",
+            "--out", str(synth_dir)]
+    assert (synth_dir / "run_manifest.json").exists()
+    (synth_dir / "manifest.csv").unlink()
+    (synth_dir / "manifest.csv").mkdir()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (synth_dir / "run_manifest.json").exists()
+
+
+def test_corpus_load_leaves_the_collector_on_and_main_unfreezes(synth_dir, tmp_path, capsys):
+    records, manifest = synth_dir / "records.jsonl", synth_dir / "manifest.csv"
+    args = argparse.Namespace(records=str(records), manifest=str(manifest))
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    try:
+        result, _ = cli._load_segments(args)
+        assert result.segments
+        assert gc.isenabled()
+        assert gc.get_freeze_count() > 0  # the loaded corpus is frozen
+    finally:
+        gc.unfreeze()
+    # training mode with a manifest that lacks one segment's label
+    short = tmp_path / "short.csv"
+    short.write_text("".join(manifest.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(RecordError):
+        cli._load_segments(argparse.Namespace(records=str(records), manifest=str(short)))
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    data = ["--records", str(records), "--manifest", str(manifest)]
+    assert main(["ablate", *data, "--models", "logreg", "--out", str(tmp_path / "a")]) == 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    # fails after the corpus loaded and froze
+    capsys.readouterr()
+    assert main(["ablate", *data, "--models", ",", "--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err == "error: no models requested\n"
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
 def test_features_csv_is_written_a_row_at_a_time(tmp_path, table, monkeypatch):
     segments = generate(clean_genspec(8, 250, 3, seed=1), table).segments
     config = FeatureConfig(representation="both", use_active=True,
                            taxonomy_hash=table.content_hash)
-    args = argparse.Namespace(command="featurize", out=str(tmp_path), records=None,
-                              manifest=None, taxonomy=None)
+    args = _write_args(tmp_path)
     matrix = feature_matrix(segments, table, config)
     monkeypatch.setattr(cli, "feature_matrix", lambda *_: matrix)  # built untraced
     tracemalloc.start()
