@@ -161,9 +161,6 @@ def _load_segments(args, require_labels=True):
             result, diagnostics = load_corpus(record_stream, manifest, require_labels=require_labels)
         finally:
             gc.enable()
-    # the corpus lives until the command ends: later collections, and the
-    # ablation pool's forked workers, leave it untouched
-    gc.freeze()
     for diag in diagnostics:
         print(f"{args.records}:{diag.line}: rejected record: {diag.message}", file=sys.stderr)
     return result, diagnostics
@@ -527,8 +524,6 @@ def main(argv=None) -> int:
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        gc.unfreeze()  # an in-process caller keeps nothing frozen
 
 
 if __name__ == "__main__":
