@@ -146,19 +146,21 @@ def _load_table(args):
     return default_category_table()
 
 
-def _load_segments(args, require_labels=True):
+def _load_segments(args, needs_manifest=True):
+    """The corpus, labeled if and only if a --manifest is given; a command
+    that fits or scores a model needs one."""
     # a records line that is not UTF-8 becomes one rejected-record diagnostic
     with open(args.records, encoding="utf-8", errors="surrogateescape") as record_stream:
         manifest = None
         if args.manifest:
             manifest = _read_utf8(args.manifest, RecordError, "manifest")
-        elif require_labels:
+        elif needs_manifest or args.manifest is not None:  # an empty --manifest names no file
             raise RecordError("training mode requires --manifest")
         # the parser builds no reference cycle, so a collection during the
         # load frees nothing and only rescans the growing corpus
         gc.disable()
         try:
-            result, diagnostics = load_corpus(record_stream, manifest, require_labels=require_labels)
+            result, diagnostics = load_corpus(record_stream, manifest)
         finally:
             gc.enable()
     for diag in diagnostics:
@@ -215,8 +217,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest_validate(args) -> int:
-    require = args.manifest is not None
-    result, diagnostics = _load_segments(args, require_labels=require)
+    result, diagnostics = _load_segments(args, needs_manifest=False)
     n_valid = sum(len(s.frames) for s in result.segments)
     print(
         f"segments: {len(result.segments)}  valid records: {n_valid}  "
@@ -251,7 +252,7 @@ def _features_csv(segments, table, config) -> Iterator[str]:
 
 def cmd_featurize(args) -> int:
     table = _load_table(args)
-    result, diagnostics = _load_segments(args, require_labels=not args.inference)
+    result, diagnostics = _load_segments(args, needs_manifest=False)
     config = _feature_config(args, table)
     files = {"features.csv": _features_csv(result.segments, table, config)}
     _write_run(args, {**asdict(config), "rejected_records": len(diagnostics)}, None, files)
@@ -478,9 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     # featurizing draws no random number, so it takes no --seed
     _add_common_io(featurize, seed=False)
     _add_feature_flags(featurize)
-    featurize.add_argument(
-        "--inference", action="store_true", help="allow unlabeled segments (no manifest)"
-    )
     featurize.set_defaults(func=cmd_featurize)
 
     train = commands.add_parser("train", help="train one classifier on all segments")
@@ -524,7 +522,3 @@ def main(argv=None) -> int:
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -88,12 +88,11 @@ def _score(y_true, y_pred, n_classes: int = NUM_ADL_CLASSES) -> _Score:
     tp = np.diag(matrix).astype(np.float64)
     support = matrix.sum(axis=1)
     predicted = matrix.sum(axis=0)
-    f1 = np.zeros(n_classes)
-    for c in range(n_classes):
-        precision = tp[c] / predicted[c] if predicted[c] > 0 else 0.0
-        recall = tp[c] / support[c] if support[c] > 0 else 0.0
-        if precision + recall > 0:
-            f1[c] = 2 * precision * recall / (precision + recall)
+    # a class never predicted, never present, or never right scores 0
+    precision = np.divide(tp, predicted, out=np.zeros(n_classes), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros(n_classes), where=support > 0)
+    total = precision + recall
+    f1 = np.divide(2 * precision * recall, total, out=np.zeros(n_classes), where=total > 0)
     return _Score(float((support * f1).sum() / support.sum()), f1, support, matrix)
 
 

@@ -83,7 +83,7 @@ class FrameObservation(NamedTuple):
 
 @dataclass(frozen=True)
 class Segment:
-    """One labeled one-minute snippet; label is None for inference data."""
+    """One one-minute snippet; label is None when no manifest was given."""
 
     key: SegmentKey
     frames: tuple[FrameObservation, ...]
@@ -331,37 +331,30 @@ class AssemblyResult:
 def assemble_segments(
     groups: dict[SegmentKey, list[FrameObservation]],
     labels: dict[SegmentKey, AdlLabel] | None,
-    require_labels: bool = True,
 ) -> AssemblyResult:
     """Join frame groups with manifest labels into Segments.
 
-    In training mode (require_labels) every group must have a manifest entry.
+    The manifest alone decides labels: without one (labels None) every
+    segment is unlabeled; with one, every group must have an entry.
     Manifest entries with no frames are reported, not fatal.
     """
-    labels = labels or {}
-    segments: list[Segment] = []
-    missing: list[SegmentKey] = []
-    for key, frames in groups.items():
-        label = labels.get(key)
-        if label is None and require_labels:
-            missing.append(key)
-            continue
-        segments.append(Segment(key, tuple(frames), label))
+    if labels is None:
+        return AssemblyResult([Segment(key, tuple(frames)) for key, frames in groups.items()])
+    missing = [key for key in groups if key not in labels]
     if missing:
         raise RecordError(
             f"training mode: {len(missing)} segment(s) missing manifest labels, "
             f"first {missing[0]}"
         )
-    unmatched = sorted(k for k in labels if k not in groups)
-    return AssemblyResult(segments=segments, labels_without_frames=unmatched)
+    segments = [Segment(key, tuple(frames), labels[key]) for key, frames in groups.items()]
+    return AssemblyResult(segments, sorted(k for k in labels if k not in groups))
 
 
 def load_corpus(
     record_stream: Iterable[str] | TextIO,
     manifest_stream: Iterable[str] | TextIO | None,
-    require_labels: bool = True,
 ) -> tuple[AssemblyResult, list[Diagnostic]]:
     """Convenience: parse records + manifest and assemble in one step."""
     groups, diagnostics = parse_records(record_stream)
     labels = load_manifest(manifest_stream) if manifest_stream is not None else None
-    return assemble_segments(groups, labels, require_labels=require_labels), diagnostics
+    return assemble_segments(groups, labels), diagnostics

@@ -22,7 +22,7 @@ from adlrec import cli, models
 from adlrec.cli import main
 from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.models import load_model, save_model
-from adlrec.records import RecordError, load_corpus
+from adlrec.records import RecordError, SegmentKey, load_corpus
 from adlrec.synthgen import NoiseSpec, clean_genspec, generate, genspec_to_json
 from adlrec.taxonomy import default_category_table
 
@@ -104,9 +104,8 @@ def test_ingest_validate(synth_dir, tmp_path, capsys):
     # featurize draws no randomness either: its manifest records no seed
     records = str(synth_dir / "records.jsonl")
     with pytest.raises(SystemExit):
-        main(["featurize", "--records", records, "--inference", "--seed", "0",
-              "--out", str(tmp_path / "f")])
-    assert main(["featurize", "--records", records, "--inference", "--out", str(tmp_path / "f")]) == 0
+        main(["featurize", "--records", records, "--seed", "0", "--out", str(tmp_path / "f")])
+    assert main(["featurize", "--records", records, "--out", str(tmp_path / "f")]) == 0
     assert json.loads((tmp_path / "f" / "run_manifest.json").read_text())["seed"] is None
 
 
@@ -173,30 +172,112 @@ def test_featurize_column_counts(synth_dir, tmp_path):
     assert header2[4 + 58].startswith("binary_")
 
 
-def test_featurize_requires_manifest_in_training_mode(synth_dir, tmp_path, capsys):
-    code = main(
-        [
-            "featurize",
-            "--records", str(synth_dir / "records.jsonl"),
-            "--out", str(tmp_path / "x"),
-        ]
-    )
-    assert code == 1
-    assert "manifest" in capsys.readouterr().err
-
-
 def test_featurize_inference_mode(synth_dir, tmp_path):
+    # without a manifest every segment is unlabeled
     code = main(
         [
             "featurize",
             "--records", str(synth_dir / "records.jsonl"),
-            "--inference",
             "--out", str(tmp_path / "inf"),
         ]
     )
     assert code == 0
     _, _, rows = feature_header(tmp_path / "inf" / "features.csv")
+    assert len(rows) == 3 * 14
     assert all(row.split(",")[3] == "" for row in rows)
+    with pytest.raises(SystemExit):
+        main(["featurize", "--records", str(synth_dir / "records.jsonl"), "--inference",
+              "--out", str(tmp_path / "flag")])
+
+
+def test_fitting_and_scoring_commands_require_a_manifest(synth_dir, tmp_path, capsys):
+    records = ["--records", str(synth_dir / "records.jsonl")]
+    manifest = ["--manifest", str(synth_dir / "manifest.csv")]
+    assert main(["train", *records, *manifest, "--model", "logreg", "--out", str(tmp_path / "m")]) == 0
+    capsys.readouterr()
+    for n, argv in enumerate([
+        ["train", "--model", "logreg"],
+        ["evaluate", "--model", "logreg"],
+        ["evaluate", "--model", str(tmp_path / "m" / "model.json")],
+        ["ablate", "--models", "logreg"],
+    ]):
+        out = tmp_path / f"out{n}"
+        assert main([*argv, *records, "--out", str(out)]) == 1, argv
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training mode requires --manifest"
+        ], argv
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("command", ["featurize", "ingest-validate"])
+def test_a_given_manifest_must_label_every_segment(synth_dir, tmp_path, capsys, command):
+    rows = (synth_dir / "manifest.csv").read_text().splitlines(keepends=True)
+    short = tmp_path / "short.csv"
+    short.write_text("".join(rows[:-1]))
+    participant, video, index, _ = rows[-1].strip().split(",")
+    out = ["--out", str(tmp_path / "f")] if command == "featurize" else []
+    argv = [command, "--records", str(synth_dir / "records.jsonl"), *out, "--manifest"]
+    assert main([*argv, str(short)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert str(SegmentKey(participant, video, int(index))) in err[0]
+    # `--manifest "$M"` with M unset must not quietly yield unlabeled output
+    assert main([*argv, ""]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: training mode requires --manifest"]
+    assert not (tmp_path / "f").exists()
+
+
+def test_featurize_writes_its_features_despite_a_rejected_record(synth_dir, tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text((synth_dir / "records.jsonl").read_text() + '{"participant_id": 3}\n')
+    out = tmp_path / "f"
+    assert main(["featurize", "--records", str(records), "--manifest",
+                 str(synth_dir / "manifest.csv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith("rejected records: 1\n")
+    _, _, rows = feature_header(out / "features.csv")
+    assert len(rows) == 3 * 14
+    assert json.loads((out / "run_manifest.json").read_text())["config"]["rejected_records"] == 1
+
+
+def test_saved_model_under_another_taxonomy_is_refused(synth_dir, tmp_path, capsys):
+    data = ["--records", str(synth_dir / "records.jsonl"),
+            "--manifest", str(synth_dir / "manifest.csv")]
+    assert main(["train", *data, "--model", "logreg", "--out", str(tmp_path / "m")]) == 0
+    doc = json.loads((ROOT / "src" / "adlrec" / "data" / "categories.json").read_text())
+    doc["categories"]["zz_extra"] = ["zz_extra_thing"]
+    taxonomy = tmp_path / "tax.json"
+    taxonomy.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", *data, "--taxonomy", str(taxonomy), "--model",
+                 str(tmp_path / "m" / "model.json"), "--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: model was trained under a different taxonomy version"
+    ]
+
+
+def test_ablate_with_no_models_fails(synth_dir, tmp_path, capsys):
+    assert main(["ablate", "--records", str(synth_dir / "records.jsonl"),
+                 "--manifest", str(synth_dir / "manifest.csv"), "--models", ",",
+                 "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: no models requested"]
+
+
+def test_model_document_holding_a_nan_is_refused(synth_dir, tmp_path, capsys):
+    data = ["--records", str(synth_dir / "records.jsonl"),
+            "--manifest", str(synth_dir / "manifest.csv")]
+    assert main(["train", *data, "--model", "gb", "--out", str(tmp_path / "m")]) == 0
+    doc = json.loads((tmp_path / "m" / "model.json").read_text())
+    doc["parameters"]["learning_rate"] = math.nan
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))  # json writes NaN, which save_model never does
+    assert "NaN" in bad.read_text()
+    capsys.readouterr()
+    assert main(["evaluate", *data, "--model", str(bad), "--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: corrupted model document: number is NaN or infinite"
+    ]
 
 
 def test_train_then_evaluate_saved_model(synth_dir, tmp_path):
@@ -846,7 +927,7 @@ def test_run_manifest_inputs_are_the_path_arguments(tmp_path, monkeypatch):
         (["synth", "--spec", "./spec.json", "--taxonomy", "tax.json", "--out", "s"],
          ["spec.json", "tax.json"]),
         (["featurize", *data, "--out", "f"], labeled),
-        (["featurize", "--records", "c/records.jsonl", "--inference", "--out", "fi"],
+        (["featurize", "--records", "c/records.jsonl", "--out", "fi"],
          ["c/records.jsonl"]),
         (["train", *data, "--taxonomy", "./tax.json", "--model", "logreg", "--out", "m"],
          [*labeled, "tax.json"]),

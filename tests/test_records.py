@@ -204,8 +204,8 @@ def test_assemble_duplicate_frame_index():
 def test_assemble_training_mode_requires_labels():
     groups, _ = parse_records(record_line())
     with pytest.raises(RecordError, match="missing manifest"):
-        assemble_segments(groups, {}, require_labels=True)
-    result = assemble_segments(groups, {}, require_labels=False)
+        assemble_segments(groups, {})
+    result = assemble_segments(groups, None)
     assert result.segments[0].label is None
 
 
