@@ -23,10 +23,11 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__
-from .documents import to_document
+from .documents import from_document, read_object, to_document
 from .evaluation import (
     EvaluationError,
-    ablation_to_document,
+    EvaluationReport,
+    ScoredReport,
     grid_to_csv,
     run_ablation,
     run_loso,
@@ -148,14 +149,17 @@ def _load_table(args):
 
 def _load_segments(args, needs_manifest=True):
     """The corpus, labeled if and only if a --manifest is given; a command
-    that fits or scores a model needs one."""
+    that fits or scores a model needs one. Rejected records and manifest rows
+    whose segment has no frames are listed on stderr."""
     # a records line that is not UTF-8 becomes one rejected-record diagnostic
     with open(args.records, encoding="utf-8", errors="surrogateescape") as record_stream:
         manifest = None
         if args.manifest:
             manifest = _read_utf8(args.manifest, RecordError, "manifest")
-        elif needs_manifest or args.manifest is not None:  # an empty --manifest names no file
-            raise RecordError("training mode requires --manifest")
+        elif args.manifest is not None:
+            raise RecordError("--manifest names no file")
+        elif needs_manifest:
+            raise RecordError(f"{args.command} needs --manifest")
         # the parser builds no reference cycle, so a collection during the
         # load frees nothing and only rescans the growing corpus
         gc.disable()
@@ -165,13 +169,16 @@ def _load_segments(args, needs_manifest=True):
             gc.enable()
     for diag in diagnostics:
         print(f"{args.records}:{diag.line}: rejected record: {diag.message}", file=sys.stderr)
+    for key in result.labels_without_frames:
+        print(f"manifest label without frames: {key}", file=sys.stderr)
     return result, diagnostics
 
 
 def _feature_config(args, table) -> FeatureConfig:
+    # the feature flags are None where not given (see _add_feature_flags)
     return FeatureConfig(
-        representation=args.representation,
-        use_active=args.active,
+        representation=args.representation or "binary",
+        use_active=args.active is not False,
         taxonomy_hash=table.content_hash,
     )
 
@@ -223,8 +230,6 @@ def cmd_ingest_validate(args) -> int:
         f"segments: {len(result.segments)}  valid records: {n_valid}  "
         f"rejected records: {len(diagnostics)}"
     )
-    for key in result.labels_without_frames:
-        print(f"manifest label without frames: {key}", file=sys.stderr)
     return 1 if diagnostics else 0
 
 
@@ -286,6 +291,13 @@ def cmd_train(args) -> int:
 
 
 def _score_fixed_model(args, table) -> int:
+    flags = {"--representation": args.representation, "--active/--no-active": args.active,
+             "--seed": args.seed}
+    if given := [flag for flag, value in flags.items() if value is not None]:
+        raise EvaluationError(
+            f"a saved model fixes its features and scoring draws no random number: "
+            f"drop {', '.join(given)}"
+        )
     model = load_model(_read_utf8(args.model, ModelFormatError, "model file"))
     if model.feature_config.taxonomy_hash != table.content_hash:
         raise FeatureError("model was trained under a different taxonomy version")
@@ -301,12 +313,12 @@ def _score_fixed_model(args, table) -> int:
         line([*key, ADL_NAMES[yt], ADL_NAMES[int(yp)]]) for key, yt, yp in zip(keys, y_true, y_pred)
     )
     files = {
-        "report.json": (json.dumps(report, indent=2) + "\n",),
+        "report.json": (json.dumps(to_document(report), indent=2) + "\n",),
         "predictions.csv": itertools.chain((header,), rows),
     }
     config = {"model_file": args.model, "taxonomy_hash": table.content_hash}
     _write_run(args, config, None, files)  # scoring draws no random number
-    print(f"weighted F1 on {len(y_true)} segments: {report['weighted_f1']:.2f}")
+    print(f"weighted F1 on {len(y_true)} segments: {report.weighted_f1:.2f}")
     return 1 if diagnostics else 0
 
 
@@ -316,10 +328,11 @@ def cmd_evaluate(args) -> int:
         return _score_fixed_model(args, table)
     result, diagnostics = _load_segments(args)
     config = _feature_config(args, table)
-    cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=args.seed)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=seed)
     report = run_loso(result.segments, table, config, cfg)
     files = {"report.json": (json.dumps(to_document(report), indent=2) + "\n",)}
-    _write_run(args, {"model": cfg.kind, **asdict(config)}, args.seed, files)
+    _write_run(args, {"model": cfg.kind, **asdict(config)}, seed, files)
     print(
         f"LOSO weighted F1: {report.mean_weighted_f1:.2f} +/- {report.std_weighted_f1:.2f}  "
         f"participants > 0.5: {report.percent_above_half:.0f}%"
@@ -339,7 +352,7 @@ def cmd_ablate(args) -> int:
     grid_csv = grid_to_csv(cells)
     files = {
         "grid.csv": (grid_csv,),
-        "ablation.json": (json.dumps(ablation_to_document(cells), indent=2) + "\n",),
+        "ablation.json": (json.dumps(to_document(cells), indent=2) + "\n",),
     }
     _write_run(args, {"models": kinds, "taxonomy_hash": table.content_hash}, args.seed, files)
     print(_render_grid(grid_csv), end="")
@@ -362,33 +375,31 @@ def _render_grid(grid_csv: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _render_report(doc: dict) -> str:
+def _render_report(report: EvaluationReport | ScoredReport) -> str:
     out = []
-    if "mean_weighted_f1" in doc:
+    if isinstance(report, EvaluationReport):
         out.append(
-            f"mean weighted F1: {doc['mean_weighted_f1']:.2f} +/- {doc['std_weighted_f1']:.2f}"
+            f"mean weighted F1: {report.mean_weighted_f1:.2f} +/- {report.std_weighted_f1:.2f}"
         )
-        out.append(f"participants > 0.5: {doc['percent_above_half']:.0f}%")
+        out.append(f"participants > 0.5: {report.percent_above_half:.0f}%")
+        names, folds = report.class_names, report.folds
+        kind = report.provenance["train_config"]["kind"]
     else:
-        out.append(f"weighted F1: {doc['weighted_f1']:.2f}")
+        out.append(f"weighted F1: {report.weighted_f1:.2f}")
+        names, folds, kind = ADL_NAMES, [], None
     out.append("row-normalized confusion matrix:")
-    names = doc.get("class_names", ADL_NAMES)
-    for name, row in zip(names, doc["normalized_confusion"]):
+    for name, row in zip(names, report.normalized_confusion):
         cells = " ".join(f"{v:.2f}" for v in row)
         out.append(f"  {name:<32} {cells}")
-    folds = doc.get("folds", [])
-    kind = doc["provenance"]["train_config"]["kind"] if folds else None
     # empty for a kind with no convergence test, or one this version lacks
     converged_reasons = next((k.CONVERGED_REASONS for k in KINDS if k.NAME == kind), ())
-    # reports written before folds recorded convergence have no reasons
-    reasons = [fold.get("stopping_reason") if converged_reasons else None for fold in folds]
-    if converged_reasons and None not in reasons:
-        converged = sum(reason in converged_reasons for reason in reasons)
+    if converged_reasons:
+        converged = sum(fold.stopping_reason in converged_reasons for fold in folds)
         out.append(f"converged folds: {converged}/{len(folds)}")
-    for fold, reason in zip(folds, reasons):
-        line = f"  {fold['participant_id']}: F1 {fold['weighted_f1']:.2f}"
-        if reason is not None and reason not in converged_reasons:
-            line += f"  not converged: {reason} after {fold['iterations']} iterations"
+    for fold in folds:
+        line = f"  {fold.participant_id}: F1 {fold.weighted_f1:.2f}"
+        if converged_reasons and fold.stopping_reason not in converged_reasons:
+            line += f"  not converged: {fold.stopping_reason} after {fold.iterations} iterations"
         out.append(line)
     return "\n".join(out) + "\n"
 
@@ -399,14 +410,14 @@ def cmd_report(args) -> int:
         if args.input.endswith(".csv") or text.startswith("representation,"):
             rendered = _render_grid(text)
         else:
-            rendered = _render_report(json.loads(text))
+            doc = read_object(text, EvaluationError, "malformed report")
+            kind = ScoredReport if doc.get("mode") == "fixed-model" else EvaluationReport
+            rendered = _render_report(from_document(kind, doc))
     except (
         ValueError,
         KeyError,
         TypeError,
-        AttributeError,  # a fold, or another object, that is not a JSON object
-        OverflowError,  # an integer too large to format as a float
-        RecursionError,  # JSON nested deeper than the parser's recursion limit
+        OverflowError,  # a number too large for a float
         csv.Error,  # a grid field longer than the csv module's field limit
     ) as exc:
         print(
@@ -432,17 +443,17 @@ def _add_common_io(sub, records=True, taxonomy=True, out=True, seed=True):
 
 
 def _add_feature_flags(sub):
+    # None where not given, so that evaluate --model FILE can refuse them;
+    # _feature_config resolves None to binary and active
     sub.add_argument(
         "--representation",
         choices=REPRESENTATIONS,
-        default="binary",
-        help="Bag-of-Objects representation",
+        help="Bag-of-Objects representation (default: binary)",
     )
     sub.add_argument(
         "--active",
         action=argparse.BooleanOptionalAction,
-        default=True,
-        help="append the active-object channel block",
+        help="append the active-object channel block (default: on)",
     )
 
 
@@ -497,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=KINDS[0].NAME,
         help=f"model kind ({kind_names}) for LOSO, or a saved model.json path",
     )
-    evaluate.set_defaults(func=cmd_evaluate)
+    # seed None where not given, so that a saved model file can refuse it; LOSO resolves it
+    evaluate.set_defaults(func=cmd_evaluate, seed=None)
 
     ablate = commands.add_parser("ablate", help="run the feature x model ablation grid")
     _add_common_io(ablate)

@@ -8,12 +8,12 @@ many digits" or "not a JSON object".
 ``to_document`` writes a dataclass as an object of its fields, in declaration
 order, so a document field is named only in its dataclass. ``from_document``
 reads a value back by its field type: a dataclass from an object, ``tuple``
-and ``list`` from a list, ``np.ndarray`` by ``number_array``, ``object`` as
-it is, and ``int``, ``float``, ``bool``, ``str`` and ``dict`` from that JSON
-type only (a number is an int or a float, never a bool; an ``int`` takes no
-float). A wrong type raises TypeError, a missing required field KeyError, and
-an unknown key the constructor's TypeError. A class with its own
-``to_document`` and ``from_document`` keeps its own format.
+and ``list`` from a list, ``np.ndarray`` and ``NDArray[dtype]`` by
+``number_array``, ``object`` as it is, and ``int``, ``float``, ``bool``, ``str``
+and ``dict`` from that JSON type only (a number is an int or a float, never a
+bool; an ``int`` takes no float). A wrong type raises TypeError, a missing
+required field KeyError, and an unknown key the constructor's TypeError. A
+class with its own ``to_document`` and ``from_document`` keeps its own format.
 """
 
 import json
@@ -72,16 +72,20 @@ def _expect(field_type: type, value):
     return value
 
 
-def number_array(value) -> np.ndarray:
-    """`value`, a number or nested lists of numbers (never bools), as float64;
-    ValueError where nested lists differ in length, TypeError for a non-number."""
+def number_array(value, dtype=np.float64) -> np.ndarray:
+    """`value`, a number or nested lists of numbers (never bools; integers for an
+    integer dtype) as `dtype`; ValueError where nested lists differ in length,
+    TypeError for a non-number, OverflowError for an integer beyond dtype."""
     items = np.array(value, dtype=object)
-    types = set(map(type, items.flat))
+    flat = items.ravel()  # not items.flat, which refuses more than 32 dimensions
+    types = set(map(type, flat))
     if list in types:  # where nested lists differ in length, np.array keeps lists as items
         raise ValueError("ragged array: nested lists differ in length")
-    if not NUMBER_TYPES.issuperset(types):
-        _expect(float, next(item for item in items.flat if type(item) not in NUMBER_TYPES))
-    return items.astype(np.float64)
+    expected = int if np.issubdtype(dtype, np.integer) else float
+    allowed = _JSON_TYPES[expected][1]
+    if not allowed.issuperset(types):
+        _expect(expected, next(item for item in flat if type(item) not in allowed))
+    return items.astype(dtype)
 
 
 def from_document(annotation, value):
@@ -92,6 +96,8 @@ def from_document(annotation, value):
         return _from_object(annotation, _expect(dict, value))
     if annotation is np.ndarray:
         return number_array(value)
+    if get_origin(annotation) is np.ndarray:  # NDArray[dtype]
+        return number_array(value, get_args(get_args(annotation)[1])[0])
     args = get_args(annotation)
     if get_origin(annotation) is tuple:
         items = _expect(list, value)

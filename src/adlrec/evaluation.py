@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .documents import to_document
 from .features import FeatureConfig, all_feature_configs, feature_matrix
 from .models import TrainConfig, TrainedModel, train_matrix
 from .records import Segment
@@ -106,8 +106,8 @@ class FoldResult:
     participant_id: str
     weighted_f1: float
     per_class_f1: np.ndarray
-    support: np.ndarray
-    confusion: np.ndarray
+    support: NDArray[np.int64]
+    confusion: NDArray[np.int64]
     train_seed: int
     iterations: int
     stopping_reason: str
@@ -125,7 +125,7 @@ class EvaluationReport:
     std_weighted_f1: float
     percent_above_half: float
     class_names: tuple[str, ...] = ADL_NAMES
-    pooled_confusion: np.ndarray
+    pooled_confusion: NDArray[np.int64]
     normalized_confusion: np.ndarray
     zero_support_rows: list[int]
     folds: list[FoldResult]
@@ -201,27 +201,43 @@ def run_loso(
     return _aggregate(folds, provenance)
 
 
-def score_model(model: TrainedModel, X: np.ndarray, y_true) -> tuple[dict, np.ndarray]:
-    """Score a trained model on labeled rows: the fixed-model report
-    document and the predicted label ids."""
+@dataclass(kw_only=True)
+class ScoredReport:
+    """A saved model scored on labeled rows; its fields, in order, are its report.json keys."""
+
+    mode: str = "fixed-model"
+    weighted_f1: float
+    per_class_f1: np.ndarray
+    support: NDArray[np.int64]
+    confusion: NDArray[np.int64]
+    normalized_confusion: np.ndarray
+    zero_support_rows: list[int]
+    model_kind: str
+    model_metadata: dict
+
+
+def score_model(model: TrainedModel, X: np.ndarray, y_true) -> tuple[ScoredReport, np.ndarray]:
+    """Score a trained model on labeled rows: its report and the predicted label ids."""
     y_pred = model.predict_labels(X)
     score = _score(y_true, y_pred)
     normalized, zero_rows = normalize_rows(score.confusion)
-    report = {
-        "mode": "fixed-model",
-        **to_document(score._asdict()),
-        "normalized_confusion": normalized.tolist(),
-        "zero_support_rows": zero_rows,
-        "model_kind": model.kind,
-        "model_metadata": model.metadata,
-    }
+    report = ScoredReport(
+        **score._asdict(),
+        normalized_confusion=normalized,
+        zero_support_rows=zero_rows,
+        model_kind=model.kind,
+        model_metadata=model.metadata,
+    )
     return report, y_pred
 
 
 @dataclass
 class AblationCell:
-    feature_config: FeatureConfig
-    kind: str
+    """One grid cell; its fields, in order, are its entry in ablation.json."""
+
+    representation: str
+    use_active: bool
+    model: str
     report: EvaluationReport
 
 
@@ -234,7 +250,9 @@ def _ablation_cell(
 ) -> AblationCell:
     cfg = TrainConfig(kind=kind, seed=seed)
     report = run_loso(segments, table, feature_config, cfg)
-    return AblationCell(feature_config=feature_config, kind=cfg.resolved()[0].NAME, report=report)
+    return AblationCell(
+        feature_config.representation, feature_config.use_active, cfg.resolved()[0].NAME, report
+    )
 
 
 # Set once per pool worker by _init_worker; never assigned in the parent.
@@ -313,9 +331,9 @@ def grid_to_csv(cells: list[AblationCell]) -> str:
     for cell in cells:
         writer.writerow(
             [
-                cell.feature_config.representation,
-                "yes" if cell.feature_config.use_active else "no",
-                cell.kind,
+                cell.representation,
+                "yes" if cell.use_active else "no",
+                cell.model,
                 repr(cell.report.mean_weighted_f1),
                 repr(cell.report.std_weighted_f1),
                 repr(cell.report.percent_above_half),
@@ -323,16 +341,3 @@ def grid_to_csv(cells: list[AblationCell]) -> str:
             ]
         )
     return out.getvalue()
-
-
-def ablation_to_document(cells: list[AblationCell]) -> list[dict]:
-    """JSON-ready form of the grid: each cell's config, model and full report."""
-    return [
-        {
-            "representation": cell.feature_config.representation,
-            "use_active": cell.feature_config.use_active,
-            "model": cell.kind,
-            "report": to_document(cell.report),
-        }
-        for cell in cells
-    ]

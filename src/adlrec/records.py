@@ -342,10 +342,7 @@ def assemble_segments(
         return AssemblyResult([Segment(key, tuple(frames)) for key, frames in groups.items()])
     missing = [key for key in groups if key not in labels]
     if missing:
-        raise RecordError(
-            f"training mode: {len(missing)} segment(s) missing manifest labels, "
-            f"first {missing[0]}"
-        )
+        raise RecordError(f"{len(missing)} segment(s) have no manifest row, first {missing[0]}")
     segments = [Segment(key, tuple(frames), labels[key]) for key, frames in groups.items()]
     return AssemblyResult(segments, sorted(k for k in labels if k not in groups))
 

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from adlrec import cli, models
 from adlrec.cli import main
+from adlrec.documents import from_document, to_document
+from adlrec.evaluation import AblationCell, EvaluationReport, ScoredReport
 from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.models import load_model, save_model
 from adlrec.records import RecordError, SegmentKey, load_corpus
@@ -203,9 +205,7 @@ def test_fitting_and_scoring_commands_require_a_manifest(synth_dir, tmp_path, ca
     ]):
         out = tmp_path / f"out{n}"
         assert main([*argv, *records, "--out", str(out)]) == 1, argv
-        assert capsys.readouterr().err.splitlines() == [
-            "error: training mode requires --manifest"
-        ], argv
+        assert capsys.readouterr().err.splitlines() == [f"error: {argv[0]} needs --manifest"], argv
         assert not out.exists(), argv
 
 
@@ -225,7 +225,7 @@ def test_a_given_manifest_must_label_every_segment(synth_dir, tmp_path, capsys, 
     assert str(SegmentKey(participant, video, int(index))) in err[0]
     # `--manifest "$M"` with M unset must not quietly yield unlabeled output
     assert main([*argv, ""]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: training mode requires --manifest"]
+    assert capsys.readouterr().err.splitlines() == ["error: --manifest names no file"]
     assert not (tmp_path / "f").exists()
 
 
@@ -334,6 +334,73 @@ def test_train_then_evaluate_saved_model(synth_dir, tmp_path):
     assert 0.0 <= report["weighted_f1"] <= 1.0
     # scoring draws no random number, so the manifest records no seed
     assert json.loads((eval_out / "run_manifest.json").read_text())["seed"] is None
+
+
+def test_saved_model_scoring_refuses_the_flags_its_model_answers(synth_dir, tmp_path, capsys):
+    data = ["--records", str(synth_dir / "records.jsonl"),
+            "--manifest", str(synth_dir / "manifest.csv")]
+    assert main(["train", *data, "--model", "gb", "--representation", "both",
+                 "--out", str(tmp_path / "m")]) == 0
+    model = ["--model", str(tmp_path / "m" / "model.json")]
+    for n, flags in enumerate([["--representation", "counts"], ["--no-active"], ["--active"],
+                               ["--seed", "5"], ["--representation", "both", "--seed", "1729"]]):
+        capsys.readouterr()
+        out = tmp_path / f"e{n}"
+        assert main(["evaluate", *data, *model, *flags, "--out", str(out)]) == 1, flags
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a saved model fixes"), err
+        assert all(flag in err[0] for flag in flags if flag.startswith("--")), err
+        assert not out.exists()
+    # LOSO still resolves the flags it is not given to binary, active and the default seed
+    assert main(["evaluate", *data, "--model", "logreg", "--out", str(tmp_path / "l")]) == 0
+    manifest = json.loads((tmp_path / "l" / "run_manifest.json").read_text())
+    assert manifest["seed"] == cli.DEFAULT_SEED
+    assert (manifest["config"]["representation"], manifest["config"]["use_active"]) == ("binary", True)
+
+
+def test_every_command_lists_manifest_rows_without_frames(synth_dir, tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text((synth_dir / "manifest.csv").read_text() + "P99,V99,0,Self-Feeding\n")
+    data = ["--records", str(synth_dir / "records.jsonl"), "--manifest", str(manifest)]
+    line = f"manifest label without frames: {SegmentKey('P99', 'V99', 0)}"
+    assert main(["train", *data, "--model", "logreg", "--out", str(tmp_path / "m")]) == 0
+    assert capsys.readouterr().err.splitlines() == [line]
+    for n, argv in enumerate([
+        ["featurize"],
+        ["evaluate", "--model", "logreg"],
+        ["evaluate", "--model", str(tmp_path / "m" / "model.json")],
+        ["ablate", "--models", "logreg"],
+    ]):
+        assert main([*argv, *data, "--out", str(tmp_path / f"o{n}")]) == 0, argv
+        assert capsys.readouterr().err.splitlines() == [line], argv
+    assert main(["ingest-validate", *data]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "segments: 42  valid records: 252  rejected records: 0\n"
+    assert captured.err.splitlines() == [line]
+
+
+def test_report_documents_rewrite_to_their_own_bytes(synth_dir, tmp_path):
+    data = ["--records", str(synth_dir / "records.jsonl"),
+            "--manifest", str(synth_dir / "manifest.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["evaluate", *data, "--model", "mlp", "--out", str(tmp_path / "l")]) == 0
+        assert main(["train", *data, "--model", "gb", "--out", str(tmp_path / "m")]) == 0
+        assert main(["evaluate", *data, "--model", str(tmp_path / "m" / "model.json"),
+                     "--out", str(tmp_path / "s")]) == 0
+        assert main(["ablate", *data, "--models", "logreg,rf", "--out", str(tmp_path / "a")]) == 0
+    for field_type, path in [
+        (EvaluationReport, tmp_path / "l" / "report.json"),
+        (ScoredReport, tmp_path / "s" / "report.json"),
+        (list[AblationCell], tmp_path / "a" / "ablation.json"),
+    ]:
+        text = path.read_text()
+        value = from_document(field_type, json.loads(text))
+        assert json.dumps(to_document(value), indent=2) + "\n" == text, path
+    assert [(cell.representation, cell.use_active) for cell in value[::2]] == [
+        (representation, active) for representation in ("counts", "binary", "both")
+        for active in (False, True)
+    ]
+    assert [cell.model for cell in value[:2]] == ["logreg", "random_forest"]
 
 
 # sha256 of what `adlrec evaluate --model model.json` writes when a gb model
@@ -631,6 +698,11 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
             doc["parameters"]["bias"][0] = value
         return edit
 
+    def put_parameter(field, value):
+        def edit(doc):
+            doc["parameters"][field] = value
+        return edit
+
     def first_weights_row(value):
         def edit(doc):
             doc["parameters"]["weights"][0] = value
@@ -672,6 +744,9 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
         (first_bias("1.5"), malformed + "expected a number, got '1.5'"),
         (first_bias(True), malformed + "expected a number, got True"),
         (first_weights_row([0.5]), malformed + "ragged array: nested lists differ in length"),
+        # deeper than the 32 dimensions that numpy's flat iterator takes
+        (put_parameter("bias", json.loads("[" * 40 + "0.5" + "]" * 40)),
+         malformed + "logreg bias has shape (" + "1, " * 39 + "1), not (7,)"),
     ]
     cases = [(good, *case) for case in edits] + [(logreg, *case) for case in logreg_edits]
     for n, (base, edit, message) in enumerate(cases):
@@ -688,13 +763,22 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
 @pytest.mark.parametrize(
     "name, content, reason",
     [
-        ("report.json", "{bad", "JSONDecodeError"),
-        ("report.json", '{"x":1}', "KeyError: 'weighted_f1'"),
-        ("report.json", "[1,2]", "TypeError"),
+        pytest.param("report.json", "{bad", "EvaluationError: malformed report: Expecting property name",
+                     id="not-json"),
+        pytest.param("report.json", '{"x":1}', "KeyError: 'mean_weighted_f1'", id="missing-field"),
+        pytest.param("report.json", "[1,2]", "EvaluationError: malformed report: not a JSON object",
+                     id="not-an-object"),
+        pytest.param("report.json", '{"mean_weighted_f1": ' + "1" * 5000 + "}",
+                     "EvaluationError: malformed report: integer has too many digits",
+                     id="integer-with-too-many-digits"),
         ("grid.csv", "representation,active_objects\nboth,yes\n", "ValueError"),
-        pytest.param("report.json", '{"weighted_f1": 1' + "0" * 400 + ', "normalized_confusion": []}',
+        pytest.param("report.json", json.dumps({
+            "mode": "fixed-model", "weighted_f1": 10**400, "per_class_f1": [], "support": [],
+            "confusion": [], "normalized_confusion": [], "zero_support_rows": [],
+            "model_kind": "logreg", "model_metadata": {}}),
                      "OverflowError", id="integer-too-large-for-float"),
-        pytest.param("report.json", "[" * 100_000, "RecursionError", id="deep-nesting"),
+        pytest.param("report.json", "[" * 100_000, "EvaluationError: malformed report: nested too deeply",
+                     id="deep-nesting"),
         pytest.param("grid.csv", "representation,active_objects\n" + "x" * 200_000 + "\n",
                      "Error: field larger than field limit", id="field-over-csv-limit"),
     ],
@@ -809,25 +893,24 @@ def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, content, message
 
 
 def test_report_counts_early_stopped_folds_as_converged(tmp_path, capsys):
-    def fold(pid, reason, iterations):
-        return {"participant_id": pid, "weighted_f1": 1.0, "stopping_reason": reason,
-                "iterations": iterations}
-
-    doc = {
-        "mean_weighted_f1": 1.0,
-        "std_weighted_f1": 0.0,
-        "percent_above_half": 100.0,
-        "normalized_confusion": [],
-        "provenance": {"train_config": {"kind": "mlp"}},
-        "folds": [fold("p01", "early-stopped", 90), fold("p02", "max-iterations", 200)],
-    }
+    corpus = tmp_path / "c"
+    assert main(["synth", "--participants", "2", "--segments", "7", "--frames", "2",
+                 "--seed", "3", "--out", str(corpus)]) == 0
+    assert main(["evaluate", "--records", str(corpus / "records.jsonl"), "--manifest",
+                 str(corpus / "manifest.csv"), "--model", "logreg", "--out", str(tmp_path / "e")]) == 0
+    doc = json.loads((tmp_path / "e" / "report.json").read_text())
+    doc["provenance"]["train_config"]["kind"] = "mlp"
+    doc["folds"][0].update(stopping_reason="early-stopped", iterations=90)
+    doc["folds"][1].update(stopping_reason="max-iterations", iterations=200)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert main(["report", "--in", str(path)]) == 0
     text = capsys.readouterr().out
     assert "converged folds: 1/2" in text
-    assert "p01: F1 1.00\n" in text
-    assert "p02: F1 1.00  not converged: max-iterations after 200 iterations" in text
+    first, second = (f"{fold['participant_id']}: F1 {fold['weighted_f1']:.2f}" for fold in doc["folds"])
+    assert first + "\n" in text
+    assert second + "  not converged: max-iterations after 200 iterations" in text
 
 
 def test_duplicate_frame_index_drops_only_its_segment(tmp_path):

@@ -10,7 +10,6 @@ from adlrec.evaluation import (
     FoldResult,
     _aggregate,
     _score,
-    ablation_to_document,
     confusion_matrix,
     grid_to_csv,
     loso_split,
@@ -227,7 +226,7 @@ def test_single_class_fold_error_carries_fold_id(table):
 def test_ablation_grid_shape_and_csv(table, small_corpus):
     cells = run_ablation(small_corpus, table, ["logreg"], seed=2)
     assert len(cells) == 6
-    descriptions = [config_label(c.feature_config) for c in cells]
+    descriptions = [config_label(c) for c in cells]
     assert descriptions == [
         "counts+no-active",
         "counts+active",
@@ -260,6 +259,6 @@ def test_ablation_pool_gives_the_serial_bytes(table, monkeypatch):
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         cells = run_ablation(segments, table, ["logreg", "rf", "gb", "mlp"], seed=9)
-        outputs.append((grid_to_csv(cells), json.dumps(ablation_to_document(cells), indent=2)))
+        outputs.append((grid_to_csv(cells), json.dumps(to_document(cells), indent=2)))
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0].strip().split("\n")) == 1 + 24

@@ -203,7 +203,7 @@ def test_assemble_duplicate_frame_index():
 
 def test_assemble_training_mode_requires_labels():
     groups, _ = parse_records(record_line())
-    with pytest.raises(RecordError, match="missing manifest"):
+    with pytest.raises(RecordError, match="1 segment\\(s\\) have no manifest row"):
         assemble_segments(groups, {})
     result = assemble_segments(groups, None)
     assert result.segments[0].label is None
