@@ -63,6 +63,19 @@ from .taxonomy import (
 
 DEFAULT_SEED = 1729
 PRESETS = {"clean": clean_genspec, "distractor": distractor_genspec}
+# synth's preset flags by dest, and the value each takes where not given; the
+# parser leaves them None, so that --spec can refuse every one given
+_PRESET_DEFAULTS = {
+    "preset": "clean",
+    "participants": 16,
+    "segments": 50,
+    "frames": 13,
+    "drop_rate": 0.0,
+    "spurious_rate": 0.0,
+    "label_confusion_rate": 0.0,
+    "box_jitter": 0.0,
+    "seed": DEFAULT_SEED,
+}
 
 _ERRORS = (
     TaxonomyError,
@@ -80,6 +93,12 @@ def _names_model_file(model: str) -> bool:
     """Whether a --model value is a saved model's path; a model kind never
     is, even where a file has its name."""
     return not any(model in (k.NAME, *k.ALIASES) for k in KINDS) and Path(model).is_file()
+
+
+def _refuse(flags: dict[str, object], reason: str, error: type[Exception]) -> None:
+    """Raise one error naming every flag of `flags` that was given (not None)."""
+    if given := [flag for flag, value in flags.items() if value is not None]:
+        raise error(f"{reason}: drop {', '.join(given)}")
 
 
 def _digest_file(path: str | Path) -> str:
@@ -171,6 +190,8 @@ def _load_segments(args, needs_manifest=True):
         print(f"{args.records}:{diag.line}: rejected record: {diag.message}", file=sys.stderr)
     for key in result.labels_without_frames:
         print(f"manifest label without frames: {key}", file=sys.stderr)
+    if needs_manifest and not result.segments:
+        raise RecordError(f"no segment loaded from {args.records}")
     return result, diagnostics
 
 
@@ -185,8 +206,13 @@ def _feature_config(args, table) -> FeatureConfig:
 
 def cmd_synth(args) -> int:
     if args.spec:
+        flags = {"--" + dest.replace("_", "-"): getattr(args, dest) for dest in _PRESET_DEFAULTS}
+        _refuse(flags, "a generator spec fixes the corpus and its seed", GenError)
         spec = genspec_from_json(_read_utf8(args.spec, GenError, "generator spec"))
     else:
+        for dest, default in _PRESET_DEFAULTS.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
         noise = NoiseSpec(
             drop_rate=args.drop_rate,
             spurious_rate=args.spurious_rate,
@@ -263,7 +289,7 @@ def cmd_featurize(args) -> int:
     _write_run(args, {**asdict(config), "rejected_records": len(diagnostics)}, None, files)
     print(
         f"featurized {len(result.segments)} segments -> "
-        f"{config.dimension(len(table))} columns"
+        f"{len(feature_names(table, config))} columns"
     )
     if diagnostics:
         print(f"rejected records: {len(diagnostics)}", file=sys.stderr)
@@ -293,11 +319,8 @@ def cmd_train(args) -> int:
 def _score_fixed_model(args, table) -> int:
     flags = {"--representation": args.representation, "--active/--no-active": args.active,
              "--seed": args.seed}
-    if given := [flag for flag, value in flags.items() if value is not None]:
-        raise EvaluationError(
-            f"a saved model fixes its features and scoring draws no random number: "
-            f"drop {', '.join(given)}"
-        )
+    reason = "a saved model fixes its features and scoring draws no random number"
+    _refuse(flags, reason, EvaluationError)
     model = load_model(_read_utf8(args.model, ModelFormatError, "model file"))
     if model.feature_config.taxonomy_hash != table.content_hash:
         raise FeatureError("model was trained under a different taxonomy version")
@@ -468,19 +491,20 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     synth = commands.add_parser("synth", help="generate a synthetic labeled corpus")
-    synth.add_argument("--spec", help="generator spec JSON (overrides preset flags)")
-    synth.add_argument("--preset", choices=PRESETS, default="clean")
-    synth.add_argument("--participants", type=int, default=16)
+    synth.add_argument("--spec", help="generator spec JSON (refuses the preset flags)")
+    # the preset flags and --seed are None where not given (see _PRESET_DEFAULTS)
+    synth.add_argument("--preset", choices=PRESETS)
+    synth.add_argument("--participants", type=int)
     synth.add_argument(
-        "--segments", type=int, default=50, help="segments per participant (per-ADL split is proportional)"
+        "--segments", type=int, help="segments per participant (per-ADL split is proportional)"
     )
-    synth.add_argument("--frames", type=int, default=13, help="frames per segment (1 FPS)")
-    synth.add_argument("--drop-rate", type=float, default=0.0)
-    synth.add_argument("--spurious-rate", type=float, default=0.0)
-    synth.add_argument("--label-confusion-rate", type=float, default=0.0)
-    synth.add_argument("--box-jitter", type=float, default=0.0)
+    synth.add_argument("--frames", type=int, help="frames per segment (1 FPS)")
+    synth.add_argument("--drop-rate", type=float)
+    synth.add_argument("--spurious-rate", type=float)
+    synth.add_argument("--label-confusion-rate", type=float)
+    synth.add_argument("--box-jitter", type=float)
     _add_common_io(synth, records=False)
-    synth.set_defaults(func=cmd_synth)
+    synth.set_defaults(func=cmd_synth, seed=None)
 
     validate = commands.add_parser("ingest-validate", help="validate record/manifest files")
     _add_common_io(validate, out=False, taxonomy=False, seed=False)

@@ -8,10 +8,11 @@ channel, each over the category table:
 * presence — frames in which the category appears at all;
 * active presence — frames in which it appears as an active object.
 
-Every feature config is a view of that block: counts takes the counts rows,
-binary the presence rows, "both" takes both groups, and the active rows are
-kept only with the active distinction on. Each row is min-max scaled by its
-own min and max, so values land in [0, 1] regardless of frame count.
+Every feature config is a view of those blocks, stacked for the corpus into
+one (n, 4, K) array: counts takes the counts rows, binary the presence rows,
+"both" takes both groups, and the active rows are kept only with the active
+distinction on. Each block of a feature row is min-max scaled by its own min
+and max, so values land in [0, 1] regardless of frame count.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,15 @@ from .interaction import mark_active
 from .records import Segment, SegmentKey
 from .taxonomy import CategoryTable
 
-REPRESENTATIONS = ("counts", "binary", "both")
+# Each representation's independently scaled blocks, in column order: a
+# column-name prefix and the block's first raw_block row. With the active
+# distinction on, the next row (that group's active channel) joins the block.
+_LAYOUT = {
+    "counts": (("", 0),),
+    "binary": (("", 2),),
+    "both": (("counts_", 0), ("binary_", 2)),
+}
+REPRESENTATIONS = tuple(_LAYOUT)
 
 
 class FeatureError(ValueError):
@@ -44,12 +53,6 @@ class FeatureConfig:
                 f"got {self.representation!r}"
             )
 
-    def dimension(self, n_categories: int) -> int:
-        d = n_categories * (2 if self.use_active else 1)
-        if self.representation == "both":
-            d *= 2
-        return d
-
 
 def all_feature_configs(table: CategoryTable) -> list[FeatureConfig]:
     """The six ablation configurations in grid order."""
@@ -62,8 +65,6 @@ def all_feature_configs(table: CategoryTable) -> list[FeatureConfig]:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    config: FeatureConfig
-    key: SegmentKey
     values: np.ndarray
 
 
@@ -88,64 +89,49 @@ def raw_block(segment: Segment, table: CategoryTable) -> np.ndarray:
     return np.concatenate([per_frame.sum(axis=0), (per_frame > 0).sum(axis=0)])
 
 
-# First raw_block row of each representation group; the active row follows it.
-_GROUP_ROW = {"counts": 0, "binary": 2}
+def feature_names(table: CategoryTable, config: FeatureConfig) -> list[str]:
+    """Column names in feature_matrix() column order."""
+    channels = ("", "active_") if config.use_active else ("",)
+    layout = _LAYOUT[config.representation]
+    return [p + ch + c for p, _ in layout for ch in channels for c in table.categories]
 
 
-def minmax_scale_row(raw: np.ndarray) -> np.ndarray:
-    """(x - min) / (max - min) over one row; constant rows map to all zeros."""
-    row = np.asarray(raw, dtype=np.float64)
-    if row.size == 0:
-        raise FeatureError("cannot scale an empty row")
-    if not np.all(np.isfinite(row)):
-        raise FeatureError("non-finite value in feature row")
-    lo = row.min()
-    hi = row.max()
-    if hi == lo:
-        return np.zeros_like(row)
-    return (row - lo) / (hi - lo)
+def feature_matrix(
+    segments: list[Segment], table: CategoryTable, config: FeatureConfig
+) -> tuple[np.ndarray, list[SegmentKey]]:
+    """Scaled feature rows in segment-key order.
 
-
-def featurize(segment: Segment, table: CategoryTable, config: FeatureConfig) -> FeatureVector:
-    """Build one scaled feature row for a segment under `config`.
-
-    Single representations scale the whole row jointly (base and active
-    blocks together). For "both", the counts and binary blocks are scaled
-    independently and concatenated, counts first.
+    The raw_block of every segment goes into one (n, 4, K) array; each block
+    of the config's layout is then min-max scaled over every row at once,
+    with constant rows mapped to zeros. For "both", the counts and binary
+    blocks are scaled independently, counts first.
     """
     if config.taxonomy_hash != table.content_hash:
         raise FeatureError(
             "feature config taxonomy hash does not match the loaded table "
             f"({config.taxonomy_hash[:12]}... vs {table.content_hash[:12]}...)"
         )
-    block = raw_block(segment, table)
-    width = 2 if config.use_active else 1
-    groups = ("counts", "binary") if config.representation == "both" else (config.representation,)
-    values = np.concatenate(
-        [minmax_scale_row(block[_GROUP_ROW[g] : _GROUP_ROW[g] + width].ravel()) for g in groups]
-    )
-    return FeatureVector(config=config, key=segment.key, values=values)
-
-
-def feature_names(table: CategoryTable, config: FeatureConfig) -> list[str]:
-    """Column names matching featurize() output order."""
-
-    def block(prefix: str) -> list[str]:
-        names = [prefix + c for c in table.categories]
-        if config.use_active:
-            names += [prefix + "active_" + c for c in table.categories]
-        return names
-
-    if config.representation == "both":
-        return block("counts_") + block("binary_")
-    return block("")
-
-
-def feature_matrix(
-    segments: list[Segment], table: CategoryTable, config: FeatureConfig
-) -> tuple[np.ndarray, list[SegmentKey]]:
-    """Stack per-segment rows in segment-key order."""
     ordered = sorted(segments, key=lambda s: s.key)
-    rows = [featurize(s, table, config).values for s in ordered]
-    keys = [s.key for s in ordered]
-    return np.asarray(rows, dtype=np.float64), keys
+    n, k = len(ordered), len(table)
+    raw = np.empty((n, 4, k), dtype=np.int64)
+    for i, segment in enumerate(ordered):
+        raw[i] = raw_block(segment, table)
+    rows = 2 if config.use_active else 1
+    layout = _LAYOUT[config.representation]
+    X = np.empty((n, len(layout) * rows * k))
+    for j, (_, first) in enumerate(layout):
+        # the explicit width keeps the reshape valid when there are no rows
+        block = raw[:, first : first + rows].reshape(n, rows * k)
+        lo = block.min(axis=1, keepdims=True)
+        span = block.max(axis=1, keepdims=True) - lo
+        out = X[:, j * rows * k : (j + 1) * rows * k]
+        # scaled in place; a constant row is all zeros after the subtraction
+        np.subtract(block, lo, out=out)
+        np.divide(out, span, out=out, where=span > 0)
+    return X, [s.key for s in ordered]
+
+
+def featurize(segment: Segment, table: CategoryTable, config: FeatureConfig) -> FeatureVector:
+    """One segment's scaled feature row: the one-row case of feature_matrix."""
+    X, _ = feature_matrix([segment], table, config)
+    return FeatureVector(values=X[0])

@@ -69,6 +69,18 @@ def record_line(
     return json.dumps(doc)
 
 
+def minmax_scale_row(raw):
+    """(x - min) / (max - min) over one row; constant rows map to all zeros:
+    the per-row oracle for `features.feature_matrix`, which scales every row
+    of a block at once."""
+    row = np.asarray(raw, dtype=np.float64)
+    lo = row.min()
+    hi = row.max()
+    if hi == lo:
+        return np.zeros_like(row)
+    return (row - lo) / (hi - lo)
+
+
 def reference_random_box(rng):
     """A random detection box from four scalar uniform draws: the oracle for
     `synthgen._random_box`, which takes the four doubles in one call."""

@@ -336,6 +336,34 @@ def test_train_then_evaluate_saved_model(synth_dir, tmp_path):
     assert json.loads((eval_out / "run_manifest.json").read_text())["seed"] is None
 
 
+def test_empty_corpus_fails_legibly_where_a_model_is_fit_or_scored(synth_dir, tmp_path, capsys):
+    data = ["--records", str(synth_dir / "records.jsonl"),
+            "--manifest", str(synth_dir / "manifest.csv")]
+    assert main(["train", *data, "--model", "gb", "--out", str(tmp_path / "m")]) == 0
+    records = tmp_path / "records.jsonl"
+    records.write_text("")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text((synth_dir / "manifest.csv").read_text().splitlines()[0] + "\n")
+    empty = ["--records", str(records), "--manifest", str(manifest)]
+    for n, argv in enumerate([
+        ["train", *empty], ["evaluate", *empty, "--model", "logreg"],
+        ["evaluate", *empty, "--model", str(tmp_path / "m" / "model.json")],
+        ["ablate", *empty, "--models", "logreg"],
+    ]):
+        capsys.readouterr()
+        out = tmp_path / f"o{n}"
+        assert main([*argv, "--out", str(out)]) == 1, argv
+        assert capsys.readouterr().err.splitlines() == [f"error: no segment loaded from {records}"]
+        assert not out.exists()
+    # featurizing and validating an empty corpus still succeed
+    assert main(["featurize", *empty, "--out", str(tmp_path / "f")]) == 0
+    lines = (tmp_path / "f" / "features.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("participant_id,")
+    capsys.readouterr()
+    assert main(["ingest-validate", *empty]) == 0
+    assert capsys.readouterr().out.startswith("segments: 0 ")
+
+
 def test_saved_model_scoring_refuses_the_flags_its_model_answers(synth_dir, tmp_path, capsys):
     data = ["--records", str(synth_dir / "records.jsonl"),
             "--manifest", str(synth_dir / "manifest.csv")]
@@ -496,6 +524,35 @@ def test_synth_spec_bytes_are_pinned(tmp_path):
     # the spec made the corpus, so the run used no preset
     config = json.loads((out / "run_manifest.json").read_text())["config"]
     assert config["spec"] == str(path) and config["preset"] is None
+
+
+def test_synth_spec_refuses_the_preset_flags(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(genspec_to_json(clean_genspec(participants=2, segments_per_participant=7,
+                                                  frames_per_segment=2)))
+    spec = ["synth", "--spec", str(path)]
+    for n, flags in enumerate([
+        ["--participants", "5", "--drop-rate", "0.5", "--seed", "99", "--preset", "distractor"],
+        ["--preset", "clean"], ["--segments", "50"], ["--frames", "13"], ["--spurious-rate", "0"],
+        ["--label-confusion-rate", "0.1"], ["--box-jitter", "2"], ["--seed", "1729"],
+    ]):
+        capsys.readouterr()
+        out = tmp_path / f"o{n}"
+        assert main([*spec, *flags, "--out", str(out)]) == 1, flags
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a generator spec fixes"), err
+        assert all(flag in err[0] for flag in flags if flag.startswith("--")), err
+        assert not out.exists()
+    # --taxonomy and --out stay allowed with --spec
+    taxonomy = ROOT / "src" / "adlrec" / "data" / "categories.json"
+    assert main([*spec, "--taxonomy", str(taxonomy), "--out", str(tmp_path / "ok")]) == 0
+    # without --spec, flags not given resolve to the clean preset, no noise and the default seed
+    out = tmp_path / "preset"
+    assert main(["synth", "--participants", "2", "--segments", "7", "--frames", "2",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["seed"] == cli.DEFAULT_SEED and manifest["config"]["preset"] == "clean"
+    assert (out / "records.jsonl").read_bytes() == (out / "truth_records.jsonl").read_bytes()
 
 
 def test_saved_model_scoring_bytes_are_pinned(tmp_path):
