@@ -371,6 +371,8 @@ def cmd_ablate(args) -> int:
     kinds = [resolve_kind(k.strip()).NAME for k in args.models.split(",") if k.strip()]
     if not kinds:
         raise TrainingError("no models requested")
+    if repeated := next((k for i, k in enumerate(kinds) if k in kinds[:i]), None):
+        raise TrainingError(f"--models names model kind {repeated!r} more than once")
     cells = run_ablation(result.segments, table, kinds, args.seed)
     grid_csv = grid_to_csv(cells)
     files = {

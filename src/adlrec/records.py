@@ -22,10 +22,11 @@ to 60 frames in strictly increasing frame_index order.
 
 import csv
 import io
-import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .documents import NUMBER_TYPES, read_object
@@ -235,27 +236,37 @@ def parse_records(
 
 
 def serialize_frame(key: SegmentKey, frame: FrameObservation) -> str:
-    """Canonical one-line JSON form; parse(serialize(x)) == x."""
-    doc = {
-        "participant_id": key.participant_id,
-        "video_id": key.video_id,
-        "segment_index": key.segment_index,
-        "frame_index": frame.frame_index,
-        "objects": [
-            {"label": o.raw_label, "score": o.score, "box": list(o.box)}
-            for o in frame.objects
-        ],
-        "hoi_objects": [
-            {
-                "box": list(h.box),
-                "hand_side": h.hand_side,
-                "contact_state": h.contact_state,
-                "score": h.score,
-            }
-            for h in frame.hoi_objects
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+    """Canonical one-line JSON form; parse(serialize(x)) == x.
+
+    The bytes of json.dumps(..., separators=(",", ":"), ensure_ascii=True,
+    allow_nan=False) on the record's dict, written through one template with
+    the calls json's C encoder makes: encode_basestring_ascii for strings,
+    int.__repr__ for the indices and float.__repr__ for scores and
+    coordinates, which takes np.float64 but raises TypeError for np.float32,
+    np.int64 or an int. A non-finite number raises ValueError.
+    """
+    quote, number = _quote, float.__repr__
+    objects = []
+    for label, score, box in frame.objects:
+        score, box = number(score), ",".join(map(number, box))
+        if "n" in score or "n" in box:  # "nan" or "inf": no finite repr has an "n"
+            raise ValueError(f"record holds a non-finite number: {score},{box}")
+        objects.append(f'{{"label":{quote(label)},"score":{score},"box":[{box}]}}')
+    hois = []
+    for box, hand_side, contact_state, score in frame.hoi_objects:
+        box, score = ",".join(map(number, box)), number(score)
+        if "n" in box or "n" in score:
+            raise ValueError(f"record holds a non-finite number: {box},{score}")
+        hois.append(
+            f'{{"box":[{box}],"hand_side":{quote(hand_side)},'
+            f'"contact_state":{quote(contact_state)},"score":{score}}}'
+        )
+    return (
+        f'{{"participant_id":{quote(key.participant_id)},"video_id":{quote(key.video_id)},'
+        f'"segment_index":{int.__repr__(key.segment_index)},'
+        f'"frame_index":{int.__repr__(frame.frame_index)},'
+        f'"objects":[{",".join(objects)}],"hoi_objects":[{",".join(hois)}]}}'
+    )
 
 
 def serialize_segments(segments: Iterable[Segment]) -> Iterator[str]:
@@ -284,7 +295,7 @@ def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, AdlLabel]:
         raise RecordError("manifest is empty (header row required)") from None
     if tuple(h.strip() for h in header) != MANIFEST_HEADER:
         raise RecordError(
-            f"manifest header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}"
+            f"manifest header must be {','.join(MANIFEST_HEADER)}, got {reprlib.repr(header)}"
         )
     labels: dict[SegmentKey, AdlLabel] = {}
     for row in rows:

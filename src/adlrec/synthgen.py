@@ -212,11 +212,15 @@ def distractor_genspec(
     return replace(spec, adl_profiles=profiles)
 
 
-def _random_box(rng) -> Box2D:
-    # one call for four doubles, each scaled as rng.uniform(low, high) scales
-    # it, low + (high - low) * u: the same values and stream position as four
-    # uniform calls (low = 0 adds nothing to a non-negative product)
-    u = rng.random(4).tolist()
+# Every uniform is drawn as rng.uniform(low, high) computes it, low + (high -
+# low) * u from the double u of the generator's random(), bound once per
+# segment and passed as `random`: the same values and stream position as
+# rng.uniform, without its scalar wrapper's cost.
+
+
+def _random_box(random) -> Box2D:
+    # one call for four doubles (low = 0 adds nothing to a non-negative product)
+    u = random(4).tolist()
     w = 40.0 + 200.0 * u[0]
     h = 40.0 + 200.0 * u[1]
     x1 = (CANVAS_W - w) * u[2]
@@ -240,18 +244,9 @@ def _participant_bias(spec: GenSpec, participant_id: str, table: CategoryTable) 
     }
 
 
-def _emit_detection(rng, raw_labels: list[str]) -> ObjectDetection:
-    box = _random_box(rng)
-    label = raw_labels[int(rng.integers(0, len(raw_labels)))]
-    score = float(rng.uniform(0.5, 1.0))
-    return ObjectDetection(raw_label=label, score=score, box=box)
-
-
-def _hoi(rng, box: Box2D, contact_state: str, low: float, high: float) -> HoiObject:
-    side = "left" if rng.integers(0, 2) == 0 else "right"
-    return HoiObject(
-        box=box, hand_side=side, contact_state=contact_state, score=float(rng.uniform(low, high))
-    )
+def _hoi(random, integers, box: Box2D, contact_state: str, low: float, high: float) -> HoiObject:
+    side = "left" if integers(0, 2) == 0 else "right"
+    return HoiObject(box, side, contact_state, low + (high - low) * random())
 
 
 def _generate_segment(
@@ -262,6 +257,7 @@ def _generate_segment(
     raws_by_cat: dict[str, list[str]],
 ) -> Segment:
     rng = make_generator(spec.seed, "segment", *key)
+    random, integers = rng.random, rng.integers
     profile = spec.adl_profiles[adl_id]
     # (category, presence probability, contact probability or None), core
     # objects first: a core object draws its contact uniform even when the
@@ -275,26 +271,25 @@ def _generate_segment(
         objects: list[ObjectDetection] = []
         hoi: list[HoiObject] = []
         for raw_labels, p, contact_prob in draws:
-            if rng.random() < p:
-                det = _emit_detection(rng, raw_labels)
-                objects.append(det)
-                if contact_prob is not None and rng.random() < contact_prob:
+            if random() < p:
+                # drawn box, label, score: another order gives another corpus
+                box = _random_box(random)
+                label = raw_labels[int(integers(0, len(raw_labels)))]
+                objects.append(ObjectDetection(label, 0.5 + (1.0 - 0.5) * random(), box))
+                if contact_prob is not None and random() < contact_prob:
                     # in-contact box coincides with the detection: IoU 1
-                    hoi.append(_hoi(rng, det.box, "portable_object", 0.5, 1.0))
-        if rng.random() < STRAY_HOI_PROB:
-            hoi.append(_hoi(rng, _random_box(rng), "stationary_object", 0.3, 0.9))
-        frames.append(
-            FrameObservation(
-                frame_index=frame_index, objects=tuple(objects), hoi_objects=tuple(hoi)
-            )
-        )
+                    hoi.append(_hoi(random, integers, box, "portable_object", 0.5, 1.0))
+        if random() < STRAY_HOI_PROB:
+            hoi.append(_hoi(random, integers, _random_box(random), "stationary_object", 0.3, 0.9))
+        frames.append(FrameObservation(frame_index, tuple(objects), tuple(hoi)))
     return Segment(key, tuple(frames), ADL_LABELS[adl_id])
 
 
-def _jitter_box(rng, box: Box2D, jitter: float) -> Box2D:
-    deltas = rng.uniform(-jitter, jitter, size=4)
-    x_lo, x_hi = sorted((box.x1 + deltas[0], box.x2 + deltas[1]))
-    y_lo, y_hi = sorted((box.y1 + deltas[2], box.y2 + deltas[3]))
+def _jitter_box(random, box: Box2D, jitter: float) -> Box2D:
+    # rng.uniform(-jitter, jitter, size=4), whose high - low is 2 * jitter exactly
+    d0, d1, d2, d3 = (-jitter + 2.0 * jitter * u for u in random(4).tolist())
+    x_lo, x_hi = sorted((box.x1 + d0, box.x2 + d1))
+    y_lo, y_hi = sorted((box.y1 + d2, box.y2 + d3))
     if x_hi - x_lo < 1.0:
         x_hi = x_lo + 1.0
     if y_hi - y_lo < 1.0:
@@ -315,38 +310,28 @@ def perturb(
     out = []
     for segment in segments:
         rng = make_generator(seed, "perturb", *segment.key)
+        random = rng.random
         frames = []
         for frame in segment.frames:
             objects: list[ObjectDetection] = []
-            for det in frame.objects:
-                if rng.random() < noise.drop_rate:
+            for raw_label, score, box in frame.objects:
+                if random() < noise.drop_rate:
                     continue
-                raw_label = det.raw_label
-                if rng.random() < noise.label_confusion_rate:
+                if random() < noise.label_confusion_rate:
                     current = table.categories[table.map_label(raw_label)]
                     others = [c for c in table.categories if c != current]
                     raw_label = others[int(rng.integers(0, len(others)))]
-                box = det.box
                 if noise.box_jitter_px > 0:
-                    box = _jitter_box(rng, box, noise.box_jitter_px)
-                objects.append(ObjectDetection(raw_label=raw_label, score=det.score, box=box))
+                    box = _jitter_box(random, box, noise.box_jitter_px)
+                objects.append(ObjectDetection(raw_label, score, box))
             if noise.spurious_rate > 0:
                 for _ in range(int(rng.poisson(noise.spurious_rate))):
-                    objects.append(
-                        ObjectDetection(
-                            raw_label=table.categories[int(rng.integers(0, len(table)))],
-                            score=float(rng.uniform(0.05, 0.95)),
-                            box=_random_box(rng),
-                        )
-                    )
-            frames.append(
-                FrameObservation(
-                    frame_index=frame.frame_index,
-                    objects=tuple(objects),
-                    hoi_objects=frame.hoi_objects,
-                )
-            )
-        out.append(replace(segment, frames=tuple(frames)))
+                    # drawn label, score, box: another order gives another corpus
+                    label = table.categories[int(rng.integers(0, len(table)))]
+                    score = 0.05 + (0.95 - 0.05) * random()
+                    objects.append(ObjectDetection(label, score, _random_box(random)))
+            frames.append(FrameObservation(frame.frame_index, tuple(objects), frame.hoi_objects))
+        out.append(Segment(segment.key, tuple(frames), segment.label))
     return out
 
 

@@ -69,6 +69,32 @@ def record_line(
     return json.dumps(doc)
 
 
+def reference_serialize_frame(key, frame):
+    """The frame record as json.dumps writes its dict: the oracle for
+    `records.serialize_frame`, which writes the same bytes through one
+    template."""
+    doc = {
+        "participant_id": key.participant_id,
+        "video_id": key.video_id,
+        "segment_index": key.segment_index,
+        "frame_index": frame.frame_index,
+        "objects": [
+            {"label": o.raw_label, "score": o.score, "box": list(o.box)}
+            for o in frame.objects
+        ],
+        "hoi_objects": [
+            {
+                "box": list(h.box),
+                "hand_side": h.hand_side,
+                "contact_state": h.contact_state,
+                "score": h.score,
+            }
+            for h in frame.hoi_objects
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+
+
 def minmax_scale_row(raw):
     """(x - min) / (max - min) over one row; constant rows map to all zeros:
     the per-row oracle for `features.feature_matrix`, which scales every row
@@ -89,6 +115,19 @@ def reference_random_box(rng):
     x1 = rng.uniform(0.0, CANVAS_W - w)
     y1 = rng.uniform(0.0, CANVAS_H - h)
     return Box2D(x1, y1, x1 + w, y1 + h)
+
+
+def reference_jitter_box(rng, box, jitter):
+    """A jittered box from one rng.uniform(-jitter, jitter, size=4) call: the
+    oracle for `synthgen._jitter_box`, which scales the four doubles itself."""
+    deltas = rng.uniform(-jitter, jitter, size=4)
+    x_lo, x_hi = sorted((box.x1 + deltas[0], box.x2 + deltas[1]))
+    y_lo, y_hi = sorted((box.y1 + deltas[2], box.y2 + deltas[3]))
+    if x_hi - x_lo < 1.0:
+        x_hi = x_lo + 1.0
+    if y_hi - y_lo < 1.0:
+        y_hi = y_lo + 1.0
+    return Box2D(x_lo, y_lo, x_hi, y_hi)
 
 
 def reference_pick_best(scores, sorted_vals, valid, candidates):

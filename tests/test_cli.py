@@ -145,6 +145,22 @@ def test_ingest_validate_rejects_an_overlong_manifest_field(synth_dir, tmp_path,
     )
 
 
+def test_a_wrong_manifest_header_is_echoed_at_bounded_length(synth_dir, tmp_path, capsys):
+    records = synth_dir / "records.jsonl"
+    wide, many = tmp_path / "wide.csv", tmp_path / "many.csv"
+    wide.write_text("participant_id,video_id,segment_index," + "x" * 100_000 + "\n")
+    many.write_text("a," * 10_000 + "\n")
+    # a frame record where the manifest belongs, as a swapped pair of flags gives
+    for manifest in (records, wide, many):
+        assert main(["train", "--model", "lr", "--records", str(records),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "m")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: manifest header must be "
+                               "participant_id,video_id,segment_index,adl_label, got ["), line
+        assert len(line) <= 300, line
+    assert not (tmp_path / "m").exists()
+
+
 def feature_header(path: Path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# adlrec-features")
@@ -262,6 +278,19 @@ def test_ablate_with_no_models_fails(synth_dir, tmp_path, capsys):
                  "--manifest", str(synth_dir / "manifest.csv"), "--models", ",",
                  "--out", str(tmp_path / "a")]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: no models requested"]
+
+
+@pytest.mark.parametrize("models, kind", [("lr,logreg", "logreg"), ("mlp, mlp", "mlp"),
+                                          ("gb,rf,gradient_boosting", "gradient_boosting")])
+def test_ablate_refuses_a_model_kind_named_twice(synth_dir, tmp_path, capsys, models, kind):
+    out = tmp_path / "a"
+    assert main(["ablate", "--records", str(synth_dir / "records.jsonl"),
+                 "--manifest", str(synth_dir / "manifest.csv"), "--models", models,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --models names model kind {kind!r} more than once"
+    ]
+    assert not out.exists()
 
 
 def test_model_document_holding_a_nan_is_refused(synth_dir, tmp_path, capsys):

@@ -1,13 +1,23 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adlrec.records import (
+    HAND_SIDES,
     Box2D,
     Diagnostic,
+    FrameObservation,
+    HoiObject,
+    ObjectDetection,
     RecordError,
     SegmentKey,
     assemble_segments,
     load_corpus,
     load_manifest,
+    parse_record_line,
     parse_records,
     serialize_frame,
     serialize_segments,
@@ -15,7 +25,7 @@ from adlrec.records import (
 )
 from adlrec.synthgen import clean_genspec, generate
 
-from helpers import frame, record_line, segment
+from helpers import frame, record_line, reference_serialize_frame, segment
 
 
 def test_grouping_three_frames():
@@ -283,3 +293,84 @@ def test_write_manifest_roundtrip():
 def test_serialize_segments_matches_frames():
     seg = segment([frame(0), frame(1)])
     assert len(list(serialize_segments([seg]))) == 2
+
+
+# strings json must escape: quotes, backslashes, control and non-ASCII characters,
+# a lone surrogate among them
+_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028é\ud800\U0001f600'))
+)
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                -1.7976931348623157e308])
+_FINITE = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+# np.float64 is a float subclass, which json writes as a float
+_COORD = st.one_of(_FINITE, _FINITE.map(np.float64))
+_SCORE = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _boxes(draw):
+    x1, x2 = sorted(draw(st.lists(_COORD, min_size=2, max_size=2, unique=True)))
+    y1, y2 = sorted(draw(st.lists(_COORD, min_size=2, max_size=2, unique=True)))
+    return Box2D(x1, y1, x2, y2)
+
+
+_KEYS = st.builds(SegmentKey, _TEXT.filter(bool), _TEXT.filter(bool), st.integers(0, 2**70))
+_FRAMES = st.builds(
+    FrameObservation,
+    st.integers(0, 59),
+    st.lists(st.builds(ObjectDetection, _TEXT, _SCORE, _boxes()), max_size=4).map(tuple),
+    st.lists(
+        st.builds(HoiObject, _boxes(), st.sampled_from(HAND_SIDES), _TEXT, _SCORE), max_size=3
+    ).map(tuple),
+)
+
+
+@given(key=_KEYS, frame=_FRAMES)
+def test_serialize_frame_writes_json_dumps_bytes(key, frame):
+    line = serialize_frame(key, frame)
+    assert line == reference_serialize_frame(key, frame)
+    assert parse_record_line(line, {}) == (key, frame)
+
+
+def _with_number(key, frame, slot, value):
+    """`frame` (or `key`) with the number at `slot` replaced by `value`; slots
+    run over the two indices, then each object's and hoi's score and box."""
+    if slot == 0:
+        return key._replace(segment_index=value), frame
+    if slot == 1:
+        return key, frame._replace(frame_index=value)
+    slot -= 2
+    for name in ("objects", "hoi_objects"):
+        entries = list(getattr(frame, name))
+        for i, entry in enumerate(entries):
+            if slot == 0:
+                entries[i] = entry._replace(score=value)
+                return key, frame._replace(**{name: tuple(entries)})
+            if slot <= 4:
+                box = entry.box._replace(**{entry.box._fields[slot - 1]: value})
+                entries[i] = entry._replace(box=box)
+                return key, frame._replace(**{name: tuple(entries)})
+            slot -= 5
+    raise AssertionError("no such slot")
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf]).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)])
+)
+
+
+@given(key=_KEYS, frame=_FRAMES, data=st.data())
+def test_serialize_frame_refuses_what_json_dumps_refuses(key, frame, data):
+    def refused(error, slot, value):
+        for serialize in (serialize_frame, reference_serialize_frame):
+            with pytest.raises(error):
+                serialize(*_with_number(key, frame, slot, value))
+
+    n_floats = 5 * (len(frame.objects) + len(frame.hoi_objects))
+    if n_floats:
+        slot = data.draw(st.integers(2, 1 + n_floats))
+        refused(ValueError, slot, data.draw(_NON_FINITE))
+        refused(TypeError, slot, data.draw(st.sampled_from([np.float32(0.5), np.int64(1)])))
+    slot = data.draw(st.sampled_from([0, 1]))
+    refused(TypeError, slot, data.draw(st.sampled_from([np.int64(3), np.float32(3.0)])))

@@ -12,6 +12,8 @@ from adlrec.interaction import mark_active
 from adlrec.records import load_corpus, parse_records, serialize_segments, write_manifest
 from adlrec.rng import derive_seed, make_generator
 from adlrec.synthgen import (
+    _hoi,
+    _jitter_box,
     _random_box,
     CORE_CATEGORIES,
     GenError,
@@ -28,7 +30,7 @@ from adlrec.synthgen import (
 )
 from adlrec.taxonomy import ADL_NAMES, NUM_ADL_CLASSES
 
-from helpers import reference_random_box
+from helpers import reference_jitter_box, reference_random_box
 
 
 def test_manifest_row_count(table):
@@ -107,11 +109,36 @@ def test_any_nonzero_noise_builds_new_segments(table, field):
 def test_random_box_matches_four_uniform_draws(seed, label):
     batched, scalar = make_generator(seed, *label), make_generator(seed, *label)
     for _ in range(3):
-        got, want = _random_box(batched), reference_random_box(scalar)
+        got, want = _random_box(batched.random), reference_random_box(scalar)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
     # both streams stand at the same position afterwards
     assert batched.random() == scalar.random()
     assert batched.integers(0, 1000) == scalar.integers(0, 1000)
+
+
+@given(seed=st.integers(0, 2**64 - 1),
+       jitter=st.one_of(st.sampled_from([0.5, 7.5, 1e6, 1e300]), st.floats(0.0, 1e300)))
+def test_jitter_box_matches_one_uniform_call(seed, jitter):
+    doubles, uniforms = make_generator(seed), make_generator(seed)
+    box = _random_box(make_generator(seed, "box").random)
+    for _ in range(3):
+        got = _jitter_box(doubles.random, box, jitter)
+        want = reference_jitter_box(uniforms, box, jitter)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        box = got
+    assert doubles.random() == uniforms.random()
+
+
+@given(seed=st.integers(0, 2**64 - 1))
+def test_hoi_score_matches_scalar_uniform_draws(seed):
+    doubles, uniforms = make_generator(seed), make_generator(seed)
+    box = _random_box(make_generator(seed, "box").random)
+    # every (low, high) the generator draws a score from
+    for low, high in [(0.5, 1.0), (0.3, 0.9), (0.05, 0.95)] * 50:
+        got = _hoi(doubles.random, doubles.integers, box, "portable_object", low, high)
+        side = "left" if uniforms.integers(0, 2) == 0 else "right"
+        assert (got.hand_side, got.score.hex()) == (side, float(uniforms.uniform(low, high)).hex())
+    assert doubles.random() == uniforms.random()
 
 
 def test_drop_rate_concentration(table):
