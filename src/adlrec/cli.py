@@ -16,11 +16,13 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import pickle
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from . import __version__
 from .documents import from_document, read_object, to_document
@@ -48,6 +50,7 @@ from .records import MANIFEST_HEADER, RecordError, load_corpus, serialize_segmen
 from .synthgen import (
     GenError,
     NoiseSpec,
+    check_spec,
     clean_genspec,
     distractor_genspec,
     generate,
@@ -109,27 +112,28 @@ def _digest_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _write(paths: list[Path], pieces: Iterable[str]) -> list[str]:
-    """Write text pieces to every path in one pass, one piece at a time;
-    return each file's sha256, read back from disk. An old file at a path is
-    unlinked and a new one created, not truncated in place, so a link named
-    like an output is replaced, never written through."""
+def _write(paths: list[Path], pieces: Iterable[str | tuple[bytes, ...]]) -> list[str]:
+    """Write pieces in one pass, a text piece to every path, a tuple of bytes
+    an item to each path; return each file's sha256, read back from disk. An
+    old file at a path is unlinked and a new one created, not truncated in
+    place, so a link named like an output is replaced, never written through."""
     for path in paths:
         path.unlink(missing_ok=True)
     with contextlib.ExitStack() as stack:
         outs = [stack.enter_context(open(path, "xb")) for path in paths]
         for piece in pieces:
-            data = piece.encode()
-            for out in outs:
+            if isinstance(piece, str):
+                piece = (piece.encode(),) * len(outs)
+            for out, data in zip(outs, piece):
                 out.write(data)
     return [_digest_file(path) for path in paths]
 
 
-def _write_run(args, config: dict, seed: int | None, files: dict[str, Iterable[str]]) -> None:
-    """Write output files, each given as text pieces (a one-item tuple for one
-    string), to --out plus the directory's run_manifest.json, whose inputs
-    are the files the command's path arguments name. Names given the very
-    same pieces object get equal files, written in one pass over it."""
+def _write_run(args, config: dict, seed: int | None, files: dict[str, Iterable]) -> None:
+    """Write output files, each given as pieces for `_write` (a one-item tuple
+    for one string), to --out plus the directory's run_manifest.json, whose
+    inputs are the files the command's path arguments name. Names given the
+    very same pieces object are written in one pass over it, in their order."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # a run that fails part-way leaves no manifest describing other files
@@ -213,40 +217,90 @@ def cmd_synth(args) -> int:
         for dest, default in _PRESET_DEFAULTS.items():
             if getattr(args, dest) is None:
                 setattr(args, dest, default)
-        noise = NoiseSpec(
-            drop_rate=args.drop_rate,
-            spurious_rate=args.spurious_rate,
-            label_confusion_rate=args.label_confusion_rate,
-            box_jitter_px=args.box_jitter,
-        )
-        spec = PRESETS[args.preset](
-            participants=args.participants,
-            segments_per_participant=args.segments,
-            frames_per_segment=args.frames,
-            seed=args.seed,
-            noise=noise,
-        )
+        noise = NoiseSpec(args.drop_rate, args.spurious_rate, args.label_confusion_rate,
+                          args.box_jitter)
+        spec = PRESETS[args.preset](args.participants, args.segments, args.frames, args.seed, noise)
     table = _load_table(args)
-    corpus = generate(spec, table)
-    records = (line + "\n" for line in serialize_segments(corpus.segments))
-    if corpus.truth_segments is not corpus.segments:
-        truth = (line + "\n" for line in serialize_segments(corpus.truth_segments))
-    else:  # no noise: one stream, serialized once, written under both names
-        truth = records
-    files = {
-        "records.jsonl": records,
-        "truth_records.jsonl": truth,
-        "manifest.csv": (write_manifest(corpus.truth_segments),),
-        "genspec.json": (genspec_to_json(spec) + "\n",),
-    }
+    check_spec(spec, table)  # once, before any worker starts
     preset = None if args.spec else args.preset
     config = {"spec": args.spec, "preset": preset, "taxonomy_hash": table.content_hash}
-    _write_run(args, config, spec.seed, files)
-    print(
-        f"wrote {len(corpus.segments)} segments "
-        f"({spec.participants} participants) to {args.out}"
-    )
+    with contextlib.closing(_synth_texts(spec, table)) as texts:
+        files = dict.fromkeys(["records.jsonl", "truth_records.jsonl", "manifest.csv"], texts)
+        files["genspec.json"] = (genspec_to_json(spec) + "\n",)
+        _write_run(args, config, spec.seed, files)
+    segments = spec.participants * sum(spec.segments_per_participant)
+    print(f"wrote {segments} segments ({spec.participants} participants) to {args.out}")
     return 0
+
+
+def _participant_texts(spec, table, participant: int) -> tuple[bytes, bytes, bytes]:
+    """One participant's records, truth records and manifest rows (the first
+    participant's with the header); without noise, the records twice."""
+    corpus = generate(spec, table, [participant])
+    records = "".join(line + "\n" for line in serialize_segments(corpus.segments)).encode()
+    truth = records
+    if corpus.truth_segments is not corpus.segments:
+        truth = "".join(line + "\n" for line in serialize_segments(corpus.truth_segments)).encode()
+    return records, truth, write_manifest(corpus.truth_segments, participant == 0).encode()
+
+
+def _synth_texts(spec, table) -> Iterator[tuple[bytes, bytes, bytes]]:
+    """Every participant's texts in order, made by forked workers, one per
+    usable CPU and at most one per participant, or here with one usable CPU.
+    Closing this generator closes every pipe and reaps every worker."""
+    workers = min(len(os.sched_getaffinity(0)), spec.participants)
+    if workers <= 1:
+        yield from (_participant_texts(spec, table, p) for p in range(spec.participants))
+        return
+    # Worker w makes participants w, w + workers, ... and sends each down its
+    # pipe; reading the workers in turn keeps each about one participant
+    # ahead. Freezing spares a worker's collections from writing to the header
+    # of every object it inherited, which would copy the page that holds it.
+    readers, pids = [], []
+    gc.freeze()
+    try:
+        for worker in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            if (pid := os.fork()) == 0:
+                _serve(spec, table, range(worker, spec.participants, workers), write_fd, readers)
+            os.close(write_fd)
+            pids.append(pid)
+        for participant in range(spec.participants):
+            try:
+                texts = pickle.load(readers[participant % workers])
+            except EOFError:
+                raise GenError(f"participant {participant + 1}'s worker ended early") from None
+            if isinstance(texts, Exception):  # the worker's, as the serial loop raises it
+                raise texts
+            yield texts
+    finally:
+        gc.unfreeze()
+        for reader in readers:  # a worker blocked on a full pipe now fails its write
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve(spec, table, participants: range, write_fd: int, readers) -> NoReturn:
+    """A forked worker: send each participant's texts, or the exception that
+    stops it, down the pipe; leave through os._exit, never to the caller."""
+    code = 1
+    try:
+        for reader in readers:  # the parent's ends of this pipe and its siblings'
+            reader.close()
+        with open(write_fd, "wb") as out:
+            for participant in participants:
+                try:
+                    texts = _participant_texts(spec, table, participant)
+                except Exception as exc:
+                    pickle.dump(exc, out)
+                    break
+                pickle.dump(texts, out)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def cmd_ingest_validate(args) -> int:
@@ -298,13 +352,13 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=args.seed)  # before any input
     table = _load_table(args)
     result, diagnostics = _load_segments(args)
     config = _feature_config(args, table)
     X, keys = feature_matrix(result.segments, table, config)
     labels = {s.key: s.label.id for s in result.segments}
     y = [labels[k] for k in keys]
-    cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=args.seed)
     model = train_matrix(X, y, cfg, feature_config=config)
     files = {"model.json": (save_model(model) + "\n",)}
     run_config = {"model": model.kind, **asdict(config), "hyperparameters": model.hyperparameters}
@@ -346,13 +400,13 @@ def _score_fixed_model(args, table) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    table = _load_table(args)
     if _names_model_file(args.model):
-        return _score_fixed_model(args, table)
+        return _score_fixed_model(args, _load_table(args))
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=seed)  # before any input
+    table = _load_table(args)
     result, diagnostics = _load_segments(args)
     config = _feature_config(args, table)
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    cfg = TrainConfig(kind=resolve_kind(args.model).NAME, seed=seed)
     report = run_loso(result.segments, table, config, cfg)
     files = {"report.json": (json.dumps(to_document(report), indent=2) + "\n",)}
     _write_run(args, {"model": cfg.kind, **asdict(config)}, seed, files)
@@ -366,13 +420,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    table = _load_table(args)
-    result, diagnostics = _load_segments(args)
+    # the kinds are resolved before any input is read
     kinds = [resolve_kind(k.strip()).NAME for k in args.models.split(",") if k.strip()]
     if not kinds:
         raise TrainingError("no models requested")
     if repeated := next((k for i, k in enumerate(kinds) if k in kinds[:i]), None):
         raise TrainingError(f"--models names model kind {repeated!r} more than once")
+    table = _load_table(args)
+    result, diagnostics = _load_segments(args)
     cells = run_ablation(result.segments, table, kinds, args.seed)
     grid_csv = grid_to_csv(cells)
     files = {

@@ -322,10 +322,11 @@ def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, AdlLabel]:
     return labels
 
 
-def write_manifest(segments: Iterable[Segment]) -> str:
+def write_manifest(segments: Iterable[Segment], header: bool = True) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER)
+    if header:
+        writer.writerow(MANIFEST_HEADER)
     for segment in segments:
         if segment.label is None:
             raise RecordError(f"segment {segment.key} has no label to write")

@@ -341,17 +341,24 @@ class GeneratedCorpus:
     segments: list[Segment]  # after the noise model; truth_segments itself without noise
 
 
-def generate(spec: GenSpec, table: CategoryTable) -> GeneratedCorpus:
-    """Emit the detector-like stream, its manifest, and the oracle stream."""
+def check_spec(spec: GenSpec, table: CategoryTable) -> None:
+    """Raise GenError unless `spec` is valid and names only categories of `table`."""
     spec.validate()
     for profile in spec.adl_profiles:
         for cat in list(profile.core) + [c for c, _ in profile.context]:
             if cat not in table.categories:
                 raise GenError(f"profile references unknown category {cat!r}")
+
+
+def generate(spec: GenSpec, table: CategoryTable, participants=None) -> GeneratedCorpus:
+    """Emit the detector-like and oracle streams of every participant, or of
+    the `participants` given (indices, in that order). Every draw comes from a
+    stream keyed by its participant, so those segments are the same in any subset."""
+    check_spec(spec, table)
     raws_by_cat = _raw_labels_by_category(table)
     pad = max(2, len(str(spec.participants)))
     truth: list[Segment] = []
-    for p in range(spec.participants):
+    for p in range(spec.participants) if participants is None else participants:
         participant_id = f"p{p + 1:0{pad}d}"
         bias = _participant_bias(spec, participant_id, table)
         for adl_id, n_segments in enumerate(spec.segments_per_participant):

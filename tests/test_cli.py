@@ -273,19 +273,20 @@ def test_saved_model_under_another_taxonomy_is_refused(synth_dir, tmp_path, caps
     ]
 
 
-def test_ablate_with_no_models_fails(synth_dir, tmp_path, capsys):
-    assert main(["ablate", "--records", str(synth_dir / "records.jsonl"),
-                 "--manifest", str(synth_dir / "manifest.csv"), "--models", ",",
+def test_ablate_with_no_models_fails(tmp_path, capsys):
+    # the kinds are resolved before any input is read
+    assert main(["ablate", "--records", str(tmp_path / "missing.jsonl"),
+                 "--manifest", str(tmp_path / "missing.csv"), "--models", ",",
                  "--out", str(tmp_path / "a")]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: no models requested"]
 
 
 @pytest.mark.parametrize("models, kind", [("lr,logreg", "logreg"), ("mlp, mlp", "mlp"),
                                           ("gb,rf,gradient_boosting", "gradient_boosting")])
-def test_ablate_refuses_a_model_kind_named_twice(synth_dir, tmp_path, capsys, models, kind):
+def test_ablate_refuses_a_model_kind_named_twice(tmp_path, capsys, models, kind):
     out = tmp_path / "a"
-    assert main(["ablate", "--records", str(synth_dir / "records.jsonl"),
-                 "--manifest", str(synth_dir / "manifest.csv"), "--models", models,
+    assert main(["ablate", "--records", str(tmp_path / "missing.jsonl"),
+                 "--manifest", str(tmp_path / "missing.csv"), "--models", models,
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: --models names model kind {kind!r} more than once"
@@ -486,15 +487,31 @@ SYNTH_PINS = {
 }
 
 
+# {0} runs synth in this process; {0, 1} forks two workers for the three
+# participants (2 + 1); {0, 1, 2, 3} asks for more workers than participants.
+SYNTH_CPU_SETS = [{0}, {0, 1}, {0, 1, 2, 3}]
+
+
+def _check_synth_pins(out: Path, pins: dict[str, str]) -> None:
+    """Files and run manifest match the pins, and synth left no child process."""
+    outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+    for name, digest in pins.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        assert outputs[name] == digest, name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", SYNTH_CPU_SETS)
 @pytest.mark.parametrize("preset", SYNTH_PINS)
-def test_synth_bytes_are_pinned(tmp_path, preset):
+def test_synth_bytes_are_pinned(tmp_path, monkeypatch, preset, cpus):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus)
     out = tmp_path / preset
     assert main(["synth", "--preset", preset, "--participants", "3", "--segments", "14",
                  "--frames", "6", "--drop-rate", "0.1", "--spurious-rate", "0.2",
                  "--label-confusion-rate", "0.05", "--box-jitter", "2.5", "--seed", "12",
                  "--out", str(out)]) == 0
-    for name, digest in SYNTH_PINS[preset].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    _check_synth_pins(out, SYNTH_PINS[preset])
 
 
 # the same at zero noise, which writes the one stream under both record
@@ -513,15 +530,14 @@ ZERO_NOISE_SYNTH_PINS = {
 }
 
 
+@pytest.mark.parametrize("cpus", SYNTH_CPU_SETS)
 @pytest.mark.parametrize("preset", ZERO_NOISE_SYNTH_PINS)
-def test_zero_noise_synth_bytes_are_pinned(tmp_path, preset):
+def test_zero_noise_synth_bytes_are_pinned(tmp_path, monkeypatch, preset, cpus):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus)
     out = tmp_path / preset
     assert main(["synth", "--preset", preset, "--participants", "3", "--segments", "14",
                  "--frames", "6", "--seed", "12", "--out", str(out)]) == 0
-    outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
-    for name, digest in ZERO_NOISE_SYNTH_PINS[preset].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
-        assert outputs[name] == digest, name
+    _check_synth_pins(out, ZERO_NOISE_SYNTH_PINS[preset])
 
 
 # sha256 of what `adlrec synth --spec` writes for a spec whose profiles the
@@ -536,7 +552,9 @@ SPEC_PINS = {
 }
 
 
-def test_synth_spec_bytes_are_pinned(tmp_path):
+@pytest.mark.parametrize("cpus", SYNTH_CPU_SETS)
+def test_synth_spec_bytes_are_pinned(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus)
     spec = clean_genspec(participants=3, segments_per_participant=14, frames_per_segment=6, seed=12,
                          noise=NoiseSpec(0.1, 0.2, 0.05, 2.5))
     profiles = list(spec.adl_profiles)
@@ -548,8 +566,7 @@ def test_synth_spec_bytes_are_pinned(tmp_path):
     path.write_text(genspec_to_json(spec))
     out = tmp_path / "out"
     assert main(["synth", "--spec", str(path), "--out", str(out)]) == 0
-    for name, digest in SPEC_PINS.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    _check_synth_pins(out, SPEC_PINS)
     # the spec made the corpus, so the run used no preset
     config = json.loads((out / "run_manifest.json").read_text())["config"]
     assert config["spec"] == str(path) and config["preset"] is None
@@ -731,18 +748,23 @@ def test_report_renders_both_kinds(synth_dir, tmp_path, capsys):
     assert "representation" in capsys.readouterr().out
 
 
-def test_unknown_model_kind_fails(synth_dir, tmp_path, capsys):
-    code = main(
-        [
-            "evaluate",
-            "--records", str(synth_dir / "records.jsonl"),
-            "--manifest", str(synth_dir / "manifest.csv"),
-            "--model", "svm",
-            "--out", str(tmp_path / "x"),
-        ]
-    )
+def _fails_on_the_model_kind(argv: list[str], tmp_path, capsys) -> None:
+    # the kind is resolved before any input is read, so its error wins over
+    # the missing files
+    code = main([*argv, "--records", str(tmp_path / "missing.jsonl"),
+                 "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "unknown model kind" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown model kind 'svm'"), err
+    assert not (tmp_path / "x").exists()
+
+
+def test_unknown_model_kind_fails(tmp_path, capsys):
+    _fails_on_the_model_kind(["evaluate", "--model", "svm"], tmp_path, capsys)
+
+
+def test_train_refuses_an_unknown_model_kind_before_reading_input(tmp_path, capsys):
+    _fails_on_the_model_kind(["train", "--model", "svm"], tmp_path, capsys)
 
 
 def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys):
@@ -1066,6 +1088,40 @@ sys.exit(cli.main(sys.argv[1:]))
     assert len(cells) <= 12, cells
 
 
+def test_failing_synth_worker_stops_synth_legibly(tmp_path):
+    # Forced onto two workers: p01's worker raises after a pause, by which
+    # time p02's worker has filled its pipe (about 0.2 MB of records per
+    # participant against a 64 KiB pipe) and blocks on it.
+    script = """
+import os, sys, time
+from adlrec import cli, synthgen
+os.sched_getaffinity = lambda pid: {0, 1}
+def generate(spec, table, participants=None):
+    if list(participants) == [0]:
+        time.sleep(1.0)
+        raise synthgen.GenError("participant p01 refused")
+    return synthgen.generate(spec, table, participants)
+cli.generate = generate
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a worker was left behind", file=sys.stderr)
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+    out = tmp_path / "corpus"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "synth", "--participants", "3", "--segments", "50",
+         "--frames", "13", "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: participant p01 refused\n"
+    assert not (out / "run_manifest.json").exists()
+
+
 def test_report_on_tree_ensemble_folds_makes_no_convergence_claim(synth_dir, tmp_path, capsys):
     out = tmp_path / "rf"
     assert main(["evaluate", "--records", str(synth_dir / "records.jsonl"),
@@ -1234,13 +1290,17 @@ def test_features_csv_is_written_a_row_at_a_time(tmp_path, table, monkeypatch):
     assert peak < 1 << 20, peak
 
 
-def test_cli_import_loads_no_process_pool():
-    code = ("import sys, adlrec.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+def test_cli_import_loads_no_process_pool(tmp_path):
+    pool = "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    # nor does a synth run forced onto two forked workers
+    synth = (f"os.sched_getaffinity = lambda pid: {{0, 1}}; "
+             f"adlrec.cli.main(['synth', '--participants', '2', '--segments', '7', '--frames', '2', "
+             f"'--out', {str(tmp_path / 'c')!r}])")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    for code in (f"import sys, adlrec.cli; {pool}", f"import os, sys, adlrec.cli; {synth}; {pool}"):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
 @pytest.fixture(scope="module")

@@ -67,6 +67,19 @@ def test_generation_is_deterministic(table):
     assert list(serialize_segments(different.segments)) != list(serialize_segments(a.segments))
 
 
+def test_a_participant_generates_the_same_segments_in_any_subset(table):
+    spec = distractor_genspec(participants=3, segments_per_participant=7, frames_per_segment=4,
+                              seed=42, noise=NoiseSpec(0.1, 0.2, 0.05, 2.5))
+    whole = generate(spec, table)
+    part = generate(spec, table, [2, 0])
+    by_participant = {"p03": 0, "p01": 1}
+    for name in ("segments", "truth_segments"):
+        expected = sorted((s for s in getattr(whole, name) if s.key.participant_id in by_participant),
+                          key=lambda s: by_participant[s.key.participant_id])
+        assert getattr(part, name) == expected, name
+    assert generate(spec, table, []).segments == []
+
+
 def test_zero_noise_streams_identical(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=4, seed=1)
     corpus = generate(spec, table)
