@@ -16,13 +16,11 @@ import hashlib
 import io
 import itertools
 import json
-import os
-import pickle
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
 from . import __version__
 from .documents import from_document, read_object, to_document
@@ -46,6 +44,7 @@ from .models import (
     save_model,
     train_matrix,
 )
+from .parallel import fork_map
 from .records import MANIFEST_HEADER, RecordError, load_corpus, serialize_segments, write_manifest
 from .synthgen import (
     GenError,
@@ -224,7 +223,8 @@ def cmd_synth(args) -> int:
     check_spec(spec, table)  # once, before any worker starts
     preset = None if args.spec else args.preset
     config = {"spec": args.spec, "preset": preset, "taxonomy_hash": table.content_hash}
-    with contextlib.closing(_synth_texts(spec, table)) as texts:
+    texts = fork_map(lambda p: _participant_texts(spec, table, p), range(spec.participants))
+    with contextlib.closing(texts):
         files = dict.fromkeys(["records.jsonl", "truth_records.jsonl", "manifest.csv"], texts)
         files["genspec.json"] = (genspec_to_json(spec) + "\n",)
         _write_run(args, config, spec.seed, files)
@@ -242,65 +242,6 @@ def _participant_texts(spec, table, participant: int) -> tuple[bytes, bytes, byt
     if corpus.truth_segments is not corpus.segments:
         truth = "".join(line + "\n" for line in serialize_segments(corpus.truth_segments)).encode()
     return records, truth, write_manifest(corpus.truth_segments, participant == 0).encode()
-
-
-def _synth_texts(spec, table) -> Iterator[tuple[bytes, bytes, bytes]]:
-    """Every participant's texts in order, made by forked workers, one per
-    usable CPU and at most one per participant, or here with one usable CPU.
-    Closing this generator closes every pipe and reaps every worker."""
-    workers = min(len(os.sched_getaffinity(0)), spec.participants)
-    if workers <= 1:
-        yield from (_participant_texts(spec, table, p) for p in range(spec.participants))
-        return
-    # Worker w makes participants w, w + workers, ... and sends each down its
-    # pipe; reading the workers in turn keeps each about one participant
-    # ahead. Freezing spares a worker's collections from writing to the header
-    # of every object it inherited, which would copy the page that holds it.
-    readers, pids = [], []
-    gc.freeze()
-    try:
-        for worker in range(workers):
-            read_fd, write_fd = os.pipe()
-            readers.append(open(read_fd, "rb"))
-            if (pid := os.fork()) == 0:
-                _serve(spec, table, range(worker, spec.participants, workers), write_fd, readers)
-            os.close(write_fd)
-            pids.append(pid)
-        for participant in range(spec.participants):
-            try:
-                texts = pickle.load(readers[participant % workers])
-            except EOFError:
-                raise GenError(f"participant {participant + 1}'s worker ended early") from None
-            if isinstance(texts, Exception):  # the worker's, as the serial loop raises it
-                raise texts
-            yield texts
-    finally:
-        gc.unfreeze()
-        for reader in readers:  # a worker blocked on a full pipe now fails its write
-            reader.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _serve(spec, table, participants: range, write_fd: int, readers) -> NoReturn:
-    """A forked worker: send each participant's texts, or the exception that
-    stops it, down the pipe; leave through os._exit, never to the caller."""
-    code = 1
-    try:
-        for reader in readers:  # the parent's ends of this pipe and its siblings'
-            reader.close()
-        with open(write_fd, "wb") as out:
-            for participant in participants:
-                try:
-                    texts = _participant_texts(spec, table, participant)
-                except Exception as exc:
-                    pickle.dump(exc, out)
-                    break
-                pickle.dump(texts, out)
-                out.flush()
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def cmd_ingest_validate(args) -> int:

@@ -15,7 +15,6 @@ recorded in report provenance.
 
 import csv
 import io
-import os
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -24,6 +23,7 @@ from numpy.typing import NDArray
 
 from .features import FeatureConfig, all_feature_configs, feature_matrix
 from .models import TrainConfig, TrainedModel, train_matrix
+from .parallel import fork_map
 from .records import Segment
 from .rng import derive_seed
 from .taxonomy import ADL_NAMES, NUM_ADL_CLASSES, CategoryTable
@@ -255,19 +255,6 @@ def _ablation_cell(
     )
 
 
-# Set once per pool worker by _init_worker; never assigned in the parent.
-_worker_inputs: tuple = ()
-
-
-def _init_worker(*inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _worker_cell(task: tuple[FeatureConfig, str]) -> AblationCell:
-    return _ablation_cell(*_worker_inputs, *task)
-
-
 def run_ablation(
     segments: list[Segment],
     table: CategoryTable,
@@ -281,35 +268,16 @@ def run_ablation(
     rows, so their values do not depend on the marking.
 
     Cells are independent (fold seeds derive from (seed, participant)), so
-    they run in a pool of one worker process per usable CPU, at most one per
-    cell; with one usable CPU they run in this process, one after another.
-    Workers are forked, so they inherit the corpus and each task carries
-    only (feature config, kind). Cells come back in grid order, so the
-    result is the same for any CPU count. If a cell raises, the cells not
-    yet started are cancelled and the first failure in grid order is
-    re-raised, as the serial loop would raise it.
+    they run through `parallel.fork_map`: in forked workers, one per usable
+    CPU, that inherit the corpus, or here, one after another, with one usable
+    CPU. Cells come back in grid order, so the result is the same for any
+    CPU count. If a cell raises, the first failure in grid order is
+    re-raised once the cells before it have run, as the serial loop would
+    raise it; cells already sent to workers run to their end before it
+    leaves this call.
     """
     tasks = [(fc, kind) for fc in all_feature_configs(table) for kind in kinds]
-    inputs = (segments, table, seed)
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    if workers <= 1:
-        return [_ablation_cell(*inputs, *task) for task in tasks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # With fork, the executor starts every worker at the first submit, before
-    # its own management thread exists, so no Python thread is forked.
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=inputs,
-    ) as pool:
-        try:
-            return list(pool.map(_worker_cell, tasks))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    return list(fork_map(lambda task: _ablation_cell(segments, table, seed, *task), tasks))
 
 
 GRID_HEADER = (

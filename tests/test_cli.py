@@ -505,7 +505,7 @@ def _check_synth_pins(out: Path, pins: dict[str, str]) -> None:
 @pytest.mark.parametrize("cpus", SYNTH_CPU_SETS)
 @pytest.mark.parametrize("preset", SYNTH_PINS)
 def test_synth_bytes_are_pinned(tmp_path, monkeypatch, preset, cpus):
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     out = tmp_path / preset
     assert main(["synth", "--preset", preset, "--participants", "3", "--segments", "14",
                  "--frames", "6", "--drop-rate", "0.1", "--spurious-rate", "0.2",
@@ -533,7 +533,7 @@ ZERO_NOISE_SYNTH_PINS = {
 @pytest.mark.parametrize("cpus", SYNTH_CPU_SETS)
 @pytest.mark.parametrize("preset", ZERO_NOISE_SYNTH_PINS)
 def test_zero_noise_synth_bytes_are_pinned(tmp_path, monkeypatch, preset, cpus):
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     out = tmp_path / preset
     assert main(["synth", "--preset", preset, "--participants", "3", "--segments", "14",
                  "--frames", "6", "--seed", "12", "--out", str(out)]) == 0
@@ -554,7 +554,7 @@ SPEC_PINS = {
 
 @pytest.mark.parametrize("cpus", SYNTH_CPU_SETS)
 def test_synth_spec_bytes_are_pinned(tmp_path, monkeypatch, cpus):
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     spec = clean_genspec(participants=3, segments_per_participant=14, frames_per_segment=6, seed=12,
                          noise=NoiseSpec(0.1, 0.2, 0.05, 2.5))
     profiles = list(spec.adl_profiles)
@@ -1057,7 +1057,7 @@ def test_failing_ablation_cell_stops_the_pool_legibly(tmp_path):
     ) + "\n")
     started = tmp_path / "started.txt"
     # Forced onto two CPUs; forked workers inherit the patched run_loso, which
-    # logs each cell and is slow enough for the pending cells to be cancelled.
+    # logs each cell and is slow enough for the pending cells never to start.
     script = f"""
 import os, sys, time
 from adlrec import cli, evaluation
@@ -1083,15 +1083,85 @@ sys.exit(cli.main(sys.argv[1:]))
     assert not (tmp_path / "g" / "grid.csv").exists()
     cells = started.read_text().splitlines()
     assert "counts+no-active logreg" in cells
-    # Cells already handed to the two workers still run (7 here); the rest of
-    # the 24 are cancelled. The bound leaves room for a slow parent process.
+    # Cells already sent to the two workers still run (4 here: the first two
+    # fail after the same pause, and each worker is sent its next cell as its
+    # answer is read); the rest of the 24 never start. The bound leaves room
+    # for a slow parent process.
     assert len(cells) <= 12, cells
+
+
+def test_killed_ablation_worker_stops_the_pool_legibly(tmp_path):
+    corpus = tmp_path / "c"
+    assert main(["synth", "--participants", "2", "--segments", "7", "--frames", "2",
+                 "--seed", "0", "--out", str(corpus)]) == 0
+    # Forced onto two CPUs; the worker that runs the first gb cell (the
+    # grid's third) kills itself, through the run_loso that it inherited.
+    script = """
+import os, signal, sys
+from adlrec import cli, evaluation
+from helpers import config_label
+os.sched_getaffinity = lambda pid: {0, 1}
+run_loso = evaluation.run_loso
+def killing(segments, table, feature_config, train_config):
+    if config_label(feature_config) == "counts+no-active" and train_config.kind == "gradient_boosting":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_loso(segments, table, feature_config, train_config)
+evaluation.run_loso = killing
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a worker was left behind", file=sys.stderr)
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "ablate", "--records", str(corpus / "records.jsonl"),
+         "--manifest", str(corpus / "manifest.csv"), "--out", str(tmp_path / "g")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: a worker ended without an answer\n"
+    assert not (tmp_path / "g" / "grid.csv").exists()
+
+
+def test_killed_synth_worker_stops_synth_legibly(tmp_path):
+    # Forced onto two workers; the one that generates p02 kills itself.
+    script = """
+import os, signal, sys
+from adlrec import cli, synthgen
+os.sched_getaffinity = lambda pid: {0, 1}
+def generate(spec, table, participants=None):
+    if list(participants) == [1]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return synthgen.generate(spec, table, participants)
+cli.generate = generate
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a worker was left behind", file=sys.stderr)
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+    out = tmp_path / "corpus"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "synth", "--participants", "3", "--segments", "14",
+         "--frames", "6", "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: a worker ended without an answer\n"
+    assert not (out / "run_manifest.json").exists()
 
 
 def test_failing_synth_worker_stops_synth_legibly(tmp_path):
     # Forced onto two workers: p01's worker raises after a pause, by which
-    # time p02's worker has filled its pipe (about 0.2 MB of records per
-    # participant against a 64 KiB pipe) and blocks on it.
+    # time the other worker has sent p02's texts (about 0.2 MB of records
+    # per participant, against a 64 KiB pipe) and then p03's, which synth
+    # holds until p01's turn.
     script = """
 import os, sys, time
 from adlrec import cli, synthgen
@@ -1292,13 +1362,18 @@ def test_features_csv_is_written_a_row_at_a_time(tmp_path, table, monkeypatch):
 
 def test_cli_import_loads_no_process_pool(tmp_path):
     pool = "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    # nor does a synth run forced onto two forked workers
-    synth = (f"os.sched_getaffinity = lambda pid: {{0, 1}}; "
-             f"adlrec.cli.main(['synth', '--participants', '2', '--segments', '7', '--frames', '2', "
-             f"'--out', {str(tmp_path / 'c')!r}])")
+    # nor does a synth or an ablate run forced onto two forked workers
+    corpus = tmp_path / "c"
+    synth = ["synth", "--participants", "2", "--segments", "7", "--frames", "2", "--out", str(corpus)]
+    ablate = ["ablate", "--records", str(corpus / "records.jsonl"), "--manifest",
+              str(corpus / "manifest.csv"), "--models", "logreg", "--out", str(tmp_path / "g")]
+    forced = "import os, sys, adlrec.cli; os.sched_getaffinity = lambda pid: {0, 1}; "
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    for code in (f"import sys, adlrec.cli; {pool}", f"import os, sys, adlrec.cli; {synth}; {pool}"):
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    for code in ("import sys, adlrec.cli",
+                 f"{forced}assert adlrec.cli.main({synth!r}) == 0",
+                 f"{forced}assert adlrec.cli.main({ablate!r}) == 0"):
+        proc = subprocess.run([sys.executable, "-c", f"{code}; {pool}"], capture_output=True,
+                              text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 

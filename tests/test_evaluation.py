@@ -1,9 +1,9 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from adlrec import evaluation
 from adlrec.documents import to_document
 from adlrec.evaluation import (
     EvaluationError,
@@ -251,14 +251,25 @@ def test_ablation_grid_count_for_four_models(table):
     assert len(cells) == 24
 
 
-def test_ablation_pool_gives_the_serial_bytes(table, monkeypatch):
-    # {0, 1} forces the worker pool even on a one-CPU machine
+def _ablation_bytes(table, cpus: set[int]) -> tuple[str, str]:
     spec = distractor_genspec(participants=2, segments_per_participant=5, frames_per_segment=3, seed=5)
     segments = generate(spec, table).segments
-    outputs = []
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         cells = run_ablation(segments, table, ["logreg", "rf", "gb", "mlp"], seed=9)
-        outputs.append((grid_to_csv(cells), json.dumps(to_document(cells), indent=2)))
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0][0].strip().split("\n")) == 1 + 24
+    return grid_to_csv(cells), json.dumps(to_document(cells), indent=2)
+
+
+@pytest.fixture(scope="module")
+def serial_ablation(table):
+    return _ablation_bytes(table, {0})
+
+
+# {0} runs the grid in this process; {0, 1} forks two workers even on a
+# one-CPU machine; {0, 1, 2, 3} forks four, fewer than the 24 cells.
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}, {0, 1, 2, 3}])
+def test_ablation_pool_gives_the_serial_bytes(table, serial_ablation, cpus):
+    assert _ablation_bytes(table, cpus) == serial_ablation
+    assert len(serial_ablation[0].strip().split("\n")) == 1 + 24
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
