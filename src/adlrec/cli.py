@@ -10,10 +10,8 @@ to 2 decimals; files keep full precision.
 
 import argparse
 import contextlib
-import csv
 import gc
 import hashlib
-import io
 import itertools
 import json
 import sys
@@ -23,12 +21,14 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__
-from .documents import from_document, read_object, to_document
+from .documents import csv_lines, from_document, read_csv, read_object, to_document
 from .evaluation import (
     EvaluationError,
     EvaluationReport,
+    GRID_HEADER,
     ScoredReport,
     grid_to_csv,
+    label_ids,
     run_ablation,
     run_loso,
     score_model,
@@ -184,11 +184,13 @@ def _load_segments(args, needs_manifest=True):
             raise RecordError(f"{args.command} needs --manifest")
         # the parser builds no reference cycle, so a collection during the
         # load frees nothing and only rescans the growing corpus
+        enabled = gc.isenabled()
         gc.disable()
         try:
             result, diagnostics = load_corpus(record_stream, manifest)
         finally:
-            gc.enable()
+            if enabled:
+                gc.enable()
     for diag in diagnostics:
         print(f"{args.records}:{diag.line}: rejected record: {diag.message}", file=sys.stderr)
     for key in result.labels_without_frames:
@@ -254,26 +256,18 @@ def cmd_ingest_validate(args) -> int:
     return 1 if diagnostics else 0
 
 
-class _Line:
-    """A file whose write returns its text, so that the writerow of a
-    csv.writer over it returns the row's line."""
-
-    def write(self, text: str) -> str:
-        return text
-
-
 def _features_csv(segments, table, config) -> Iterator[str]:
     """features.csv as its header and then one piece per row. The matrix is
     built at the call, so a featurization error comes before any write."""
     X, keys = feature_matrix(segments, table, config)
     labels = {s.key: s.label.name if s.label else "" for s in segments}
-    line = csv.writer(_Line(), lineterminator="\n").writerow
-    header = (
+    comment = (
         f"# adlrec-features representation={config.representation} "
         f"active={str(config.use_active).lower()} taxonomy={config.taxonomy_hash}\n"
-    ) + line([*MANIFEST_HEADER, *feature_names(table, config)])
-    rows = (line([*key, labels[key], *map(repr, row)]) for row, key in zip(X, keys))
-    return itertools.chain((header,), rows)
+    )
+    rows = ([*key, labels[key], *map(repr, row)] for row, key in zip(X, keys))
+    header = [*MANIFEST_HEADER, *feature_names(table, config)]
+    return itertools.chain((comment,), csv_lines(itertools.chain((header,), rows)))
 
 
 def cmd_featurize(args) -> int:
@@ -298,9 +292,7 @@ def cmd_train(args) -> int:
     result, diagnostics = _load_segments(args)
     config = _feature_config(args, table)
     X, keys = feature_matrix(result.segments, table, config)
-    labels = {s.key: s.label.id for s in result.segments}
-    y = [labels[k] for k in keys]
-    model = train_matrix(X, y, cfg, feature_config=config)
+    model = train_matrix(X, label_ids(result.segments, keys), cfg, feature_config=config)
     files = {"model.json": (save_model(model) + "\n",)}
     run_config = {"model": model.kind, **asdict(config), "hyperparameters": model.hyperparameters}
     _write_run(args, run_config, args.seed, files)
@@ -321,18 +313,14 @@ def _score_fixed_model(args, table) -> int:
         raise FeatureError("model was trained under a different taxonomy version")
     result, diagnostics = _load_segments(args)
     X, keys = feature_matrix(result.segments, table, model.feature_config)
-    labels = {s.key: s.label.id for s in result.segments}
-    y_true = [labels[k] for k in keys]
+    y_true = label_ids(result.segments, keys)
     report, y_pred = score_model(model, X, y_true)
 
-    line = csv.writer(_Line(), lineterminator="\n").writerow
-    header = line([*MANIFEST_HEADER[:3], "true_adl", "predicted_adl"])
-    rows = (
-        line([*key, ADL_NAMES[yt], ADL_NAMES[int(yp)]]) for key, yt, yp in zip(keys, y_true, y_pred)
-    )
+    header = [*MANIFEST_HEADER[:3], "true_adl", "predicted_adl"]
+    rows = ([*key, ADL_NAMES[yt], ADL_NAMES[yp]] for key, yt, yp in zip(keys, y_true, y_pred))
     files = {
         "report.json": (json.dumps(to_document(report), indent=2) + "\n",),
-        "predictions.csv": itertools.chain((header,), rows),
+        "predictions.csv": csv_lines(itertools.chain((header,), rows)),
     }
     config = {"model_file": args.model, "taxonomy_hash": table.content_hash}
     _write_run(args, config, None, files)  # scoring draws no random number
@@ -382,12 +370,11 @@ def cmd_ablate(args) -> int:
 
 def _render_grid(grid_csv: str) -> str:
     """Terminal view of a grid file, 2-decimal rounding."""
-    rows = list(csv.reader(io.StringIO(grid_csv)))
     out = [
         f"{'representation':<16}{'active':<8}{'model':<20}"
         f"{'mean wF1':<12}{'std':<8}{'% > 0.5':<8}"
     ]
-    for row in rows[1:]:
+    for _, row in read_csv(grid_csv, GRID_HEADER, ValueError, "grid"):
         rep, active, model, mean, std, pct = row[:6]
         out.append(
             f"{rep:<16}{active:<8}{model:<20}"
@@ -434,19 +421,11 @@ def cmd_report(args) -> int:
             doc = read_object(text, EvaluationError, "malformed report")
             kind = ScoredReport if doc.get("mode") == "fixed-model" else EvaluationReport
             rendered = _render_report(from_document(kind, doc))
-    except (
-        ValueError,
-        KeyError,
-        TypeError,
-        OverflowError,  # a number too large for a float
-        csv.Error,  # a grid field longer than the csv module's field limit
-    ) as exc:
-        print(
-            f"error: {args.input} is not a report.json or grid.csv "
-            f"({type(exc).__name__}: {exc})",
-            file=sys.stderr,
-        )
-        return 1
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        # OverflowError: a number too large for a float
+        raise EvaluationError(
+            f"{args.input} is not a report.json or grid.csv ({type(exc).__name__}: {exc})"
+        ) from None
     print(rendered, end="")
     return 0
 

@@ -1,4 +1,5 @@
-"""One reader and one codec for every JSON document.
+"""One reader and one codec for every JSON document, and one reader and one
+line writer for every CSV document.
 
 ``read_object`` reads each document from outside the program (a frame record,
 a category table, a generator spec, a saved model), so all fail alike: the
@@ -14,12 +15,18 @@ and ``dict`` from that JSON type only (a number is an int or a float, never a
 bool; an ``int`` takes no float). A wrong type raises TypeError, a missing
 required field KeyError, and an unknown key the constructor's TypeError. A
 class with its own ``to_document`` and ``from_document`` keeps its own format.
+
+``read_csv`` reads each CSV document (the segment manifest, an ablation grid)
+behind its header, and ``csv_lines`` writes every one (the manifest, the grid,
+features.csv, predictions.csv) a line at a time.
 """
 
+import csv
+import io
 import json
 import reprlib
 from dataclasses import MISSING, fields, is_dataclass
-from typing import get_args, get_origin
+from typing import Iterable, Iterator, get_args, get_origin
 
 import numpy as np
 
@@ -125,3 +132,38 @@ def _from_object(cls, value):
         decoded[f.name] = from_document(f.type, item)
     # an unknown key fails as the constructor's unexpected keyword argument
     return cls(**decoded, **{k: v for k, v in value.items() if k not in decoded})
+
+
+class _Line:
+    """A file whose write returns its text, so that the writerow of a
+    csv.writer over it returns the row's line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:
+    """Each row as its CSV line, ending in a newline, made as it is drawn."""
+    return map(csv.writer(_Line(), lineterminator="\n").writerow, rows)
+
+
+def read_csv(
+    lines: str | Iterable[str], header: tuple[str, ...], error: type[Exception], what: str
+) -> Iterator[tuple[int, list[str]]]:
+    """The rows of CSV `lines` after `header`, each with its last line number
+    (a quoted field may span lines); blank rows are skipped. A missing or
+    different header (compared cell by cell, stripped) or a csv.Error, such
+    as a field over the csv module's limit, raises `error`, its message
+    starting with `what`."""
+    reader = csv.reader(io.StringIO(lines) if isinstance(lines, str) else lines)
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise error(f"{what} is empty (header row required)")
+        if tuple(cell.strip() for cell in first) != header:
+            raise error(f"{what} header must be {','.join(header)}, got {reprlib.repr(first)}")
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise error(f"{what} line {reader.line_num}: {exc}") from None

@@ -13,18 +13,17 @@ mean +/- std uses the population (N-denominator) std; the convention is
 recorded in report provenance.
 """
 
-import csv
-import io
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
+from .documents import csv_lines
 from .features import FeatureConfig, all_feature_configs, feature_matrix
 from .models import TrainConfig, TrainedModel, train_matrix
 from .parallel import fork_map
-from .records import Segment
+from .records import Segment, SegmentKey
 from .rng import derive_seed
 from .taxonomy import ADL_NAMES, NUM_ADL_CLASSES, CategoryTable
 
@@ -148,8 +147,11 @@ def _aggregate(folds: list[FoldResult], provenance: dict) -> EvaluationReport:
     )
 
 
-def _labels(segments: list[Segment]) -> np.ndarray:
-    return np.array([s.label.id for s in sorted(segments, key=lambda s: s.key)])
+def label_ids(segments: list[Segment], keys: list[SegmentKey]) -> np.ndarray:
+    """The label id of each key's segment, in the order of `keys` (those of
+    `feature_matrix`); every segment must be labeled."""
+    labels = {s.key: s.label.id for s in segments}
+    return np.array([labels[key] for key in keys])
 
 
 def run_loso(
@@ -168,7 +170,7 @@ def run_loso(
     """
     splits = loso_split(segments)
     X, keys = feature_matrix(segments, table, feature_config)
-    y = _labels(segments)
+    y = label_ids(segments, keys)
     owners = np.array([key.participant_id for key in keys])
     folds = []
     for _, test_segments in splits:
@@ -293,19 +295,16 @@ GRID_HEADER = (
 
 def grid_to_csv(cells: list[AblationCell]) -> str:
     """Flat ablation table, one row per config x classifier, full precision."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(GRID_HEADER)
-    for cell in cells:
-        writer.writerow(
-            [
-                cell.representation,
-                "yes" if cell.use_active else "no",
-                cell.model,
-                repr(cell.report.mean_weighted_f1),
-                repr(cell.report.std_weighted_f1),
-                repr(cell.report.percent_above_half),
-                len(cell.report.folds),
-            ]
-        )
-    return out.getvalue()
+    rows = (
+        [
+            cell.representation,
+            "yes" if cell.use_active else "no",
+            cell.model,
+            repr(cell.report.mean_weighted_f1),
+            repr(cell.report.std_weighted_f1),
+            repr(cell.report.percent_above_half),
+            len(cell.report.folds),
+        ]
+        for cell in cells
+    )
+    return "".join(csv_lines([GRID_HEADER, *rows]))

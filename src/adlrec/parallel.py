@@ -28,8 +28,11 @@ def fork_map(fn: Callable[[T], R], tasks: Sequence[T]) -> Iterator[R]:
     senders = {}  # a worker's answer pipe -> its task pipe, the parent's ends
     pids = []
     # Freezing spares a worker's collections from writing to the header of
-    # every object it inherited, which would copy the page that holds it.
-    gc.freeze()
+    # every object it inherited, which would copy the page that holds it. A
+    # caller's own freeze is left as it was.
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
     try:
         for _ in range(workers):
             task_read, task_write = os.pipe()
@@ -58,7 +61,8 @@ def fork_map(fn: Callable[[T], R], tasks: Sequence[T]) -> Iterator[R]:
                 raise value
             yield value
     finally:
-        gc.unfreeze()
+        if freeze:
+            gc.unfreeze()
         # a worker waiting for a task reads end of file, and one still
         # running fails to send its answer: either leaves
         for fd in [*senders, *senders.values()]:

@@ -20,16 +20,14 @@ dropped, with one diagnostic per repeated line. So every parsed group holds 1
 to 60 frames in strictly increasing frame_index order.
 """
 
-import csv
 import io
 import math
-import reprlib
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .documents import NUMBER_TYPES, read_object
+from .documents import NUMBER_TYPES, csv_lines, read_csv, read_object
 from .taxonomy import AdlLabel, adl_by_name
 
 MAX_FRAMES_PER_SEGMENT = 60
@@ -276,32 +274,10 @@ def serialize_segments(segments: Iterable[Segment]) -> Iterator[str]:
 MANIFEST_HEADER = ("participant_id", "video_id", "segment_index", "adl_label")
 
 
-def _manifest_rows(reader):
-    try:
-        yield from reader
-    except csv.Error as exc:  # e.g. a field longer than the csv module's field limit
-        raise RecordError(f"manifest line {reader.line_num}: {exc}") from None
-
-
 def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, AdlLabel]:
     """Read the per-segment label manifest; duplicate keys are an error."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    rows = _manifest_rows(reader)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise RecordError("manifest is empty (header row required)") from None
-    if tuple(h.strip() for h in header) != MANIFEST_HEADER:
-        raise RecordError(
-            f"manifest header must be {','.join(MANIFEST_HEADER)}, got {reprlib.repr(header)}"
-        )
     labels: dict[SegmentKey, AdlLabel] = {}
-    for row in rows:
-        lineno = reader.line_num  # the row's last line: a quoted field may span lines
-        if not row:
-            continue
+    for lineno, row in read_csv(stream, MANIFEST_HEADER, RecordError, "manifest"):
         if len(row) != 4:
             raise RecordError(f"manifest line {lineno}: expected 4 fields, got {len(row)}")
         participant, video, seg_idx_text, adl_name = (f.strip() for f in row)
@@ -323,15 +299,12 @@ def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, AdlLabel]:
 
 
 def write_manifest(segments: Iterable[Segment], header: bool = True) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if header:
-        writer.writerow(MANIFEST_HEADER)
+    rows = [MANIFEST_HEADER] if header else []
     for segment in segments:
         if segment.label is None:
             raise RecordError(f"segment {segment.key} has no label to write")
-        writer.writerow([*segment.key, segment.label.name])
-    return out.getvalue()
+        rows.append([*segment.key, segment.label.name])
+    return "".join(csv_lines(rows))
 
 
 @dataclass

@@ -148,27 +148,27 @@ SHARED_CONTEXT: tuple[tuple[str, float], ...] = (
 )
 
 
-def proportional_allocation(total: int, weights=PAPER_CLASS_COUNTS) -> tuple[int, ...]:
-    """Largest-remainder apportionment of `total` across the class weights."""
+def proportional_allocation(total: int) -> tuple[int, ...]:
+    """Largest-remainder apportionment of `total` across PAPER_CLASS_COUNTS."""
     if total < 0:
         raise GenError("total must be >= 0")
     if total > MAX_SEGMENTS:  # before the float division below can overflow
         raise GenError(f"total must be <= {MAX_SEGMENTS}")
-    weight_sum = sum(weights)
-    quotas = [total * w / weight_sum for w in weights]
+    weight_sum = sum(PAPER_CLASS_COUNTS)
+    quotas = [total * w / weight_sum for w in PAPER_CLASS_COUNTS]
     floors = [int(q) for q in quotas]
     shortfall = total - sum(floors)
-    order = sorted(range(len(weights)), key=lambda i: (-(quotas[i] - floors[i]), i))
+    order = sorted(range(len(quotas)), key=lambda i: (-(quotas[i] - floors[i]), i))
     for i in order[:shortfall]:
         floors[i] += 1
     return tuple(floors)
 
 
 def clean_genspec(
-    participants: int = 16,
-    segments_per_participant: int = 50,
-    frames_per_segment: int = 13,
-    seed: int = 0,
+    participants: int,
+    segments_per_participant: int,
+    frames_per_segment: int,
+    seed: int,
     noise: NoiseSpec = NoiseSpec(),
 ) -> GenSpec:
     """Separable default: disjoint cores, shared passive context."""
@@ -188,10 +188,10 @@ def clean_genspec(
 
 
 def distractor_genspec(
-    participants: int = 16,
-    segments_per_participant: int = 21,
-    frames_per_segment: int = 13,
-    seed: int = 0,
+    participants: int,
+    segments_per_participant: int,
+    frames_per_segment: int,
+    seed: int,
     noise: NoiseSpec = NoiseSpec(),
 ) -> GenSpec:
     """Ablation-trend corpus: other classes' core objects appear passively.

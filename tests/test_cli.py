@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from adlrec import cli, models
 from adlrec.cli import main
 from adlrec.documents import from_document, to_document
-from adlrec.evaluation import AblationCell, EvaluationReport, ScoredReport
+from adlrec.evaluation import GRID_HEADER, AblationCell, EvaluationReport, ScoredReport
 from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.models import load_model, save_model
 from adlrec.records import RecordError, SegmentKey, load_corpus
 from adlrec.synthgen import NoiseSpec, clean_genspec, generate, genspec_to_json
-from adlrec.taxonomy import default_category_table
+from adlrec.taxonomy import ADL_NAMES, default_category_table
 
 from helpers import PRIOR_KIND, redigest
 
@@ -575,7 +575,7 @@ def test_synth_spec_bytes_are_pinned(tmp_path, monkeypatch, cpus):
 def test_synth_spec_refuses_the_preset_flags(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(genspec_to_json(clean_genspec(participants=2, segments_per_participant=7,
-                                                  frames_per_segment=2)))
+                                                  frames_per_segment=2, seed=0)))
     spec = ["synth", "--spec", str(path)]
     for n, flags in enumerate([
         ["--participants", "5", "--drop-rate", "0.5", "--seed", "99", "--preset", "distractor"],
@@ -887,8 +887,13 @@ def test_evaluate_malformed_model_file_fails_legibly(synth_dir, tmp_path, capsys
                      "OverflowError", id="integer-too-large-for-float"),
         pytest.param("report.json", "[" * 100_000, "EvaluationError: malformed report: nested too deeply",
                      id="deep-nesting"),
-        pytest.param("grid.csv", "representation,active_objects\n" + "x" * 200_000 + "\n",
-                     "Error: field larger than field limit", id="field-over-csv-limit"),
+        pytest.param("grid.csv", ",".join(GRID_HEADER) + "\n" + "x" * 200_000 + "\n",
+                     "field larger than field limit", id="field-over-csv-limit"),
+        pytest.param("grid.csv", "", "(ValueError: grid is empty (header row required))",
+                     id="empty-grid"),
+        pytest.param("grid.csv", "binary,yes,logreg,0.9,0.1,100.0,3\n",
+                     "(ValueError: grid header must be " + ",".join(GRID_HEADER) + ", got [",
+                     id="grid-without-its-header"),
     ],
 )
 def test_report_on_malformed_input_fails_legibly(tmp_path, name, content, reason):
@@ -911,7 +916,7 @@ TRUNCATED = b'{"seed": 1,'
 TRUNCATED_MESSAGE = "Expecting property name enclosed in double quotes: line 1 column 12 (char 11)"
 NOT_UTF8 = b"\xff\xfe{}"
 SMALL_SPEC = genspec_to_json(clean_genspec(participants=2, segments_per_participant=7,
-                                           frames_per_segment=2))
+                                           frames_per_segment=2, seed=0))
 
 
 def _spec_with(section, field, value) -> bytes:
@@ -1328,6 +1333,17 @@ def test_failed_rerun_leaves_no_stale_manifest(synth_dir, tmp_path, capsys):
     assert not (synth_dir / "run_manifest.json").exists()
 
 
+def test_corpus_load_leaves_a_disabled_collector_off(synth_dir):
+    args = argparse.Namespace(records=str(synth_dir / "records.jsonl"),
+                              manifest=str(synth_dir / "manifest.csv"))
+    gc.disable()
+    try:
+        assert cli._load_segments(args)[0].segments
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_corpus_load_leaves_the_collector_on(synth_dir, tmp_path):
     records, manifest = synth_dir / "records.jsonl", synth_dir / "manifest.csv"
     assert gc.isenabled()
@@ -1380,7 +1396,8 @@ def test_cli_import_loads_no_process_pool(tmp_path):
 
 @pytest.fixture(scope="module")
 def report_sources(tmp_path_factory):
-    """A real LOSO report.json and grid.csv to mutate, plus a scratch path."""
+    """A real LOSO report.json, saved-model scored.json and grid.csv to
+    mutate, plus a scratch path."""
     work = tmp_path_factory.mktemp("report_fuzz")
     corpus = work / "corpus"
     records = ["--records", str(corpus / "records.jsonl"), "--manifest", str(corpus / "manifest.csv")]
@@ -1389,8 +1406,12 @@ def report_sources(tmp_path_factory):
                      "--seed", "3", "--out", str(corpus)]) == 0
         assert main(["evaluate", *records, "--model", "mlp", "--out", str(work / "e")]) == 0
         assert main(["ablate", *records, "--models", "logreg", "--out", str(work / "g")]) == 0
+        assert main(["train", *records, "--model", "gb", "--out", str(work / "m")]) == 0
+        assert main(["evaluate", *records, "--model", str(work / "m" / "model.json"),
+                     "--out", str(work / "s")]) == 0
     return {
         "report.json": (work / "e" / "report.json").read_bytes(),
+        "scored.json": (work / "s" / "report.json").read_bytes(),
         "grid.csv": (work / "g" / "grid.csv").read_bytes(),
         "scratch": work,
     }
@@ -1459,11 +1480,11 @@ def _mutate_grid(data, source: bytes) -> bytes:
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_report_on_mutated_files_exits_0_or_1_with_error_line(report_sources, data):
-    name = data.draw(st.sampled_from(["report.json", "grid.csv"]))
+    name = data.draw(st.sampled_from(["report.json", "scored.json", "grid.csv"]))
     source = report_sources[name]
     mutation = data.draw(st.sampled_from(["structure", "truncate", "non-utf8"]))
     if mutation == "structure":
-        content = (_mutate_report if name == "report.json" else _mutate_grid)(data, source)
+        content = (_mutate_report if name.endswith(".json") else _mutate_grid)(data, source)
     elif mutation == "truncate":
         content = source[: data.draw(st.integers(0, len(source) - 1))]
     else:
@@ -1480,6 +1501,31 @@ def test_report_on_mutated_files_exits_0_or_1_with_error_line(report_sources, da
         assert out.getvalue() == ""
     else:
         assert err.getvalue() == ""
+
+
+def test_report_renders_a_saved_model_score(report_sources, capsys):
+    path = report_sources["scratch"] / "scored.json"
+    write_anew(path, report_sources["scored.json"])
+    assert main(["report", "--in", str(path)]) == 0
+    doc = json.loads(report_sources["scored.json"])
+    assert doc["mode"] == "fixed-model"
+    rows = [f"  {name:<32} " + " ".join(f"{v:.2f}" for v in row)
+            for name, row in zip(ADL_NAMES, doc["normalized_confusion"])]
+    # no folds, so no convergence line
+    assert capsys.readouterr().out.splitlines() == [
+        f"weighted F1: {doc['weighted_f1']:.2f}", "row-normalized confusion matrix:", *rows]
+
+
+def test_report_renders_a_crlf_grid_and_skips_blank_rows(report_sources, capsys):
+    source = report_sources["grid.csv"]
+    rendered = []
+    for content in (source, source.replace(b"\n", b"\r\n"), source.replace(b"\n", b"\n\n")):
+        path = report_sources["scratch"] / "grid.csv"
+        write_anew(path, content)
+        assert main(["report", "--in", str(path)]) == 0
+        rendered.append(capsys.readouterr().out)
+    assert rendered[0].count("logreg") == 6
+    assert rendered[1] == rendered[0] and rendered[2] == rendered[0]
 
 
 SPEC_VALUES = [None, "x", -1, 0, 0.5, 2, 2**63, 1e308, float("nan"), float("inf"), [], {}, True]

@@ -1,3 +1,4 @@
+import gc
 import os
 import signal
 import time
@@ -68,3 +69,16 @@ def test_one_cpu_runs_every_task_here(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", no_fork)
     assert [value for value, _ in fork_map(_sleep_then, [(0.0, n) for n in range(5)])] == list(range(5))
+
+
+def test_a_callers_freeze_is_left_as_it_was(two_cpus):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert list(fork_map(abs, [-1, -2, -3])) == [1, 2, 3]
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+    assert list(fork_map(abs, [-1, -2, -3])) == [1, 2, 3]
+    assert gc.get_freeze_count() == 0
+    _no_child_left()

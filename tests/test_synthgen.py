@@ -251,12 +251,15 @@ def test_participant_effect_never_moves_core_assignment(table):
 
 def test_spec_validation_errors(table):
     with pytest.raises(GenError, match="participants"):
-        clean_genspec(participants=0).validate()
+        clean_genspec(participants=0, segments_per_participant=50, frames_per_segment=13,
+                      seed=0).validate()
     with pytest.raises(GenError, match="frames"):
-        clean_genspec(frames_per_segment=61).validate()
+        clean_genspec(participants=16, segments_per_participant=50, frames_per_segment=61,
+                      seed=0).validate()
     with pytest.raises(GenError, match="frames"):
-        clean_genspec(frames_per_segment=0).validate()
-    good = clean_genspec(participants=2, segments_per_participant=7)
+        clean_genspec(participants=16, segments_per_participant=50, frames_per_segment=0,
+                      seed=0).validate()
+    good = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=13, seed=0)
     bad_profiles = GenSpec(
         seed=0,
         participants=2,
@@ -294,22 +297,24 @@ def test_spec_validation_errors(table):
         )
 
 
-# sha256 of genspec.json for each preset at its default size with every noise
-# rate non-zero: any change to the spec's fields, their order or values moves
-# these bytes.
+# sha256 of genspec.json for each preset at its size in GENSPEC_SIZES, seed 0,
+# with every noise rate non-zero: any change to the spec's fields, their order
+# or values moves these bytes.
 GENSPEC_PINS = {
     clean_genspec: "48642f805d3123911fe88a3b60acad020d388a2521b5cc5a975b60aaeac9e1dd",
     distractor_genspec: "85f86db6aa61fff190214010c4a03d5daf6382b8b2cfd46a13dfef370f469782",
 }
+# participants, segments per participant and frames per segment
+GENSPEC_SIZES = {clean_genspec: (16, 50, 13), distractor_genspec: (16, 21, 13)}
 
 
 def test_genspec_json_roundtrip():
-    spec = distractor_genspec(participants=5, segments_per_participant=14, seed=33,
-                              noise=NoiseSpec(drop_rate=0.1, box_jitter_px=2.0))
+    spec = distractor_genspec(participants=5, segments_per_participant=14, frames_per_segment=13,
+                              seed=33, noise=NoiseSpec(drop_rate=0.1, box_jitter_px=2.0))
     assert genspec_from_json(genspec_to_json(spec)) == spec
     noise = NoiseSpec(drop_rate=0.1, spurious_rate=0.2, label_confusion_rate=0.05, box_jitter_px=2.5)
     for preset, digest in GENSPEC_PINS.items():
-        text = genspec_to_json(preset(noise=noise))
+        text = genspec_to_json(preset(*GENSPEC_SIZES[preset], seed=0, noise=noise))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, preset.__name__
     with pytest.raises(GenError, match="parse failure"):
         genspec_from_json("{oops")
@@ -318,7 +323,8 @@ def test_genspec_json_roundtrip():
 
 
 def test_distractor_profiles_share_cores_passively():
-    spec = distractor_genspec()
+    spec = distractor_genspec(participants=16, segments_per_participant=21, frames_per_segment=13,
+                              seed=0)
     for adl_id, profile in enumerate(spec.adl_profiles):
         context_cats = {c for c, _ in profile.context}
         for other_id, other_core in enumerate(CORE_CATEGORIES):
