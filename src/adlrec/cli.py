@@ -111,49 +111,36 @@ def _digest_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _write(paths: list[Path], pieces: Iterable[str | tuple[bytes, ...]]) -> list[str]:
-    """Write pieces in one pass, a text piece to every path, a tuple of bytes
-    an item to each path; return each file's sha256, read back from disk. An
-    old file at a path is unlinked and a new one created, not truncated in
-    place, so a link named like an output is replaced, never written through."""
-    for path in paths:
-        path.unlink(missing_ok=True)
-    with contextlib.ExitStack() as stack:
-        outs = [stack.enter_context(open(path, "xb")) for path in paths]
-        for piece in pieces:
-            if isinstance(piece, str):
-                piece = (piece.encode(),) * len(outs)
-            for out, data in zip(outs, piece):
-                out.write(data)
-    return [_digest_file(path) for path in paths]
-
-
-def _write_run(args, config: dict, seed: int | None, files: dict[str, Iterable]) -> None:
-    """Write output files, each given as pieces for `_write` (a one-item tuple
-    for one string), to --out plus the directory's run_manifest.json, whose
-    inputs are the files the command's path arguments name. Names given the
-    very same pieces object are written in one pass over it, in their order."""
+def _write_run(args, config: dict, seed: int | None,
+               outputs: Iterable[tuple[str, str | bytes]]) -> None:
+    """Write --out's files from one stream of (file name, str or bytes) pairs, in
+    order, then run_manifest.json with the digests of the command's path arguments
+    and of each output, read back once all are closed. A name's first pair unlinks
+    any old file and creates a new one, so a link there is never written through."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # a run that fails part-way leaves no manifest describing other files
     (out_dir / "run_manifest.json").unlink(missing_ok=True)
-    outputs = {}
-    for pieces in {id(pieces): pieces for pieces in files.values()}.values():
-        names = [name for name, named in files.items() if named is pieces]
-        outputs.update(zip(names, _write([out_dir / name for name in names], pieces)))
+    with contextlib.ExitStack() as stack:
+        files = {}
+        for name, piece in outputs:
+            if name not in files:
+                (out_dir / name).unlink(missing_ok=True)
+                files[name] = stack.enter_context(open(out_dir / name, "xb"))
+            files[name].write(piece.encode() if isinstance(piece, str) else piece)
     paths = [getattr(args, name, None) for name in ("spec", "records", "manifest", "taxonomy")]
     if hasattr(args, "model") and _names_model_file(args.model):
         paths.append(args.model)
-    manifest = {
+    manifest = json.dumps({
         "command": args.command,
         "config": config,
         "inputs": {str(Path(p)): _digest_file(p) for p in paths if p},
-        "outputs": outputs,
+        "outputs": {name: _digest_file(out_dir / name) for name in files},
         "seed": seed,
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    _write([out_dir / "run_manifest.json"], (json.dumps(manifest, indent=2, sort_keys=True),))
+    }, indent=2, sort_keys=True)
+    (out_dir / "run_manifest.json").write_bytes(manifest.encode())
 
 
 def _read_utf8(path: str, error: type[Exception], what: str) -> str:
@@ -226,10 +213,11 @@ def cmd_synth(args) -> int:
     preset = None if args.spec else args.preset
     config = {"spec": args.spec, "preset": preset, "taxonomy_hash": table.content_hash}
     texts = fork_map(lambda p: _participant_texts(spec, table, p), range(spec.participants))
+    names = ("records.jsonl", "truth_records.jsonl", "manifest.csv")
     with contextlib.closing(texts):
-        files = dict.fromkeys(["records.jsonl", "truth_records.jsonl", "manifest.csv"], texts)
-        files["genspec.json"] = (genspec_to_json(spec) + "\n",)
-        _write_run(args, config, spec.seed, files)
+        outputs = itertools.chain((pair for parts in texts for pair in zip(names, parts)),
+                                  [("genspec.json", genspec_to_json(spec) + "\n")])
+        _write_run(args, config, spec.seed, outputs)
     segments = spec.participants * sum(spec.segments_per_participant)
     print(f"wrote {segments} segments ({spec.participants} participants) to {args.out}")
     return 0
@@ -257,15 +245,15 @@ def cmd_ingest_validate(args) -> int:
 
 
 def _features_csv(segments, table, config) -> Iterator[str]:
-    """features.csv as its header and then one piece per row. The matrix is
-    built at the call, so a featurization error comes before any write."""
+    """features.csv as its header and then one piece per row of Python floats.
+    The matrix is built at the call, so a featurization error comes first."""
     X, keys = feature_matrix(segments, table, config)
     labels = {s.key: s.label.name if s.label else "" for s in segments}
     comment = (
         f"# adlrec-features representation={config.representation} "
         f"active={str(config.use_active).lower()} taxonomy={config.taxonomy_hash}\n"
     )
-    rows = ([*key, labels[key], *map(repr, row)] for row, key in zip(X, keys))
+    rows = ([*key, labels[key], *row.tolist()] for row, key in zip(X, keys))
     header = [*MANIFEST_HEADER, *feature_names(table, config)]
     return itertools.chain((comment,), csv_lines(itertools.chain((header,), rows)))
 
@@ -274,8 +262,8 @@ def cmd_featurize(args) -> int:
     table = _load_table(args)
     result, diagnostics = _load_segments(args, needs_manifest=False)
     config = _feature_config(args, table)
-    files = {"features.csv": _features_csv(result.segments, table, config)}
-    _write_run(args, {**asdict(config), "rejected_records": len(diagnostics)}, None, files)
+    outputs = zip(itertools.repeat("features.csv"), _features_csv(result.segments, table, config))
+    _write_run(args, {**asdict(config), "rejected_records": len(diagnostics)}, None, outputs)
     print(
         f"featurized {len(result.segments)} segments -> "
         f"{len(feature_names(table, config))} columns"
@@ -293,9 +281,8 @@ def cmd_train(args) -> int:
     config = _feature_config(args, table)
     X, keys = feature_matrix(result.segments, table, config)
     model = train_matrix(X, label_ids(result.segments, keys), cfg, feature_config=config)
-    files = {"model.json": (save_model(model) + "\n",)}
     run_config = {"model": model.kind, **asdict(config), "hyperparameters": model.hyperparameters}
-    _write_run(args, run_config, args.seed, files)
+    _write_run(args, run_config, args.seed, [("model.json", save_model(model) + "\n")])
     print(
         f"trained {model.kind} on {X.shape[0]} segments "
         f"({model.metadata['stopping_reason']} after {model.metadata['iterations']} iterations)"
@@ -318,13 +305,12 @@ def _score_fixed_model(args, table) -> int:
 
     header = [*MANIFEST_HEADER[:3], "true_adl", "predicted_adl"]
     rows = ([*key, ADL_NAMES[yt], ADL_NAMES[yp]] for key, yt, yp in zip(keys, y_true, y_pred))
-    files = {
-        "report.json": (json.dumps(to_document(report), indent=2) + "\n",),
-        "predictions.csv": csv_lines(itertools.chain((header,), rows)),
-    }
+    predictions = csv_lines(itertools.chain((header,), rows))
+    outputs = itertools.chain([("report.json", json.dumps(to_document(report), indent=2) + "\n")],
+                              zip(itertools.repeat("predictions.csv"), predictions))
     config = {"model_file": args.model, "taxonomy_hash": table.content_hash}
-    _write_run(args, config, None, files)  # scoring draws no random number
-    print(f"weighted F1 on {len(y_true)} segments: {report.weighted_f1:.2f}")
+    _write_run(args, config, None, outputs)  # scoring draws no random number
+    print(_render_report(report), end="")
     return 1 if diagnostics else 0
 
 
@@ -337,14 +323,9 @@ def cmd_evaluate(args) -> int:
     result, diagnostics = _load_segments(args)
     config = _feature_config(args, table)
     report = run_loso(result.segments, table, config, cfg)
-    files = {"report.json": (json.dumps(to_document(report), indent=2) + "\n",)}
-    _write_run(args, {"model": cfg.kind, **asdict(config)}, seed, files)
-    print(
-        f"LOSO weighted F1: {report.mean_weighted_f1:.2f} +/- {report.std_weighted_f1:.2f}  "
-        f"participants > 0.5: {report.percent_above_half:.0f}%"
-    )
-    for fold in report.folds:
-        print(f"  {fold.participant_id}: F1 {fold.weighted_f1:.2f} (n={fold.n_test})")
+    outputs = [("report.json", json.dumps(to_document(report), indent=2) + "\n")]
+    _write_run(args, {"model": cfg.kind, **asdict(config)}, seed, outputs)
+    print(_render_report(report), end="")
     return 1 if diagnostics else 0
 
 
@@ -359,23 +340,23 @@ def cmd_ablate(args) -> int:
     result, diagnostics = _load_segments(args)
     cells = run_ablation(result.segments, table, kinds, args.seed)
     grid_csv = grid_to_csv(cells)
-    files = {
-        "grid.csv": (grid_csv,),
-        "ablation.json": (json.dumps(to_document(cells), indent=2) + "\n",),
-    }
-    _write_run(args, {"models": kinds, "taxonomy_hash": table.content_hash}, args.seed, files)
+    outputs = [("grid.csv", grid_csv),
+               ("ablation.json", json.dumps(to_document(cells), indent=2) + "\n")]
+    _write_run(args, {"models": kinds, "taxonomy_hash": table.content_hash}, args.seed, outputs)
     print(_render_grid(grid_csv), end="")
     return 1 if diagnostics else 0
 
 
 def _render_grid(grid_csv: str) -> str:
-    """Terminal view of a grid file, 2-decimal rounding."""
+    """Terminal view of a grid file, 2-decimal rounding; refuses a row of another width."""
     out = [
         f"{'representation':<16}{'active':<8}{'model':<20}"
         f"{'mean wF1':<12}{'std':<8}{'% > 0.5':<8}"
     ]
-    for _, row in read_csv(grid_csv, GRID_HEADER, ValueError, "grid"):
-        rep, active, model, mean, std, pct = row[:6]
+    for n, row in read_csv(grid_csv, GRID_HEADER, ValueError, "grid"):
+        if len(row) != len(GRID_HEADER):
+            raise ValueError(f"grid line {n}: expected {len(GRID_HEADER)} fields, got {len(row)}")
+        rep, active, model, mean, std, pct, _ = row
         out.append(
             f"{rep:<16}{active:<8}{model:<20}"
             f"{float(mean):<12.2f}{float(std):<8.2f}{float(pct):<8.0f}"
@@ -393,7 +374,7 @@ def _render_report(report: EvaluationReport | ScoredReport) -> str:
         names, folds = report.class_names, report.folds
         kind = report.provenance["train_config"]["kind"]
     else:
-        out.append(f"weighted F1: {report.weighted_f1:.2f}")
+        out.append(f"weighted F1 on {report.confusion.sum()} segments: {report.weighted_f1:.2f}")
         names, folds, kind = ADL_NAMES, [], None
     out.append("row-normalized confusion matrix:")
     for name, row in zip(names, report.normalized_confusion):
@@ -405,7 +386,7 @@ def _render_report(report: EvaluationReport | ScoredReport) -> str:
         converged = sum(fold.stopping_reason in converged_reasons for fold in folds)
         out.append(f"converged folds: {converged}/{len(folds)}")
     for fold in folds:
-        line = f"  {fold.participant_id}: F1 {fold.weighted_f1:.2f}"
+        line = f"  {fold.participant_id}: F1 {fold.weighted_f1:.2f} (n={fold.n_test})"
         if converged_reasons and fold.stopping_reason not in converged_reasons:
             line += f"  not converged: {fold.stopping_reason} after {fold.iterations} iterations"
         out.append(line)

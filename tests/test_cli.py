@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -1005,6 +1006,11 @@ def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, content, message
     assert "Traceback" not in proc.stderr
 
 
+def _n_test(fold: dict) -> int:
+    """A report.json fold's test segments: its confusion matrix's sum."""
+    return sum(map(sum, fold["confusion"]))
+
+
 def test_report_counts_early_stopped_folds_as_converged(tmp_path, capsys):
     corpus = tmp_path / "c"
     assert main(["synth", "--participants", "2", "--segments", "7", "--frames", "2",
@@ -1021,7 +1027,8 @@ def test_report_counts_early_stopped_folds_as_converged(tmp_path, capsys):
     assert main(["report", "--in", str(path)]) == 0
     text = capsys.readouterr().out
     assert "converged folds: 1/2" in text
-    first, second = (f"{fold['participant_id']}: F1 {fold['weighted_f1']:.2f}" for fold in doc["folds"])
+    first, second = (f"{fold['participant_id']}: F1 {fold['weighted_f1']:.2f} (n={_n_test(fold)})"
+                     for fold in doc["folds"])
     assert first + "\n" in text
     assert second + "  not converged: max-iterations after 200 iterations" in text
 
@@ -1209,7 +1216,8 @@ def test_report_on_tree_ensemble_folds_makes_no_convergence_claim(synth_dir, tmp
     text = capsys.readouterr().out
     assert "converged" not in text
     for fold in doc["folds"]:
-        assert f"  {fold['participant_id']}: F1 {fold['weighted_f1']:.2f}\n" in text
+        line = f"  {fold['participant_id']}: F1 {fold['weighted_f1']:.2f} (n={_n_test(fold)})\n"
+        assert line in text
 
 
 def test_run_manifest_inputs_are_the_path_arguments(tmp_path, monkeypatch):
@@ -1252,15 +1260,18 @@ def test_write_run_holds_no_whole_input_or_output(tmp_path, monkeypatch):
     args = argparse.Namespace(command="featurize", out=str(out), records=str(records),
                               manifest=None, taxonomy=None)
     pieces = (f"{n:07d}\n" * 8192 for n in range(128))  # 128 pieces of 64 KiB: 8 MiB
+    # two files from one pass over the pieces, each piece to both
+    outputs = itertools.chain(
+        ((name, piece) for piece in pieces for name in ("big.txt", "copy.txt")),
+        [("small.txt", "one string")],
+    )
     digested = []
     digest_file = cli._digest_file
     monkeypatch.setattr(cli, "_digest_file", lambda path: digested.append(Path(path).name)
                         or digest_file(path))
     tracemalloc.start()
     try:
-        # two names given one stream get it whole, from one pass over it
-        cli._write_run(args, {}, None, {"big.txt": pieces, "copy.txt": pieces,
-                                        "small.txt": ("one string",)})
+        cli._write_run(args, {}, None, outputs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1272,9 +1283,8 @@ def test_write_run_holds_no_whole_input_or_output(tmp_path, monkeypatch):
     }
     assert (out / "big.txt").stat().st_size == 8 << 20
     assert (out / "copy.txt").read_bytes() == (out / "big.txt").read_bytes()
-    # every digest is read back from its own file
-    assert sorted(digested) == ["big.txt", "copy.txt", "records.jsonl", "run_manifest.json",
-                                "small.txt"]
+    # every digest is read back from its own file, and once
+    assert sorted(digested) == ["big.txt", "copy.txt", "records.jsonl", "small.txt"]
     assert (out / "small.txt").read_text() == "one string"
     assert peak < 2 << 20, peak
 
@@ -1286,8 +1296,8 @@ def _write_args(out):
 
 def test_rerun_replaces_linked_outputs_instead_of_writing_through(tmp_path):
     out = tmp_path / "out"
-    cli._write_run(_write_args(out), {}, None, {"hard.txt": ("old\n",), "soft.txt": ("old\n",),
-                                                "plain.txt": ("old\n",)})
+    names = ("hard.txt", "soft.txt", "plain.txt")
+    cli._write_run(_write_args(out), {}, None, [(name, "old\n") for name in names])
     # a snapshot of an earlier run, as `cp -l` or `ln -s` would leave it
     hard, soft = tmp_path / "hard-snapshot.txt", tmp_path / "soft-snapshot.txt"
     hard.write_text("kept\n")
@@ -1296,27 +1306,26 @@ def test_rerun_replaces_linked_outputs_instead_of_writing_through(tmp_path):
     os.link(hard, out / "hard.txt")
     (out / "soft.txt").unlink()
     (out / "soft.txt").symlink_to(soft)
-    cli._write_run(_write_args(out), {}, None, {"hard.txt": ("new\n",), "soft.txt": ("new\n",),
-                                                "plain.txt": ("new\n",)})
+    cli._write_run(_write_args(out), {}, None, [(name, "new\n") for name in names])
     assert hard.read_text() == soft.read_text() == "kept\n"
     assert hard.stat().st_nlink == 1
-    for name in ("hard.txt", "soft.txt", "plain.txt"):
+    for name in names:
         path = out / name
         assert not path.is_symlink() and path.is_file(), name
         assert path.stat().st_nlink == 1, name
         assert path.read_text() == "new\n", name
     outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
     assert outputs == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                       for name in ("hard.txt", "soft.txt", "plain.txt")}
+                       for name in names}
 
 
 def test_failed_rerun_leaves_no_stale_manifest(synth_dir, tmp_path, capsys):
     out = tmp_path / "out"
-    cli._write_run(_write_args(out), {}, None, {"a.txt": ("old a\n",), "b.txt": ("old b\n",)})
+    cli._write_run(_write_args(out), {}, None, [("a.txt", "old a\n"), ("b.txt", "old b\n")])
     (out / "b.txt").unlink()
     (out / "b.txt").mkdir()
     with pytest.raises(IsADirectoryError):
-        cli._write_run(_write_args(out), {}, None, {"a.txt": ("new a\n",), "b.txt": ("new b\n",)})
+        cli._write_run(_write_args(out), {}, None, [("a.txt", "new a\n"), ("b.txt", "new b\n")])
     assert (out / "a.txt").read_text() == "new a\n"
     assert not (out / "run_manifest.json").exists()
 
@@ -1359,7 +1368,7 @@ def test_corpus_load_leaves_the_collector_on(synth_dir, tmp_path):
 
 
 def test_features_csv_is_written_a_row_at_a_time(tmp_path, table, monkeypatch):
-    segments = generate(clean_genspec(8, 250, 3, seed=1), table).segments
+    segments = generate(clean_genspec(8, 750, 3, seed=1), table).segments
     config = FeatureConfig(representation="both", use_active=True,
                            taxonomy_hash=table.content_hash)
     args = _write_args(tmp_path)
@@ -1367,13 +1376,33 @@ def test_features_csv_is_written_a_row_at_a_time(tmp_path, table, monkeypatch):
     monkeypatch.setattr(cli, "feature_matrix", lambda *_: matrix)  # built untraced
     tracemalloc.start()
     try:
-        cli._write_run(args, {}, None, {"features.csv": cli._features_csv(segments, table, config)})
+        lines = cli._features_csv(segments, table, config)
+        cli._write_run(args, {}, None, zip(itertools.repeat("features.csv"), lines))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     size = (tmp_path / "features.csv").stat().st_size
     assert size > 3 << 20
     assert peak < 1 << 20, peak
+
+
+def test_features_csv_reads_back_as_the_feature_matrix(tmp_path, table):
+    corpus, out = tmp_path / "c", tmp_path / "f"
+    assert main(["synth", "--preset", "distractor", "--participants", "3", "--segments", "14",
+                 "--frames", "6", "--drop-rate", "0.1", "--spurious-rate", "0.2", "--seed", "7",
+                 "--out", str(corpus)]) == 0
+    assert main(["featurize", "--records", str(corpus / "records.jsonl"), "--manifest",
+                 str(corpus / "manifest.csv"), "--representation", "both", "--out", str(out)]) == 0
+    with open(corpus / "records.jsonl", encoding="utf-8") as stream:
+        result, _ = load_corpus(stream, (corpus / "manifest.csv").read_text())
+    config = FeatureConfig(representation="both", use_active=True, taxonomy_hash=table.content_hash)
+    X, keys = feature_matrix(result.segments, table, config)
+    with open(out / "features.csv", newline="", encoding="utf-8") as stream:
+        assert next(stream).startswith("# adlrec-features")
+        _, *rows = csv.reader(stream)
+    assert [(p, v, int(i)) for p, v, i, *_ in rows] == keys
+    # every cell a float's shortest repr, exactly the matrix's value
+    assert [[float(cell) for cell in row[4:]] for row in rows] == X.tolist()
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):
@@ -1513,7 +1542,36 @@ def test_report_renders_a_saved_model_score(report_sources, capsys):
             for name, row in zip(ADL_NAMES, doc["normalized_confusion"])]
     # no folds, so no convergence line
     assert capsys.readouterr().out.splitlines() == [
-        f"weighted F1: {doc['weighted_f1']:.2f}", "row-normalized confusion matrix:", *rows]
+        f"weighted F1 on {_n_test(doc)} segments: {doc['weighted_f1']:.2f}",
+        "row-normalized confusion matrix:", *rows]
+
+
+def test_evaluate_prints_what_report_prints_for_its_report(synth_dir, tmp_path, capsys):
+    data = ["--records", str(synth_dir / "records.jsonl"),
+            "--manifest", str(synth_dir / "manifest.csv")]
+    assert main(["train", *data, "--model", "gb", "--out", str(tmp_path / "m")]) == 0
+    saved = str(tmp_path / "m" / "model.json")
+    for model, out in (("mlp", tmp_path / "loso"), (saved, tmp_path / "s")):
+        capsys.readouterr()
+        assert main(["evaluate", *data, "--model", model, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["report", "--in", str(out / "report.json")]) == 0
+        assert printed == capsys.readouterr().out, model
+        assert "row-normalized confusion matrix:" in printed
+
+
+@pytest.mark.parametrize("width", [6, 9])
+def test_report_refuses_a_grid_row_of_another_width(report_sources, capsys, width):
+    header, first, *rest = report_sources["grid.csv"].decode().splitlines(keepends=True)
+    cells = first.rstrip("\n").split(",")
+    row = ",".join((cells + ["x", "y"])[:width]) + "\n"
+    path = report_sources["scratch"] / "grid.csv"
+    write_anew(path, "".join([header, first, row, *rest]).encode())
+    assert main(["report", "--in", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path} is not a report.json or grid.csv "
+                   f"(ValueError: grid line 3: expected 7 fields, got {width})\n")
 
 
 def test_report_renders_a_crlf_grid_and_skips_blank_rows(report_sources, capsys):
