@@ -1,6 +1,6 @@
 """Leave-one-subject-out evaluation, metrics, and the ablation grid.
 
-One scoring path serves both LOSO folds (`run_loso`) and a saved model
+One scoring path serves both LOSO folds (`run_loso_matrix`) and a saved model
 scored on a labeled corpus (`score_model`): it builds a prediction set's
 confusion matrix once and derives per-class F1, support and weighted F1
 from it.
@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .documents import csv_lines
-from .features import FeatureConfig, all_feature_configs, feature_matrix
+from .features import FeatureConfig, all_feature_configs, feature_matrix, feature_view, raw_matrix
 from .models import TrainConfig, TrainedModel, train_matrix
 from .parallel import fork_map
 from .records import Segment, SegmentKey
@@ -32,16 +32,20 @@ class EvaluationError(ValueError):
     pass
 
 
-def loso_split(segments: list[Segment]) -> list[tuple[list[Segment], list[Segment]]]:
-    """One (train, test) fold per participant, ordered by participant id."""
+def _loso_participants(segments: list[Segment]) -> list[str]:
     if any(s.label is None for s in segments):
         raise EvaluationError("all segments must be labeled for evaluation")
     participants = sorted({s.key.participant_id for s in segments})
     if len(participants) < 2:
         raise EvaluationError("leave-one-subject-out needs at least 2 participants")
+    return participants
+
+
+def loso_split(segments: list[Segment]) -> list[tuple[list[Segment], list[Segment]]]:
+    """One (train, test) fold per participant, ordered by participant id."""
     ordered = sorted(segments, key=lambda s: s.key)
     folds = []
-    for participant in participants:
+    for participant in _loso_participants(segments):
         test = [s for s in ordered if s.key.participant_id == participant]
         train = [s for s in ordered if s.key.participant_id != participant]
         folds.append((train, test))
@@ -154,27 +158,13 @@ def label_ids(segments: list[Segment], keys: list[SegmentKey]) -> np.ndarray:
     return np.array([labels[key] for key in keys])
 
 
-def run_loso(
-    segments: list[Segment],
-    table: CategoryTable,
-    feature_config: FeatureConfig,
-    train_config: TrainConfig,
+def run_loso_matrix(
+    X: np.ndarray, y: np.ndarray, owners, feature_config: FeatureConfig, train_config: TrainConfig
 ) -> EvaluationReport:
-    """Train per fold on the remaining participants, score the held-out one.
-
-    Featurization is per-segment (row-wise scaling), so the feature matrix
-    is computed once, outside the fold loop, and each fold takes its rows
-    by participant; there is no cross-fold leakage by construction. Per-fold
-    training seeds derive from (train_config.seed, participant id), making
-    fold order irrelevant.
-    """
-    splits = loso_split(segments)
-    X, keys = feature_matrix(segments, table, feature_config)
-    y = label_ids(segments, keys)
-    owners = np.array([key.participant_id for key in keys])
+    """One fold per participant id in `owners` (one per row), in id order."""
     folds = []
-    for _, test_segments in splits:
-        participant = test_segments[0].key.participant_id
+    for participant in np.unique(owners).tolist():
+        # seeded by (seed, participant id), so fold order is irrelevant
         fold_seed = derive_seed(train_config.seed, "fold", participant)
         fold_cfg = replace(train_config, seed=fold_seed)
         test = owners == participant
@@ -201,6 +191,22 @@ def run_loso(
         "threshold_rule": "weighted_f1 > 0.5 (strict)",
     }
     return _aggregate(folds, provenance)
+
+
+def run_loso(
+    segments: list[Segment],
+    table: CategoryTable,
+    feature_config: FeatureConfig,
+    train_config: TrainConfig,
+) -> EvaluationReport:
+    """Train per fold on the remaining participants, score the held-out one:
+    the folds of `run_loso_matrix` on the corpus's `feature_matrix`, each
+    row's participant read from its key. Scaling is per row, so featurizing
+    once, outside the fold loop, leaks nothing across folds."""
+    _loso_participants(segments)
+    X, keys = feature_matrix(segments, table, feature_config)
+    owners = np.array([key.participant_id for key in keys])
+    return run_loso_matrix(X, label_ids(segments, keys), owners, feature_config, train_config)
 
 
 @dataclass(kw_only=True)
@@ -243,20 +249,6 @@ class AblationCell:
     report: EvaluationReport
 
 
-def _ablation_cell(
-    segments: list[Segment],
-    table: CategoryTable,
-    seed: int,
-    feature_config: FeatureConfig,
-    kind: str,
-) -> AblationCell:
-    cfg = TrainConfig(kind=kind, seed=seed)
-    report = run_loso(segments, table, feature_config, cfg)
-    return AblationCell(
-        feature_config.representation, feature_config.use_active, cfg.resolved()[0].NAME, report
-    )
-
-
 def run_ablation(
     segments: list[Segment],
     table: CategoryTable,
@@ -265,21 +257,29 @@ def run_ablation(
 ) -> list[AblationCell]:
     """All six feature configurations crossed with the requested models.
 
-    Each cell featurizes the corpus for its own config, through the one
-    pass that marks active objects; the no-active cells ignore the active
-    rows, so their values do not depend on the marking.
+    The corpus is featurized once (`raw_matrix`); each cell is its config's
+    `feature_view` of that array and the folds of `run_loso_matrix`.
 
     Cells are independent (fold seeds derive from (seed, participant)), so
     they run through `parallel.fork_map`: in forked workers, one per usable
-    CPU, that inherit the corpus, or here, one after another, with one usable
-    CPU. Cells come back in grid order, so the result is the same for any
-    CPU count. If a cell raises, the first failure in grid order is
-    re-raised once the cells before it have run, as the serial loop would
-    raise it; cells already sent to workers run to their end before it
-    leaves this call.
+    CPU, that inherit the corpus and its raw array, or here, one after
+    another, with one usable CPU; an unfit corpus is refused before any fork.
+    Cells come back in grid order, so the result is the same for any CPU
+    count. If a cell raises, the first failure in grid order is re-raised
+    once the cells before it have run, as the serial loop would raise it;
+    cells already sent to workers run to their end before it leaves this call.
     """
-    tasks = [(fc, kind) for fc in all_feature_configs(table) for kind in kinds]
-    return list(fork_map(lambda task: _ablation_cell(segments, table, seed, *task), tasks))
+    _loso_participants(segments)
+    raw, keys = raw_matrix(segments, table)
+    y, owners = label_ids(segments, keys), np.array([key.participant_id for key in keys])
+
+    def cell(task: tuple[FeatureConfig, TrainConfig]) -> AblationCell:
+        fc, cfg = task
+        report = run_loso_matrix(feature_view(raw, fc), y, owners, fc, cfg)
+        return AblationCell(fc.representation, fc.use_active, cfg.resolved()[0].NAME, report)
+
+    tasks = [(fc, TrainConfig(kind, seed)) for fc in all_feature_configs(table) for kind in kinds]
+    return list(fork_map(cell, tasks))
 
 
 GRID_HEADER = (

@@ -96,26 +96,20 @@ def feature_names(table: CategoryTable, config: FeatureConfig) -> list[str]:
     return [p + ch + c for p, _ in layout for ch in channels for c in table.categories]
 
 
-def feature_matrix(
-    segments: list[Segment], table: CategoryTable, config: FeatureConfig
+def raw_matrix(
+    segments: list[Segment], table: CategoryTable
 ) -> tuple[np.ndarray, list[SegmentKey]]:
-    """Scaled feature rows in segment-key order.
-
-    The raw_block of every segment goes into one (n, 4, K) array; each block
-    of the config's layout is then min-max scaled over every row at once,
-    with constant rows mapped to zeros. For "both", the counts and binary
-    blocks are scaled independently, counts first.
-    """
-    if config.taxonomy_hash != table.content_hash:
-        raise FeatureError(
-            "feature config taxonomy hash does not match the loaded table "
-            f"({config.taxonomy_hash[:12]}... vs {table.content_hash[:12]}...)"
-        )
+    """The raw_block of every segment, one (n, 4, K) array in segment-key order."""
     ordered = sorted(segments, key=lambda s: s.key)
-    n, k = len(ordered), len(table)
-    raw = np.empty((n, 4, k), dtype=np.int64)
+    raw = np.empty((len(ordered), 4, len(table)), dtype=np.int64)
     for i, segment in enumerate(ordered):
         raw[i] = raw_block(segment, table)
+    return raw, [s.key for s in ordered]
+
+
+def feature_view(raw: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """The config's scaled feature rows, one per row of a raw_matrix array."""
+    n, _, k = raw.shape
     rows = 2 if config.use_active else 1
     layout = _LAYOUT[config.representation]
     X = np.empty((n, len(layout) * rows * k))
@@ -128,7 +122,20 @@ def feature_matrix(
         # scaled in place; a constant row is all zeros after the subtraction
         np.subtract(block, lo, out=out)
         np.divide(out, span, out=out, where=span > 0)
-    return X, [s.key for s in ordered]
+    return X
+
+
+def feature_matrix(
+    segments: list[Segment], table: CategoryTable, config: FeatureConfig
+) -> tuple[np.ndarray, list[SegmentKey]]:
+    """The config's feature_view of the corpus's raw_matrix, in segment-key order."""
+    if config.taxonomy_hash != table.content_hash:
+        raise FeatureError(
+            "feature config taxonomy hash does not match the loaded table "
+            f"({config.taxonomy_hash[:12]}... vs {table.content_hash[:12]}...)"
+        )
+    raw, keys = raw_matrix(segments, table)
+    return feature_view(raw, config), keys
 
 
 def featurize(segment: Segment, table: CategoryTable, config: FeatureConfig) -> FeatureVector:

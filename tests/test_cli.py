@@ -1068,20 +1068,20 @@ def test_failing_ablation_cell_stops_the_pool_legibly(tmp_path):
         [header] + [",".join(row.split(",")[:3] + [adl[row.split(",")[0]]]) for row in rows]
     ) + "\n")
     started = tmp_path / "started.txt"
-    # Forced onto two CPUs; forked workers inherit the patched run_loso, which
+    # Forced onto two CPUs; forked workers inherit the patched fold loop, which
     # logs each cell and is slow enough for the pending cells never to start.
     script = f"""
 import os, sys, time
 from adlrec import cli, evaluation
 from helpers import config_label
 os.sched_getaffinity = lambda pid: {{0, 1}}
-run_loso = evaluation.run_loso
-def logged(segments, table, feature_config, train_config):
+run_loso_matrix = evaluation.run_loso_matrix
+def logged(X, y, owners, feature_config, train_config):
     with open({str(started)!r}, "a") as log:
         log.write(config_label(feature_config) + " " + train_config.kind + "\\n")
     time.sleep(0.5)
-    return run_loso(segments, table, feature_config, train_config)
-evaluation.run_loso = logged
+    return run_loso_matrix(X, y, owners, feature_config, train_config)
+evaluation.run_loso_matrix = logged
 sys.exit(cli.main(sys.argv[1:]))
 """
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
@@ -1102,23 +1102,41 @@ sys.exit(cli.main(sys.argv[1:]))
     assert len(cells) <= 12, cells
 
 
+def test_ablate_refuses_one_participant_before_forking(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "c"
+    assert main(["synth", "--participants", "1", "--segments", "3", "--frames", "2",
+                 "--seed", "0", "--out", str(corpus)]) == 0
+    capsys.readouterr()
+
+    def fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    out = tmp_path / "g"
+    assert main(["ablate", "--records", str(corpus / "records.jsonl"),
+                 "--manifest", str(corpus / "manifest.csv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: leave-one-subject-out needs at least 2 participants\n"
+    assert not (out / "grid.csv").exists()
+
+
 def test_killed_ablation_worker_stops_the_pool_legibly(tmp_path):
     corpus = tmp_path / "c"
     assert main(["synth", "--participants", "2", "--segments", "7", "--frames", "2",
                  "--seed", "0", "--out", str(corpus)]) == 0
     # Forced onto two CPUs; the worker that runs the first gb cell (the
-    # grid's third) kills itself, through the run_loso that it inherited.
+    # grid's third) kills itself, through the fold loop that it inherited.
     script = """
 import os, signal, sys
 from adlrec import cli, evaluation
 from helpers import config_label
 os.sched_getaffinity = lambda pid: {0, 1}
-run_loso = evaluation.run_loso
-def killing(segments, table, feature_config, train_config):
+run_loso_matrix = evaluation.run_loso_matrix
+def killing(X, y, owners, feature_config, train_config):
     if config_label(feature_config) == "counts+no-active" and train_config.kind == "gradient_boosting":
         os.kill(os.getpid(), signal.SIGKILL)
-    return run_loso(segments, table, feature_config, train_config)
-evaluation.run_loso = killing
+    return run_loso_matrix(X, y, owners, feature_config, train_config)
+evaluation.run_loso_matrix = killing
 code = cli.main(sys.argv[1:])
 try:
     os.waitpid(-1, os.WNOHANG)

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from adlrec import features
 from adlrec.documents import to_document
 from adlrec.evaluation import (
     EvaluationError,
@@ -273,3 +275,48 @@ def test_ablation_pool_gives_the_serial_bytes(table, serial_ablation, cpus):
     assert len(serial_ablation[0].strip().split("\n")) == 1 + 24
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# sha256 of the serial grid's grid.csv and ablation.json text; any change in
+# featurization, fold selection, training or scoring of a cell shows up here.
+ABLATION_PINS = (
+    "f5b69f73cf86f7ce0f537f876f1b3f0923bec914641f4e3ab7005086e33bcb65",
+    "438486693c28b61d333808920a25cdfbd2325aed4a5736bfb2f4ef628f48c5ee",
+)
+
+
+def test_ablation_bytes_are_pinned(serial_ablation):
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in serial_ablation)
+    assert digests == ABLATION_PINS
+
+
+def test_ablation_marks_each_frame_once(table, monkeypatch):
+    spec = distractor_genspec(participants=2, segments_per_participant=5, frames_per_segment=3, seed=5)
+    segments = generate(spec, table).segments
+    marked = []
+    mark_active = features.mark_active
+
+    def counting(frame):
+        marked.append(id(frame))
+        return mark_active(frame)
+
+    monkeypatch.setattr(features, "mark_active", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    run_ablation(segments, table, ["logreg", "gb"], seed=9)
+    assert sorted(marked) == sorted(id(f) for s in segments for f in s.frames)
+
+
+@pytest.mark.parametrize("segments, message", [
+    (make_corpus({"solo": [0, 1]}), "leave-one-subject-out needs at least 2 participants"),
+    ([segment([frame(0)], participant="a", label=None)] + make_corpus({"b": [0]}),
+     "all segments must be labeled for evaluation"),
+])
+def test_ablation_refuses_an_unfit_corpus_before_forking(table, monkeypatch, segments, message):
+    def fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(EvaluationError) as raised:
+        run_ablation(segments, table, ["logreg"], seed=0)
+    assert str(raised.value) == message
