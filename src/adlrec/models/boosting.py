@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logreg import check_shapes, softmax
-from .tree import Tree, build_regression_tree, presort
+from .tree import CutCache, Tree, build_regression_tree
 
 NAME = "gradient_boosting"
 ALIASES = ("gb",)
@@ -69,7 +69,7 @@ def fit(
 
     # every tree of the fit grows on X: its columns are sorted once, and
     # each node row set met in this or the previous stage keeps its cuts
-    cache = presort(X)
+    cache = CutCache(X)
     stages: list[list[Tree]] = []
     for _ in range(n_stages):
         proba = softmax(raw)

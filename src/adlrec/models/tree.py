@@ -20,16 +20,17 @@ and weights for Gini, target and squared target for squared error), scores
 the cuts only, and takes the first minimum: ties go to the lowest feature,
 then the lowest threshold.
 
-A random-forest tree grows on its own bootstrap rows, so each node sorts its
-candidate columns itself. Gradient boosting grows every tree of a fit on one
-matrix, and nodes of its trees meet the same row sets again and again. So
-`presort` sorts the matrix's columns once per fit into a `CutCache` that keeps
-each row set's cuts. A node the cache has not seen filters its parent's
-orders; node rows are ascending and a stable sort breaks ties by row id, so
-that equals a fresh stable sort, and every score is the same float
-expression as a per-node sort gives. The cache holds only the row sets met in
-the current or the previous boosting stage (`CutCache.rotate`), so its memory
-is bounded by the split nodes of two stages, not of the whole fit.
+A random-forest tree grows on its own bootstrap rows and tries a few random
+columns at each node; sorting those per node costs it less than filtering a
+sort of every column would. Gradient boosting grows every tree of a fit on
+one matrix, and its nodes meet the same row sets again and again. So a
+`CutCache` sorts the matrix's columns once per fit, keeps each row set's
+cuts, and answers a row set it has not seen by filtering that one sort: a
+stable sort breaks ties by row id, so that equals a fresh stable sort, and
+every score is the same float expression as a per-node sort gives. The cache
+holds only the row sets met in the current or the previous boosting stage
+(`CutCache.rotate`), so its memory is bounded by the split nodes of two
+stages, not of the whole fit.
 """
 
 import math
@@ -216,8 +217,8 @@ class CutCache:
     kept only for the sets met in the current or the previous stage;
     `rotate` starts the next stage."""
 
-    def __init__(self, X: np.ndarray, order: np.ndarray):
-        self.X, self.order = X, order  # order: `presort`'s sort of X's columns
+    def __init__(self, X: np.ndarray):
+        self.X, self.order = X, np.argsort(X.T, axis=1, kind="stable")  # (d, n): each column sorted once
         self.features = np.arange(X.shape[1])
         self.current: dict[bytes, Cuts] = {}
         self.previous: dict[bytes, Cuts] = {}
@@ -225,26 +226,15 @@ class CutCache:
     def rotate(self) -> None:
         self.previous, self.current = self.current, {}
 
-    def cuts(self, member: np.ndarray, parent: Cuts | None) -> Cuts:
-        """Cuts of the rows where `member`, (n,) by row id, is True. `parent`
-        is the cuts of the node they were split from, None at the root."""
+    def cuts(self, member: np.ndarray) -> Cuts:
+        """Cuts of the rows where `member`, (n,) by row id, is True."""
         key = member.tobytes()
         found = self.current.get(key) or self.previous.get(key)
-        if found is None and parent is None:
-            found = _cuts(self.X, self.order, self.features)
-        elif found is None:
-            # filtering keeps each column's order; a column constant in the
-            # parent is constant here, and each varying one holds a cut
-            keep = member[parent.rows]
-            found = _cuts(self.X, parent.rows[keep].reshape(len(keep), -1), np.unique(parent.feature))
+        if found is None:
+            # filtering keeps each column's order; reshaped by row count, as X may have no columns
+            found = _cuts(self.X, self.order[member[self.order]].reshape(-1, member.sum()), self.features)
         self.current[key] = found
         return found
-
-
-def presort(X: np.ndarray) -> CutCache:
-    """Stable sort of every column of X, (n, d), once, in a cut cache that
-    every tree grown on X can share."""
-    return CutCache(X, np.argsort(X.T, axis=1, kind="stable"))
 
 
 def _best_split(cuts: Cuts, stats: tuple, score) -> tuple[int, float] | None:
@@ -365,7 +355,7 @@ def build_regression_tree(
 ) -> tuple[Tree, np.ndarray]:
     """Depth-capped tree over all features, split on squared error of `target`.
 
-    `cache` is `presort(X)`; every tree grown on X can share it. The caller
+    `cache` is `CutCache(X)`; every tree grown on X can share it. The caller
     owns the leaf values: `leaf_value` maps a leaf's rows, an (n,) boolean
     mask by row id, to its value. Returns the tree and each training row's
     leaf id.
@@ -374,19 +364,17 @@ def build_regression_tree(
     stats = (target, target**2)
     growth = _Growth(n, 1)
     leaf_of = np.zeros(n, dtype=np.int64)
-    # a node's rows, its parent's cuts, and its depth
-    stack = [(0, np.ones(n, dtype=bool), None, 0)]
+    stack = [(0, np.ones(n, dtype=bool))]  # a node and its rows
     while stack:
-        node, member, parent, depth = stack.pop()
+        node, member = stack.pop()
         values = target[member]
         best = None
         if (
-            depth < max_depth
+            growth.node_depth[node] < max_depth
             and values.size >= min_samples_split
             and values.min() != values.max()
         ):
-            cuts = cache.cuts(member, parent)
-            best = _best_split(cuts, stats, _sse_scores)
+            best = _best_split(cache.cuts(member), stats, _sse_scores)
         if best is None:
             growth.value[node, 0] = leaf_value(member)
             leaf_of[member] = node
@@ -394,6 +382,6 @@ def build_regression_tree(
         feat, threshold = best
         left_member = member & (X[:, feat] <= threshold)
         left, right = growth.split(node, feat, threshold)
-        stack.append((right, member ^ left_member, cuts, depth + 1))
-        stack.append((left, left_member, cuts, depth + 1))
+        stack.append((right, member ^ left_member))
+        stack.append((left, left_member))
     return growth.tree(), leaf_of

@@ -344,6 +344,9 @@ class GeneratedCorpus:
 def check_spec(spec: GenSpec, table: CategoryTable) -> None:
     """Raise GenError unless `spec` is valid and names only categories of `table`."""
     spec.validate()
+    if spec.noise.label_confusion_rate > 0 and len(table) < 2:
+        # a confused label is redrawn from the other categories
+        raise GenError("label_confusion_rate > 0 needs a category table of at least 2 categories")
     for profile in spec.adl_profiles:
         for cat in list(profile.core) + [c for c, _ in profile.context]:
             if cat not in table.categories:

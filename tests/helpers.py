@@ -157,8 +157,8 @@ def reference_pick_best(scores, sorted_vals, valid, candidates):
 
 def reference_node_order(X, idx):
     """Rows `idx` (ascending) of X in each column's stable sorted order, and
-    their values, both (columns, rows): the per-node sort that a presort's
-    filter replaces."""
+    their values, both (columns, rows): the per-node sort that the boosting
+    cut cache's filter replaces."""
     order = np.argsort(X[idx], axis=0, kind="stable")
     rows = idx[order]
     return rows.T, X[rows, np.arange(X.shape[1])].T

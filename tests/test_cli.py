@@ -81,6 +81,22 @@ def test_synth_malformed_spec_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_synth_refuses_label_confusion_over_a_one_category_table(tmp_path, capsys):
+    # a confused label is redrawn from the other categories, and there are none
+    good = clean_genspec(participants=3, segments_per_participant=7, frames_per_segment=2, seed=0)
+    spec = replace(good, noise=NoiseSpec(label_confusion_rate=0.5),
+                   adl_profiles=tuple(replace(p, core=("other",), context=()) for p in good.adl_profiles))
+    (tmp_path / "spec.json").write_text(genspec_to_json(spec))
+    (tmp_path / "tax.json").write_text(json.dumps({"fallback": "other", "categories": {"other": ["other"]}}))
+    code = main(["synth", "--spec", str(tmp_path / "spec.json"), "--taxonomy", str(tmp_path / "tax.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: label_confusion_rate > 0 needs a category table of at least 2 categories"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_ingest_validate(synth_dir, tmp_path, capsys):
     code = main(
         [

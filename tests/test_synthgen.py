@@ -28,7 +28,7 @@ from adlrec.synthgen import (
     perturb,
     proportional_allocation,
 )
-from adlrec.taxonomy import ADL_NAMES, NUM_ADL_CLASSES
+from adlrec.taxonomy import ADL_NAMES, NUM_ADL_CLASSES, load_category_table
 
 from helpers import reference_jitter_box, reference_random_box
 
@@ -295,6 +295,15 @@ def test_spec_validation_errors(table):
             ),
             table,
         )
+
+
+def test_label_confusion_needs_a_second_category():
+    table = load_category_table('{"fallback": "other", "categories": {"other": ["other"]}}')
+    good = clean_genspec(participants=1, segments_per_participant=7, frames_per_segment=2, seed=0)
+    spec = replace(good, adl_profiles=tuple(replace(p, core=("other",), context=()) for p in good.adl_profiles))
+    assert len(generate(spec, table).segments) == 7  # without confusion one category is enough
+    with pytest.raises(GenError, match="at least 2 categories"):
+        generate(replace(spec, noise=NoiseSpec(label_confusion_rate=0.5)), table)
 
 
 # sha256 of genspec.json for each preset at its size in GENSPEC_SIZES, seed 0,

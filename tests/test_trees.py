@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from adlrec.cli import main
 from adlrec.features import FeatureConfig
-from adlrec.models import TrainConfig, boosting, forest, train_matrix, tree as tree_module
-from adlrec.models.tree import Tree, build_classification_tree, build_regression_tree, presort
+from adlrec.models import TrainConfig, boosting, forest, save_model, train_matrix, tree as tree_module
+from adlrec.models.tree import CutCache, Tree, build_classification_tree, build_regression_tree
 from adlrec.rng import make_generator
+from adlrec.taxonomy import default_category_table
 
 from helpers import (
     reference_apply,
@@ -38,7 +39,7 @@ def mean_of(target):
 def test_regression_tree_fits_step_function():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     target = np.array([0.0, 0.0, 5.0, 5.0])
-    tree, leaf_of = build_regression_tree(X, target, presort(X), mean_of(target), max_depth=1)
+    tree, leaf_of = build_regression_tree(X, target, CutCache(X), mean_of(target), max_depth=1)
     assert tree.feature[0] == 0
     assert 1.0 <= tree.threshold[0] < 2.0
     pred = tree.predict_value(X)[:, 0]
@@ -50,7 +51,7 @@ def test_regression_tree_respects_depth_cap():
     rng = make_generator(0, "reg")
     X = rng.normal(size=(50, 3))
     target = rng.normal(size=50)
-    tree, _ = build_regression_tree(X, target, presort(X), mean_of(target), max_depth=2)
+    tree, _ = build_regression_tree(X, target, CutCache(X), mean_of(target), max_depth=2)
     # depth <= 2 means at most 3 internal nodes + 4 leaves
     assert len(tree.feature) <= 7
 
@@ -169,6 +170,20 @@ def test_saved_tree_models_on_larger_nodes_are_pinned(tmp_path):
     )
 
 
+def test_gb_model_whose_fit_mostly_misses_the_cut_cache_is_pinned():
+    # continuous columns, so node row sets seldom repeat: most of the fit's
+    # cut requests filter the one sort afresh (1,786 of 2,338), where the
+    # pins above mostly reuse cached cuts
+    rng = make_generator(5, "miss-heavy")
+    X = rng.normal(size=(90, 6))
+    y = rng.integers(0, 4, size=90)
+    fc = FeatureConfig("binary", True, default_category_table().content_hash)
+    text = save_model(train_matrix(X, y, TrainConfig("gb", 0), fc))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "058e36fed18715d957f39c383a3366e29909568d9272d8d342097d86651e5b48"
+    )
+
+
 def test_saved_logreg_and_mlp_models_are_pinned(tmp_path):
     # as above, for the two kinds without trees, on both corpora
     assert_saved_models_pinned(
@@ -277,7 +292,7 @@ def test_regression_tree_matches_reference_kernel(inputs, max_depth, min_split, 
         rng.choice(VALUES, size=X.shape[0]),
         rng.choice(HUGE_TARGETS, size=X.shape[0]),
     ]
-    cache = presort(X)
+    cache = CutCache(X)
     for _ in range(3):
         for t in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)):
             target = targets[t]
@@ -298,12 +313,12 @@ def test_cut_cache_keeps_only_the_last_two_stages(monkeypatch):
     requested = [set()]  # node row sets asked for, per boosting stage
     outcomes = {"hit": 0, "miss": 0, "evicted": 0}
 
-    class Watched(tree_module.CutCache):
-        def cuts(self, member, parent):
+    class Watched(CutCache):
+        def cuts(self, member):
             key = member.tobytes()
             outcomes["hit" if key in self.current or key in self.previous else "miss"] += 1
             requested[-1].add(key)
-            return super().cuts(member, parent)
+            return super().cuts(member)
 
         def rotate(self):
             held = set(self.current) | set(self.previous)
@@ -312,7 +327,7 @@ def test_cut_cache_keeps_only_the_last_two_stages(monkeypatch):
             outcomes["evicted"] += len(held - requested[-1])
             requested.append(set())
 
-    monkeypatch.setattr(tree_module, "CutCache", Watched)
+    monkeypatch.setattr(boosting, "CutCache", Watched)
     monkeypatch.setitem(boosting.DEFAULTS, "n_stages", 6)
     rng = make_generator(4, "cache-bound")
     X = rng.choice(VALUES, size=(60, 5))
@@ -343,20 +358,18 @@ def test_classification_tree_matches_reference_kernel(inputs, n_classes, min_spl
 
 @ORACLE
 @given(tree_inputs(), st.data())
-def test_presort_subset_matches_a_fresh_stable_sort(inputs, data):
+def test_cut_cache_matches_a_fresh_stable_sort(inputs, data):
     X, _ = inputs
     X = np.where(data.draw(st.lists(st.booleans(), min_size=X.size, max_size=X.size)),
                  -X.ravel(), X.ravel()).reshape(X.shape)  # -0.0 and 0.0 tie
-    masks = st.lists(st.booleans(), min_size=X.shape[0], max_size=X.shape[0])
-    parent = np.array(data.draw(masks))
-    child = parent & np.array(data.draw(masks))
-    # a child node filters its parent's rows, as the regression tree does
-    cache = presort(X)
-    node = cache.cuts(np.ones(X.shape[0], dtype=bool), None)
-    for member in (parent, child):
-        if not member.any() or not node.at.size:
-            break  # the builders ask only for nodes with rows, split from one with a cut
-        node = cache.cuts(member, node)
+    # non-empty row sets in any order, as the builders ask for them; the
+    # last repeats one, so the cache answers it from its memo
+    masks = st.lists(st.booleans(), min_size=X.shape[0], max_size=X.shape[0]).filter(any)
+    members = [np.array(m) for m in data.draw(st.lists(masks, min_size=1, max_size=4))]
+    members.append(members[data.draw(st.integers(0, len(members) - 1))])
+    cache = CutCache(X)
+    for member in members:
+        node = cache.cuts(member)
         rows, values = reference_node_order(X, np.flatnonzero(member))
         varies = values[:, 0] < values[:, -1]
         rows, values = rows[varies], values[varies]
@@ -370,6 +383,11 @@ def test_presort_subset_matches_a_fresh_stable_sort(inputs, data):
         want = [reference_pick_best(np.zeros((1, 1)), values[c, p : p + 2, None], np.ones((1, 1), bool), [0])[1]
                 for c, p in zip(column, position)]
         assert node.threshold.tobytes() == np.array(want, dtype=np.float64).tobytes()  # bytes tell -0.0 from 0.0
+
+
+def test_cut_cache_of_a_matrix_with_no_columns_has_no_cuts():
+    # train_matrix accepts an (n, 0) matrix; its boosting trees are single leaves
+    assert CutCache(np.zeros((4, 0))).cuts(np.array([True, False, True, True])).at.size == 0
 
 
 @ORACLE
