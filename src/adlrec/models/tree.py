@@ -11,6 +11,12 @@ memory a leaf is its own left and right child, so `apply` can move every
 row one level per step for `depth` steps with no per-row work and no
 recursion; documents store -1 there instead.
 
+Both tree kinds grow through one depth-first loop, `_grow`: a node is a
+boolean mask of its rows and its depth, the kind's split rule gives its
+(feature, threshold) or None, and the kind's leaf rule a leaf's values. The
+loop keeps its nodes as a Python list and builds the tree's arrays from it
+once, at the end.
+
 Both tree kinds share one exact split kernel, `_best_split`, over a node's
 `Cuts`: its rows in the stable sorted order of each column that varies in
 it, and a vector of every cut between neighbouring distinct values, ascending
@@ -34,7 +40,7 @@ stages, not of the whole fit.
 """
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,7 +57,7 @@ class Tree:
     threshold: np.ndarray  # (nodes,) float64, 0.0 at leaves
     left: np.ndarray  # (nodes,) int64, the node itself at leaves
     right: np.ndarray  # (nodes,) int64, the node itself at leaves
-    value: np.ndarray  # (nodes, width) float64; rows of internal nodes are unused
+    value: np.ndarray  # (nodes, width) float64; zero rows at internal nodes
     depth: int  # edges on the longest root-to-leaf path
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -133,46 +139,6 @@ class Tree:
             right=np.array(walk_right, dtype=np.int64),
             value=value,
             depth=max(depth),
-        )
-
-
-class _Growth:
-    """Node arrays of a tree while it grows.
-
-    Every leaf holds at least one training row, so `rows` rows need at most
-    2 * rows - 1 nodes.
-    """
-
-    def __init__(self, rows: int, width: int):
-        size = max(1, 2 * rows - 1)
-        self.feature = np.full(size, LEAF, dtype=np.int64)
-        self.threshold = np.zeros(size)
-        self.left = np.arange(size)
-        self.right = np.arange(size)
-        self.value = np.zeros((size, width))
-        self.node_depth = np.zeros(size, dtype=np.int64)
-        self.size = 1  # the root
-
-    def split(self, node: int, feat: int, threshold: float) -> tuple[int, int]:
-        left, right = self.size, self.size + 1
-        self.size += 2
-        self.value[node] = 0.0  # only leaves carry a value
-        self.feature[node] = feat
-        self.threshold[node] = threshold
-        self.left[node] = left
-        self.right[node] = right
-        self.node_depth[left] = self.node_depth[right] = self.node_depth[node] + 1
-        return left, right
-
-    def tree(self) -> Tree:
-        n = self.size
-        return Tree(
-            feature=self.feature[:n].copy(),
-            threshold=self.threshold[:n].copy(),
-            left=self.left[:n].copy(),
-            right=self.right[:n].copy(),
-            value=self.value[:n].copy(),
-            depth=int(self.node_depth[:n].max()),
         )
 
 
@@ -291,6 +257,50 @@ def _sse_scores(cuts: Cuts, csum: np.ndarray, csqr: np.ndarray) -> np.ndarray:
     return sse_l + sse_r
 
 
+def _grow(
+    X: np.ndarray,
+    width: int,
+    split: Callable[[np.ndarray, int], tuple[int, float] | None],
+    leaf: Callable[[np.ndarray], Sequence[float]],
+) -> tuple[Tree, np.ndarray]:
+    """Grow a tree on the rows of X, depth first from the root.
+
+    A node is its rows, an (n,) boolean mask by row id, and its depth.
+    `split(member, depth)` gives its (feature, threshold), or None to make
+    it a leaf, and `leaf(member)` a leaf's `width` values. A split node's
+    children take the next two ids, and the left one grows first. Returns
+    the tree and each row's leaf id.
+    """
+    nodes: list = [None]  # (feature, threshold, left, right, value) by node id
+    leaf_of = np.zeros(X.shape[0], dtype=np.int64)
+    deepest = 0
+    stack = [(0, np.ones(X.shape[0], dtype=bool), 0)]
+    while stack:
+        node, member, depth = stack.pop()
+        best = split(member, depth)
+        if best is None:
+            nodes[node] = (LEAF, 0.0, node, node, leaf(member))
+            leaf_of[member] = node
+            deepest = max(deepest, depth)
+            continue
+        feat, threshold = best
+        left = len(nodes)
+        nodes[node] = (feat, threshold, left, left + 1, [0.0] * width)  # only leaves carry a value
+        nodes += [None, None]
+        go_left = member & (X[:, feat] <= threshold)
+        stack += [(left + 1, member ^ go_left, depth + 1), (left, go_left, depth + 1)]
+    feature, threshold, left, right, value = zip(*nodes)
+    tree = Tree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value, dtype=np.float64),
+        depth=deepest,
+    )
+    return tree, leaf_of
+
+
 def build_classification_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -311,38 +321,30 @@ def build_classification_tree(
     onehot[np.arange(n), y] = 1.0
     weighted_onehot = onehot * sample_weight[:, None]
 
-    growth = _Growth(n, n_classes)
-    stack = [(0, np.arange(n))]
-    while stack:
-        node, idx = stack.pop()
-        class_totals = weighted_onehot[idx].sum(axis=0)
-        growth.value[node] = class_totals / class_totals.sum()
-        if np.count_nonzero(class_totals) <= 1 or idx.size < min_samples_split:
-            continue
-
+    def split(member: np.ndarray, depth: int) -> tuple[int, float] | None:
+        idx = member.nonzero()[0]
+        if np.count_nonzero(weighted_onehot[idx].sum(axis=0)) <= 1 or idx.size < min_samples_split:
+            return None
         Xn = X[idx]
         perm = rng.permutation(d)
         varies = Xn.min(axis=0) < Xn.max(axis=0)
         # ascending, so the kernel's first minimum has the lowest feature
         candidates = np.sort(perm[varies[perm]][:max_features])
         if not candidates.size:
-            continue
+            return None
         rows = idx[np.argsort(Xn[:, candidates].T, axis=1, kind="stable")]
         total_weight = float(sample_weight[idx].sum())
-        best = _best_split(
+        return _best_split(
             _cuts(X, rows, candidates),
             (weighted_onehot, sample_weight),
             lambda cuts, cum, cum_weight: _gini_scores(cuts, cum, cum_weight, total_weight),
         )
-        if best is None:
-            continue
 
-        feat, threshold = best
-        mask = Xn[:, feat] <= threshold
-        left, right = growth.split(node, feat, threshold)
-        stack.append((right, idx[~mask]))
-        stack.append((left, idx[mask]))
-    return growth.tree()
+    def proportions(member: np.ndarray) -> np.ndarray:
+        class_totals = weighted_onehot[member].sum(axis=0)
+        return class_totals / class_totals.sum()
+
+    return _grow(X, n_classes, split, proportions)[0]
 
 
 def build_regression_tree(
@@ -360,28 +362,12 @@ def build_regression_tree(
     mask by row id, to its value. Returns the tree and each training row's
     leaf id.
     """
-    n = X.shape[0]
     stats = (target, target**2)
-    growth = _Growth(n, 1)
-    leaf_of = np.zeros(n, dtype=np.int64)
-    stack = [(0, np.ones(n, dtype=bool))]  # a node and its rows
-    while stack:
-        node, member = stack.pop()
+
+    def split(member: np.ndarray, depth: int) -> tuple[int, float] | None:
         values = target[member]
-        best = None
-        if (
-            growth.node_depth[node] < max_depth
-            and values.size >= min_samples_split
-            and values.min() != values.max()
-        ):
-            best = _best_split(cache.cuts(member), stats, _sse_scores)
-        if best is None:
-            growth.value[node, 0] = leaf_value(member)
-            leaf_of[member] = node
-            continue
-        feat, threshold = best
-        left_member = member & (X[:, feat] <= threshold)
-        left, right = growth.split(node, feat, threshold)
-        stack.append((right, member ^ left_member))
-        stack.append((left, left_member))
-    return growth.tree(), leaf_of
+        if depth < max_depth and values.size >= min_samples_split and values.min() != values.max():
+            return _best_split(cache.cuts(member), stats, _sse_scores)
+        return None
+
+    return _grow(X, 1, split, lambda member: [leaf_value(member)])

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from adlrec.models.tree import _Growth
+from adlrec.models.tree import _grow
 from adlrec.records import (
     Box2D,
     FrameObservation,
@@ -263,64 +263,48 @@ def reference_classification_tree(X, y, sample_weight, n_classes, rng, max_featu
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
     weighted_onehot = onehot * sample_weight[:, None]
-    growth = _Growth(n, n_classes)
-    stack = [(0, np.arange(n))]
-    while stack:
-        node, idx = stack.pop()
+
+    def split(member, depth):
+        idx = np.flatnonzero(member)
         class_totals = weighted_onehot[idx].sum(axis=0)
-        growth.value[node] = class_totals / class_totals.sum()
         if np.count_nonzero(class_totals) <= 1 or idx.size < min_samples_split:
-            continue
+            return None
         Xn = X[idx]
         perm = rng.permutation(d)
         varies = Xn.min(axis=0) < Xn.max(axis=0)
         candidates = perm[varies[perm]][:max_features]
         if not candidates.size:
-            continue
+            return None
         rows = idx[np.argsort(Xn[:, candidates].T, axis=1, kind="stable")]
         total_weight = float(sample_weight[idx].sum())
-        best = _reference_best_split(
+        return _reference_best_split(
             Presort(rows, X[rows, candidates[:, None]]),
             candidates,
             (weighted_onehot, sample_weight),
             lambda cum, cum_weight: _reference_gini_scores(cum, cum_weight, total_weight),
         )
-        if best is None:
-            continue
-        feat, threshold = best
-        mask = Xn[:, feat] <= threshold
-        left, right = growth.split(node, feat, threshold)
-        stack.append((right, idx[~mask]))
-        stack.append((left, idx[mask]))
-    return growth.tree()
+
+    def proportions(member):
+        class_totals = weighted_onehot[np.flatnonzero(member)].sum(axis=0)
+        return class_totals / class_totals.sum()
+
+    return _grow(X, n_classes, split, proportions)[0]
 
 
 def reference_regression_tree(X, target, leaf_value, max_depth, min_samples_split=2):
-    """`build_regression_tree` on the sort kernel: the root reads a presort of
-    X, every other node filters its parent's, and every position is scored."""
-    n, d = X.shape
-    features = np.arange(d)
+    """`build_regression_tree` on the sort kernel: every node filters one
+    presort of X, and every position is scored."""
+    features = np.arange(X.shape[1])
     stats = (target, target**2)
-    growth = _Growth(n, 1)
-    leaf_of = np.zeros(n, dtype=np.int64)
-    stack = [(0, np.ones(n, dtype=bool), reference_presort(X), 0)]
-    while stack:
-        node, member, within, depth = stack.pop()
+    presort = reference_presort(X)
+
+    def split(member, depth):
         values = target[member]
-        best = None
         if depth < max_depth and values.size >= min_samples_split and values.min() != values.max():
-            rows = within if node == 0 else within.subset(member)
-            best = _reference_best_split(rows, features, stats, _reference_sse_scores)
-        if best is None:
-            growth.value[node, 0] = leaf_value(member)
-            leaf_of[member] = node
-            continue
-        feat, threshold = best
-        left_member = member & (X[:, feat] <= threshold)
-        left, right = growth.split(node, feat, threshold)
-        stack.append((right, member ^ left_member, rows, depth + 1))
-        stack.append((left, left_member, rows, depth + 1))
-    return growth.tree(), leaf_of
+            return _reference_best_split(presort.subset(member), features, stats, _reference_sse_scores)
+        return None
+
+    return _grow(X, 1, split, lambda member: [leaf_value(member)])
 
 
 def reference_apply(tree, X):

@@ -118,6 +118,45 @@ def test_tree_document_roundtrip():
     restored = Tree.from_document(tree.to_document())
     assert np.array_equal(restored.apply(X), tree.apply(X))
     assert np.allclose(restored.predict_value(X), tree.predict_value(X))
+    target = rng.normal(size=30)
+    regression, leaf_of = build_regression_tree(X, target, CutCache(X), mean_of(target), max_depth=3)
+    for grown in (tree, regression):
+        assert_grown_well(grown)
+    assert np.array_equal(regression.apply(X), leaf_of)
+
+
+def test_tree_builders_are_called_through_their_module_globals(monkeypatch):
+    # perfbench/tracing.py counts tree builds and nodes by wrapping these two
+    # globals, and reads a Tree from rf and a (Tree, leaf ids) pair from gb
+    calls = {"rf": [], "gb": []}
+
+    def watch(module, name, kind):
+        built = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            result = built(*args, **kwargs)
+            calls[kind].append(result)
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+
+    watch(forest, "build_classification_tree", "rf")
+    watch(boosting, "build_regression_tree", "gb")
+    monkeypatch.setitem(forest.DEFAULTS, "n_trees", 5)
+    monkeypatch.setitem(boosting.DEFAULTS, "n_stages", 4)
+    rng = make_generator(2, "hooks")
+    X = rng.choice(VALUES, size=(40, 5))
+    y = rng.integers(0, 3, size=40)
+    train_matrix(X, y, TrainConfig(kind="random_forest", seed=0), FC)
+    train_matrix(X, y, TrainConfig(kind="gradient_boosting", seed=0), FC)
+    assert len(calls["rf"]) == 5
+    assert all(type(tree) is Tree for tree in calls["rf"])
+    assert len(calls["gb"]) == 4 * 3
+    for built in calls["gb"]:
+        assert type(built) is tuple and len(built) == 2
+        tree, leaf_of = built
+        assert type(tree) is Tree and leaf_of.dtype == np.int64
+        assert np.array_equal(tree.apply(X), leaf_of)
 
 
 def test_boosting_prior_initialization(monkeypatch):
@@ -265,6 +304,13 @@ def assert_same_tree(a: Tree, b: Tree):
     assert a.depth == b.depth
 
 
+def assert_grown_well(tree: Tree):
+    """The node numbering holds: the tree survives its own document array
+    for array, depth included, and only leaves carry a value."""
+    assert_same_tree(Tree.from_document(tree.to_document()), tree)
+    assert not tree.value[tree.feature != tree_module.LEAF].any()
+
+
 @st.composite
 def tree_inputs(draw):
     n = draw(st.integers(1, 30))
@@ -304,6 +350,7 @@ def test_regression_tree_matches_reference_kernel(inputs, max_depth, min_split, 
                     X, target, mean_of(target), max_depth, min_samples_split=min_split
                 )
             assert_same_tree(tree, want)
+            assert_grown_well(tree)
             assert np.array_equal(leaf_of, want_leaf_of)
             assert np.array_equal(tree.apply(X), leaf_of)
         cache.rotate()
@@ -353,7 +400,7 @@ def test_classification_tree_matches_reference_kernel(inputs, n_classes, min_spl
         *args, make_generator(seed, "oracle-tree"), max_features, min_samples_split=min_split
     )
     assert_same_tree(tree, want)
-    assert_same_tree(Tree.from_document(tree.to_document()), tree)
+    assert_grown_well(tree)
 
 
 @ORACLE
