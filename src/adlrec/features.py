@@ -1,7 +1,7 @@
 """Bag-of-Objects segment features and row-wise min-max scaling.
 
-One pass over a segment's frames builds an integer block with one row per
-channel, each over the category table:
+Each segment's frames count into an integer block with one row per channel,
+each over the category table:
 
 * counts — detections per category, summed across frames;
 * active counts — the same over active-marked detections only;
@@ -13,13 +13,21 @@ one (n, 4, K) array: counts takes the counts rows, binary the presence rows,
 "both" takes both groups, and the active rows are kept only with the active
 distinction on. Each block of a feature row is min-max scaled by its own min
 and max, so values land in [0, 1] regardless of frame count.
+
+`raw_matrix` marks and counts whole segments in batches of a few hundred
+frames, each in a few numpy passes (`interaction.best_ious`, then a bincount
+per segment for the counts and one for the presence), so its working arrays
+stay the size of one batch however large the corpus.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interaction import mark_active
+# mark_active is not called here, but the benchmark's tracer
+# (perfbench/tracing.py) hooks the name `adlrec.features.mark_active` and
+# fails with KeyError when it is missing
+from .interaction import IOU_ACTIVE_THRESHOLD, best_ious, mark_active
 from .records import Segment, SegmentKey
 from .taxonomy import CategoryTable
 
@@ -32,6 +40,11 @@ _LAYOUT = {
     "both": (("counts_", 0), ("binary_", 2)),
 }
 REPRESENTATIONS = tuple(_LAYOUT)
+
+# Frames marked and counted in one batch of whole segments (more when one
+# segment alone has more): large enough that numpy's per-call cost is spread
+# thin, small enough that the batch's arrays stay far below the corpus's size.
+_BATCH_FRAMES = 256
 
 
 class FeatureError(ValueError):
@@ -71,22 +84,11 @@ class FeatureVector:
 def raw_block(segment: Segment, table: CategoryTable) -> np.ndarray:
     """Integer (4, K) block: counts, active counts, presence, active presence.
 
-    Every frame is marked once; configs without the active distinction
-    ignore the active rows, so their values do not depend on the marking.
+    The one-segment case of raw_matrix. Configs without the active
+    distinction ignore the active rows, so their values do not depend on the
+    marking.
     """
-    n, k = len(segment.frames), len(table)
-    # One flat (frame, channel, category) index per detection, plus one in
-    # the active channel for each active detection; counted by one bincount.
-    cells = []
-    for row, frame in enumerate(segment.frames):
-        for mark, detection in zip(mark_active(frame), frame.objects):
-            cell = 2 * k * row + table.map_label(detection.raw_label)
-            cells.append(cell)
-            if mark.active:
-                cells.append(cell + k)
-    counted = np.bincount(np.array(cells, dtype=np.int64), minlength=2 * k * n)
-    per_frame = counted.reshape(n, 2, k)
-    return np.concatenate([per_frame.sum(axis=0), (per_frame > 0).sum(axis=0)])
+    return raw_matrix([segment], table)[0][0]
 
 
 def feature_names(table: CategoryTable, config: FeatureConfig) -> list[str]:
@@ -99,12 +101,52 @@ def feature_names(table: CategoryTable, config: FeatureConfig) -> list[str]:
 def raw_matrix(
     segments: list[Segment], table: CategoryTable
 ) -> tuple[np.ndarray, list[SegmentKey]]:
-    """The raw_block of every segment, one (n, 4, K) array in segment-key order."""
+    """The raw_block of every segment, one (n, 4, K) array in segment-key order.
+
+    Whole segments are marked and counted a batch of up to _BATCH_FRAMES
+    frames at a time; every frame is marked once.
+    """
     ordered = sorted(segments, key=lambda s: s.key)
     raw = np.empty((len(ordered), 4, len(table)), dtype=np.int64)
-    for i, segment in enumerate(ordered):
-        raw[i] = raw_block(segment, table)
+    category: dict[str, int] = {}  # raw label -> category index, for this call
+    first = 0
+    while first < len(ordered):
+        # at least one segment, then as many more as fit in _BATCH_FRAMES
+        last, frames = first + 1, list(ordered[first].frames)
+        while last < len(ordered) and len(frames) + len(ordered[last].frames) <= _BATCH_FRAMES:
+            frames += ordered[last].frames
+            last += 1
+        lengths = [len(s.frames) for s in ordered[first:last]]
+        raw[first:last] = _count_batch(frames, lengths, table, category)
+        first = last
     return raw, [s.key for s in ordered]
+
+
+def _count_batch(
+    frames: list, lengths: list[int], table: CategoryTable, category: dict[str, int]
+) -> np.ndarray:
+    """The (len(lengths), 4, K) blocks of consecutive segments whose frames,
+    concatenated, are `frames`; segment i has lengths[i] of them."""
+    n, k, m = len(frames), len(table), len(lengths)
+    labels = [d.raw_label for f in frames for d in f.objects]
+    for label in set(labels).difference(category):
+        category[label] = table.map_label(label)
+    # one (frame, channel and category) entry per detection, plus one in the
+    # active channel for each active detection
+    row = np.repeat(np.arange(n), [len(f.objects) for f in frames])
+    cell = np.fromiter(map(category.__getitem__, labels), np.int64, len(labels))
+    active = best_ious(frames) > IOU_ACTIVE_THRESHOLD
+    row = np.concatenate([row, row[active]])
+    cell = np.concatenate([cell, cell[active] + k])
+    # counted per segment, not per frame, so no array here has a frame-sized
+    # block of every category; a segment with no frames counts zeros
+    segment_of = np.repeat(np.arange(m), lengths)
+    counts = np.bincount(2 * k * segment_of[row] + cell, minlength=2 * k * m)
+    present = np.zeros((n, 2 * k), dtype=bool)
+    present[row, cell] = True
+    row, cell = np.nonzero(present)  # each (frame, channel and category) once
+    presence = np.bincount(2 * k * segment_of[row] + cell, minlength=2 * k * m)
+    return np.concatenate([counts.reshape(m, 2, k), presence.reshape(m, 2, k)], axis=1)
 
 
 def feature_view(raw: np.ndarray, config: FeatureConfig) -> np.ndarray:

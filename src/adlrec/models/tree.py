@@ -267,9 +267,10 @@ def _grow(
 
     A node is its rows, an (n,) boolean mask by row id, and its depth.
     `split(member, depth)` gives its (feature, threshold), or None to make
-    it a leaf, and `leaf(member)` a leaf's `width` values. A split node's
-    children take the next two ids, and the left one grows first. Returns
-    the tree and each row's leaf id.
+    it a leaf, and `leaf(member)`, called right after `split` declined the
+    same node, a leaf's `width` values. A split node's children take the
+    next two ids, and the left one grows first. Returns the tree and each
+    row's leaf id.
     """
     nodes: list = [None]  # (feature, threshold, left, right, value) by node id
     leaf_of = np.zeros(X.shape[0], dtype=np.int64)
@@ -321,9 +322,15 @@ def build_classification_tree(
     onehot[np.arange(n), y] = 1.0
     weighted_onehot = onehot * sample_weight[:, None]
 
+    # the node's weighted class totals, summed once by its split rule; a
+    # leaf's rule runs right after its split rule declined, so it reuses them
+    class_totals = None
+
     def split(member: np.ndarray, depth: int) -> tuple[int, float] | None:
+        nonlocal class_totals
         idx = member.nonzero()[0]
-        if np.count_nonzero(weighted_onehot[idx].sum(axis=0)) <= 1 or idx.size < min_samples_split:
+        class_totals = weighted_onehot[idx].sum(axis=0)
+        if np.count_nonzero(class_totals) <= 1 or idx.size < min_samples_split:
             return None
         Xn = X[idx]
         perm = rng.permutation(d)
@@ -341,7 +348,6 @@ def build_classification_tree(
         )
 
     def proportions(member: np.ndarray) -> np.ndarray:
-        class_totals = weighted_onehot[member].sum(axis=0)
         return class_totals / class_totals.sum()
 
     return _grow(X, n_classes, split, proportions)[0]

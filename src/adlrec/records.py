@@ -94,6 +94,13 @@ class Diagnostic(NamedTuple):
     message: str
 
 
+# The parser builds each record tuple with tuple.__new__, which a named
+# tuple's own __new__ calls after a Python-level frame: one less call for
+# each of the several named tuples every record line makes.
+_new = tuple.__new__
+_INF = math.inf
+
+
 def _parse_box(values) -> Box2D:
     if not isinstance(values, list) or len(values) != 4:
         raise RecordError("box must be a list [x1, y1, x2, y2]")
@@ -103,16 +110,17 @@ def _parse_box(values) -> Box2D:
             and type(x2) in NUMBER_TYPES and type(y2) in NUMBER_TYPES):
         raise RecordError("box coordinates must be numbers")
     try:
-        box = Box2D(float(x1), float(y1), float(x2), float(y2))
+        x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
     except OverflowError:  # an int beyond float range
         raise RecordError("box coordinates must be numbers") from None
-    if not all(map(math.isfinite, box)):
+    # a NaN fails every comparison, so it fails these too
+    if not (-_INF < x1 < _INF and -_INF < y1 < _INF and -_INF < x2 < _INF and -_INF < y2 < _INF):
         raise RecordError("box coordinates must be finite")
-    if not box.x1 < box.x2:
+    if not x1 < x2:
         raise RecordError("box violates x1 < x2")
-    if not box.y1 < box.y2:
+    if not y1 < y2:
         raise RecordError("box violates y1 < y2")
-    return box
+    return _new(Box2D, (x1, y1, x2, y2))
 
 
 def _check_score(value) -> float:
@@ -134,7 +142,7 @@ def _parse_object(obj, strings: dict[str, str]) -> ObjectDetection:
     if not isinstance(label, str):
         raise RecordError("object label must be a string")
     label = strings.setdefault(label, label)
-    return ObjectDetection(label, _check_score(obj.get("score")), _parse_box(obj.get("box")))
+    return _new(ObjectDetection, (label, _check_score(obj.get("score")), _parse_box(obj.get("box"))))
 
 
 def _parse_hoi(obj, strings: dict[str, str]) -> HoiObject:
@@ -149,7 +157,7 @@ def _parse_hoi(obj, strings: dict[str, str]) -> HoiObject:
     hand_side = strings.setdefault(hand_side, hand_side)
     contact_state = strings.setdefault(contact_state, contact_state)
     box = _parse_box(obj.get("box"))
-    return HoiObject(box, hand_side, contact_state, _check_score(obj.get("score")))
+    return _new(HoiObject, (box, hand_side, contact_state, _check_score(obj.get("score"))))
 
 
 def parse_record_line(line: str, strings: dict[str, str]) -> tuple[SegmentKey, FrameObservation]:
@@ -185,7 +193,8 @@ def parse_record_line(line: str, strings: dict[str, str]) -> tuple[SegmentKey, F
     hois = tuple(map(_parse_hoi, hoi_objects, repeat(strings)))
     if not 0 <= frame_idx < MAX_FRAMES_PER_SEGMENT:
         raise RecordError(f"frame_index {frame_idx} outside [0, {MAX_FRAMES_PER_SEGMENT})")
-    return SegmentKey(participant, video, seg_idx), FrameObservation(frame_idx, detections, hois)
+    key = _new(SegmentKey, (participant, video, seg_idx))
+    return key, _new(FrameObservation, (frame_idx, detections, hois))
 
 
 def parse_records(

@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from adlrec.interaction import IOU_ACTIVE_THRESHOLD, iou
 from adlrec.models.tree import _grow
 from adlrec.records import (
     Box2D,
@@ -105,6 +106,36 @@ def minmax_scale_row(raw):
     if hi == lo:
         return np.zeros_like(row)
     return (row - lo) / (hi - lo)
+
+
+def reference_best_ious(frame):
+    """Each object's largest scalar `iou` against its frame's hoi boxes, one
+    frame and one pair at a time: the oracle for `interaction.best_ious`."""
+    bests = []
+    for detection in frame.objects:
+        best = 0.0
+        for hoi_object in frame.hoi_objects:
+            value = iou(detection.box, hoi_object.box)
+            if value > best:
+                best = value
+        bests.append(best)
+    return bests
+
+
+def reference_raw_block(segment, table):
+    """Integer (4, K) block of one segment, counted one frame at a time: the
+    oracle for `features.raw_matrix`, which counts batches of segments."""
+    n, k = len(segment.frames), len(table)
+    cells = []
+    for row, frame in enumerate(segment.frames):
+        for best, detection in zip(reference_best_ious(frame), frame.objects):
+            cell = 2 * k * row + table.map_label(detection.raw_label)
+            cells.append(cell)
+            if best > IOU_ACTIVE_THRESHOLD:
+                cells.append(cell + k)
+    counted = np.bincount(np.array(cells, dtype=np.int64), minlength=2 * k * n)
+    per_frame = counted.reshape(n, 2, k)
+    return np.concatenate([per_frame.sum(axis=0), (per_frame > 0).sum(axis=0)])
 
 
 def reference_random_box(rng):

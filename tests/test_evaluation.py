@@ -294,13 +294,14 @@ def test_ablation_marks_each_frame_once(table, monkeypatch):
     spec = distractor_genspec(participants=2, segments_per_participant=5, frames_per_segment=3, seed=5)
     segments = generate(spec, table).segments
     marked = []
-    mark_active = features.mark_active
+    best_ious = features.best_ious
 
-    def counting(frame):
-        marked.append(id(frame))
-        return mark_active(frame)
+    def counting(frames):
+        marked.extend(map(id, frames))
+        return best_ious(frames)
 
-    monkeypatch.setattr(features, "mark_active", counting)
+    # raw_matrix looks the kernel up as a global of features
+    monkeypatch.setattr(features, "best_ious", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_ablation(segments, table, ["logreg", "gb"], seed=9)
     assert sorted(marked) == sorted(id(f) for s in segments for f in s.frames)

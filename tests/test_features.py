@@ -1,5 +1,7 @@
 import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from adlrec.documents import to_document
 from adlrec.features import (
+    _BATCH_FRAMES,
     FeatureConfig,
     FeatureError,
     all_feature_configs,
@@ -15,13 +18,15 @@ from adlrec.features import (
     feature_names,
     featurize,
     raw_block,
+    raw_matrix,
 )
+from adlrec.records import SegmentKey
 from adlrec.evaluation import run_loso
 from adlrec.models import TrainConfig
 from adlrec.synthgen import NoiseSpec, clean_genspec, distractor_genspec, generate
 from adlrec.taxonomy import load_category_table
 
-from helpers import box, config_label, det, frame, hoi, minmax_scale_row, segment
+from helpers import box, config_label, det, frame, hoi, minmax_scale_row, reference_raw_block, segment
 
 
 def cat(table, name):
@@ -269,7 +274,7 @@ def test_feature_matrix_equals_per_row_oracle(table, drawn):
         rows = 2 if config.use_active else 1
         expected = np.zeros((len(ordered), len(feature_names(tbl, config))))
         for i, seg in enumerate(ordered):
-            block = raw_block(seg, tbl)
+            block = reference_raw_block(seg, tbl)
             expected[i] = np.concatenate(
                 [
                     minmax_scale_row(block[first : first + rows].ravel())
@@ -280,6 +285,69 @@ def test_feature_matrix_equals_per_row_oracle(table, drawn):
         assert keys == [s.key for s in ordered]
         assert X.dtype == np.float64 and X.shape == expected.shape
         assert X.tobytes() == expected.tobytes()
+
+
+def _noisy_segments(table, participants, segments, frames, seed):
+    noise = NoiseSpec(drop_rate=0.1, spurious_rate=0.3, label_confusion_rate=0.05, box_jitter_px=3.0)
+    spec = distractor_genspec(
+        participants=participants, segments_per_participant=segments, frames_per_segment=frames,
+        seed=seed, noise=noise,
+    )
+    return generate(spec, table).segments
+
+
+def test_raw_matrix_equals_per_frame_oracle_across_batches(table):
+    # 60-frame segments fill several batches; hand-built segments add ones
+    # with no frames (first, between and last in key order), one longer than
+    # a batch and one with a single frame
+    generated = _noisy_segments(table, 2, 8, 60, seed=3)
+    long_frames = [frame(i, f.objects, f.hoi_objects) for i, f in enumerate(generated[0].frames * 5)]
+    built = [
+        segment([], participant="p00"),
+        segment([], participant="p01", index=99),
+        segment(long_frames, participant="p01", index=98),
+        segment(generated[1].frames[:1], participant="p01", index=97),
+        segment([], participant="zz"),
+    ]
+    segments = generated + built
+    assert len(long_frames) > _BATCH_FRAMES and 60 * len(generated) > 2 * _BATCH_FRAMES
+    raw, keys = raw_matrix(segments, table)
+    ordered = sorted(segments, key=lambda s: s.key)
+    assert keys == [s.key for s in ordered]
+    expected = np.stack([reference_raw_block(s, table) for s in ordered])
+    assert raw.dtype == np.int64 and raw.shape == expected.shape
+    assert raw.tobytes() == expected.tobytes()
+    assert raw[1].any() and raw[:, 1].any()  # active detections were counted
+    for s in built:
+        assert raw_block(s, table).tobytes() == reference_raw_block(s, table).tobytes()
+
+
+def test_raw_matrix_of_no_segments_is_empty(table):
+    raw, keys = raw_matrix([], table)
+    assert raw.shape == (0, 4, len(table)) and raw.dtype == np.int64
+    assert keys == []
+
+
+def test_raw_matrix_memory_does_not_grow_with_the_corpus(table):
+    # the pass works a bounded batch of frames at a time: its peak is its
+    # (n, 4, K) output, 928 bytes a segment here, plus one batch's arrays
+    spec = clean_genspec(participants=2, segments_per_participant=50, frames_per_segment=60, seed=0)
+    small = generate(spec, table).segments
+    # four copies under new participant ids: an 8x50x60 corpus
+    large = [
+        replace(s, key=SegmentKey(f"{copy}{s.key.participant_id}", *s.key[1:]))
+        for copy in "abcd"
+        for s in small
+    ]
+    for segments in (small, large):
+        assert sum(len(s.frames) for s in segments) == len(segments) * 60
+        tracemalloc.start()
+        try:
+            raw_matrix(segments, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def test_invalid_representation_rejected(table):

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adlrec.interaction import IOU_ACTIVE_THRESHOLD, iou, mark_active
+from adlrec.interaction import IOU_ACTIVE_THRESHOLD, best_ious, iou, mark_active
 from adlrec.records import Box2D
 
-from helpers import box, det, frame, hoi
+from helpers import box, det, frame, hoi, reference_best_ious
 
 
 def rasterized_iou(a: Box2D, b: Box2D, canvas: int = 64) -> float:
@@ -126,3 +128,50 @@ def test_contact_state_is_ignored():
     b = box(0, 0, 10, 10)
     f = frame(objects=[det(b=b)], hois=[hoi(b=b, contact="stationary_object")])
     assert mark_active(f)[0].active  # geometry-only
+
+
+# Boxes whose pairs hit the kernel's edge cases: identical boxes (IoU 1),
+# boxes touching along an edge or at a corner (IoU 0, never a division), the
+# criterion-2 pair whose IoU is exactly 0.8, and a box so large that its
+# area overflows to inf, whose IoU with itself is NaN and never the best.
+_EDGE_BOXES = (
+    box(0, 0, 10, 10),
+    box(10, 0, 20, 10),
+    box(10, 10, 20, 20),
+    box(0, 0, 8, 10),
+    Box2D(-1e308, -1e308, 1e308, 1e308),
+)
+_frame_boxes = st.one_of(st.sampled_from(_EDGE_BOXES), integer_boxes(), float_boxes())
+_frames = st.lists(
+    st.builds(
+        lambda objects, hois: frame(objects=[det(b=b) for b in objects], hois=[hoi(b=b) for b in hois]),
+        st.lists(_frame_boxes, max_size=5),
+        st.lists(_frame_boxes, max_size=12),
+    ),
+    max_size=6,
+)
+
+
+@given(_frames)
+def test_best_ious_equal_the_scalar_maximum(frames):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing box must not warn
+        best = best_ious(frames)
+    expected = [value for f in frames for value in reference_best_ious(f)]
+    assert best.dtype == np.float64 and best.shape == (len(expected),)
+    assert best.tolist() == expected
+
+
+def test_best_ious_of_edge_cases():
+    exact = frame(objects=[det(b=box(0, 0, 8, 10))], hois=[hoi(b=box(0, 0, 10, 10))])
+    touching = frame(
+        objects=[det(b=box(0, 0, 10, 10))], hois=[hoi(b=box(10, 0, 20, 10)), hoi(b=box(10, 10, 20, 20))]
+    )
+    no_hois = frame(objects=[det(), det()])
+    no_objects = frame(hois=[hoi()])
+    # many hoi boxes in one frame, the best of them last
+    many = frame(
+        objects=[det(b=box(0, 0, 10, 10))], hois=[hoi(b=box(i, i, i + 10, i + 10)) for i in range(49, -1, -1)]
+    )
+    assert best_ious([exact, touching, no_hois, no_objects, many]).tolist() == [0.8, 0.0, 0.0, 0.0, 1.0]
+    assert best_ious([]).shape == (0,)
