@@ -20,9 +20,9 @@ from adlrec.features import (
     raw_block,
     raw_matrix,
 )
-from adlrec.records import SegmentKey
 from adlrec.evaluation import run_loso
 from adlrec.models import TrainConfig
+from adlrec.records import SegmentKey
 from adlrec.synthgen import NoiseSpec, clean_genspec, distractor_genspec, generate
 from adlrec.taxonomy import load_category_table
 

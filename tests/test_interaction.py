@@ -141,7 +141,13 @@ _EDGE_BOXES = (
     box(0, 0, 8, 10),
     Box2D(-1e308, -1e308, 1e308, 1e308),
 )
-_frame_boxes = st.one_of(st.sampled_from(_EDGE_BOXES), integer_boxes(), float_boxes())
+# coordinates and sizes over many magnitudes, so that any change in the order
+# of the float operations shows in the last bits of some IoU
+_wide = st.floats(-1e6, 1e6, allow_nan=False)
+_wide_boxes = st.builds(
+    lambda x, y, w, h: Box2D(x, y, x + w, y + h), _wide, _wide, st.floats(1e-3, 1e6), st.floats(1e-3, 1e6)
+)
+_frame_boxes = st.one_of(st.sampled_from(_EDGE_BOXES), integer_boxes(), float_boxes(), _wide_boxes)
 _frames = st.lists(
     st.builds(
         lambda objects, hois: frame(objects=[det(b=b) for b in objects], hois=[hoi(b=b) for b in hois]),
