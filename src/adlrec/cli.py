@@ -248,7 +248,7 @@ def _features_csv(segments, table, config) -> Iterator[str]:
     """features.csv as its header and then one piece per row of Python floats.
     The matrix is built at the call, so a featurization error comes first."""
     X, keys = feature_matrix(segments, table, config)
-    labels = {s.key: s.label.name if s.label else "" for s in segments}
+    labels = {s.key: "" if s.label is None else ADL_NAMES[s.label] for s in segments}
     comment = (
         f"# adlrec-features representation={config.representation} "
         f"active={str(config.use_active).lower()} taxonomy={config.taxonomy_hash}\n"

@@ -42,7 +42,7 @@ def _loso_participants(segments: list[Segment]) -> list[str]:
 
 
 def loso_split(segments: list[Segment]) -> list[tuple[list[Segment], list[Segment]]]:
-    """One (train, test) fold per participant, ordered by participant id."""
+    """One (train, test) fold per participant, by id; kept for tests/test_acceptance.py."""
     ordered = sorted(segments, key=lambda s: s.key)
     folds = []
     for participant in _loso_participants(segments):
@@ -100,7 +100,7 @@ def _score(y_true, y_pred, n_classes: int = NUM_ADL_CLASSES) -> _Score:
 
 
 def weighted_f1(y_true, y_pred, n_classes: int) -> float:
-    """Support-weighted mean of per-class F1."""
+    """Support-weighted mean of per-class F1; kept for tests/test_acceptance.py."""
     return _score(y_true, y_pred, n_classes).weighted_f1
 
 
@@ -154,7 +154,7 @@ def _aggregate(folds: list[FoldResult], provenance: dict) -> EvaluationReport:
 def label_ids(segments: list[Segment], keys: list[SegmentKey]) -> np.ndarray:
     """The label id of each key's segment, in the order of `keys` (those of
     `feature_matrix`); every segment must be labeled."""
-    labels = {s.key: s.label.id for s in segments}
+    labels = {s.key: s.label for s in segments}
     return np.array([labels[key] for key in keys])
 
 

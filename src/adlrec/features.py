@@ -21,6 +21,7 @@ stay the size of one batch however large the corpus.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,9 @@ from .records import Segment, SegmentKey
 from .taxonomy import CategoryTable
 
 # Each representation's independently scaled blocks, in column order: a
-# column-name prefix and the block's first raw_block row. With the active
-# distinction on, the next row (that group's active channel) joins the block.
+# column-name prefix and the block's first row in a segment's raw_matrix
+# block. With the active distinction on, the next row (that group's active
+# channel) joins the block.
 _LAYOUT = {
     "counts": (("", 0),),
     "binary": (("", 2),),
@@ -76,19 +78,8 @@ def all_feature_configs(table: CategoryTable) -> list[FeatureConfig]:
     ]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     values: np.ndarray
-
-
-def raw_block(segment: Segment, table: CategoryTable) -> np.ndarray:
-    """Integer (4, K) block: counts, active counts, presence, active presence.
-
-    The one-segment case of raw_matrix. Configs without the active
-    distinction ignore the active rows, so their values do not depend on the
-    marking.
-    """
-    return raw_matrix([segment], table)[0][0]
 
 
 def feature_names(table: CategoryTable, config: FeatureConfig) -> list[str]:
@@ -101,10 +92,10 @@ def feature_names(table: CategoryTable, config: FeatureConfig) -> list[str]:
 def raw_matrix(
     segments: list[Segment], table: CategoryTable
 ) -> tuple[np.ndarray, list[SegmentKey]]:
-    """The raw_block of every segment, one (n, 4, K) array in segment-key order.
-
-    Whole segments are marked and counted a batch of up to _BATCH_FRAMES
-    frames at a time; every frame is marked once.
+    """Each segment's integer (4, K) block, of counts, active counts, presence
+    and active presence, in one (n, 4, K) array in segment-key order. Configs
+    without the active distinction ignore the active rows. Whole segments are
+    marked and counted a batch of up to _BATCH_FRAMES frames at a time.
     """
     ordered = sorted(segments, key=lambda s: s.key)
     raw = np.empty((len(ordered), 4, len(table)), dtype=np.int64)
@@ -181,6 +172,7 @@ def feature_matrix(
 
 
 def featurize(segment: Segment, table: CategoryTable, config: FeatureConfig) -> FeatureVector:
-    """One segment's scaled feature row: the one-row case of feature_matrix."""
+    """One segment's scaled feature row: the one-row case of feature_matrix,
+    kept, with FeatureVector, for tests/test_acceptance.py."""
     X, _ = feature_matrix([segment], table, config)
     return FeatureVector(values=X[0])

@@ -31,7 +31,7 @@ class ActivityMark(NamedTuple):
 
 
 def iou(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two valid boxes; 0 when disjoint."""
+    """IoU of two valid boxes, 0 when disjoint; kept for tests/test_acceptance.py."""
     ix = min(a.x2, b.x2) - max(a.x1, b.x1)
     iy = min(a.y2, b.y2) - max(a.y1, b.y1)
     if ix <= 0.0 or iy <= 0.0:
@@ -77,7 +77,7 @@ def best_ious(frames: Sequence[FrameObservation]) -> np.ndarray:
 
 def mark_active(frame: FrameObservation) -> list[ActivityMark]:
     """Mark each object active iff its max IoU against the hoi boxes exceeds
-    IOU_ACTIVE_THRESHOLD: the one-frame case of best_ious."""
+    IOU_ACTIVE_THRESHOLD (best_ious of one frame); kept for tests/test_acceptance.py."""
     return [
         ActivityMark(index, best > IOU_ACTIVE_THRESHOLD, best)
         for index, best in enumerate(best_ious([frame]).tolist())

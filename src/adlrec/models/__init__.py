@@ -22,6 +22,7 @@ a fixed seed, and models round-trip through a digest-protected JSON document.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,13 +30,29 @@ from ..features import FeatureConfig
 from ..taxonomy import ADL_NAMES
 from . import boosting, forest, logreg, mlp
 from .store import ModelFormatError, load_model, save_model
-from .weights import balanced_weights
 
 KINDS = (logreg, forest, boosting, mlp)
 
 
 class TrainingError(ValueError):
     pass
+
+
+class ClassWeights(NamedTuple):
+    """Per-class positive weights under the balanced rule."""
+
+    values: np.ndarray
+
+
+def balanced_weights(counts) -> ClassWeights:
+    """Balanced class weights, w_c = N / (K * n_c), for the class counts n_c."""
+    counts = tuple(int(c) for c in counts)
+    if not counts:
+        raise TrainingError("no classes")
+    if any(c <= 0 for c in counts):
+        raise TrainingError(f"zero-count class in {counts}")
+    n, k = sum(counts), len(counts)
+    return ClassWeights(np.array([n / (k * c) for c in counts], dtype=np.float64))
 
 
 def resolve_kind(name: str):

@@ -22,13 +22,12 @@ to 60 frames in strictly increasing frame_index order.
 
 import io
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .documents import NUMBER_TYPES, csv_lines, read_csv, read_object
-from .taxonomy import AdlLabel, adl_by_name
+from .taxonomy import ADL_NAMES
 
 MAX_FRAMES_PER_SEGMENT = 60
 
@@ -80,13 +79,13 @@ class FrameObservation(NamedTuple):
     hoi_objects: tuple[HoiObject, ...]
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One one-minute snippet; label is None when no manifest was given."""
+class Segment(NamedTuple):
+    """One one-minute snippet; label is its ADL id (an index into ADL_NAMES),
+    None when no manifest was given. Id 0 is a label too: test `is None`."""
 
     key: SegmentKey
     frames: tuple[FrameObservation, ...]
-    label: AdlLabel | None = None
+    label: int | None = None
 
 
 class Diagnostic(NamedTuple):
@@ -283,9 +282,9 @@ def serialize_segments(segments: Iterable[Segment]) -> Iterator[str]:
 MANIFEST_HEADER = ("participant_id", "video_id", "segment_index", "adl_label")
 
 
-def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, AdlLabel]:
-    """Read the per-segment label manifest; duplicate keys are an error."""
-    labels: dict[SegmentKey, AdlLabel] = {}
+def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, int]:
+    """Read the per-segment label manifest into ADL ids; duplicate keys are an error."""
+    labels: dict[SegmentKey, int] = {}
     for lineno, row in read_csv(stream, MANIFEST_HEADER, RecordError, "manifest"):
         if len(row) != 4:
             raise RecordError(f"manifest line {lineno}: expected 4 fields, got {len(row)}")
@@ -297,8 +296,8 @@ def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, AdlLabel]:
                 f"manifest line {lineno}: segment_index {seg_idx_text!r} is not an integer"
             ) from None
         try:
-            label = adl_by_name(adl_name)
-        except Exception:
+            label = ADL_NAMES.index(adl_name)
+        except ValueError:
             raise RecordError(f"manifest line {lineno}: unknown ADL {adl_name!r}") from None
         key = SegmentKey(participant, video, seg_idx)
         if key in labels:
@@ -312,19 +311,18 @@ def write_manifest(segments: Iterable[Segment], header: bool = True) -> str:
     for segment in segments:
         if segment.label is None:
             raise RecordError(f"segment {segment.key} has no label to write")
-        rows.append([*segment.key, segment.label.name])
+        rows.append([*segment.key, ADL_NAMES[segment.label]])
     return "".join(csv_lines(rows))
 
 
-@dataclass
-class AssemblyResult:
+class AssemblyResult(NamedTuple):
     segments: list[Segment]
-    labels_without_frames: list[SegmentKey] = field(default_factory=list)
+    labels_without_frames: list[SegmentKey]
 
 
 def assemble_segments(
     groups: dict[SegmentKey, list[FrameObservation]],
-    labels: dict[SegmentKey, AdlLabel] | None,
+    labels: dict[SegmentKey, int] | None,
 ) -> AssemblyResult:
     """Join frame groups with manifest labels into Segments.
 
@@ -333,7 +331,7 @@ def assemble_segments(
     Manifest entries with no frames are reported, not fatal.
     """
     if labels is None:
-        return AssemblyResult([Segment(key, tuple(frames)) for key, frames in groups.items()])
+        return AssemblyResult([Segment(key, tuple(frames)) for key, frames in groups.items()], [])
     missing = [key for key in groups if key not in labels]
     if missing:
         raise RecordError(f"{len(missing)} segment(s) have no manifest row, first {missing[0]}")

@@ -12,6 +12,7 @@ so noise-robustness comparisons have a clean reference.
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .documents import from_document, read_object, to_document
 from .records import (
@@ -24,7 +25,7 @@ from .records import (
     SegmentKey,
 )
 from .rng import derive_seed, make_generator
-from .taxonomy import ADL_LABELS, ADL_NAMES, PAPER_CLASS_COUNTS, CategoryTable
+from .taxonomy import ADL_NAMES, PAPER_CLASS_COUNTS, CategoryTable
 
 CANVAS_W = 1280.0
 CANVAS_H = 720.0
@@ -90,9 +91,9 @@ class GenSpec:
             )
         if self.participants < 1:
             raise GenError("participants must be >= 1")
-        if len(self.segments_per_participant) != len(ADL_LABELS):
+        if len(self.segments_per_participant) != len(ADL_NAMES):
             raise GenError(
-                f"segments_per_participant needs {len(ADL_LABELS)} per-ADL counts"
+                f"segments_per_participant needs {len(ADL_NAMES)} per-ADL counts"
             )
         if any(c < 0 for c in self.segments_per_participant):
             raise GenError("negative segment count")
@@ -282,7 +283,7 @@ def _generate_segment(
         if random() < STRAY_HOI_PROB:
             hoi.append(_hoi(random, integers, _random_box(random), "stationary_object", 0.3, 0.9))
         frames.append(FrameObservation(frame_index, tuple(objects), tuple(hoi)))
-    return Segment(key, tuple(frames), ADL_LABELS[adl_id])
+    return Segment(key, tuple(frames), adl_id)
 
 
 def _jitter_box(random, box: Box2D, jitter: float) -> Box2D:
@@ -335,8 +336,7 @@ def perturb(
     return out
 
 
-@dataclass
-class GeneratedCorpus:
+class GeneratedCorpus(NamedTuple):
     truth_segments: list[Segment]
     segments: list[Segment]  # after the noise model; truth_segments itself without noise
 

@@ -11,14 +11,17 @@ import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .documents import read_object
 
 
 class TaxonomyError(ValueError):
-    """Raised for malformed category-table documents or unknown ADL names."""
+    """Raised for malformed category-table documents."""
 
 
+# An ADL label is its index into ADL_NAMES, everywhere from the manifest
+# reader to the model's class ids; only documents and tables show the name.
 ADL_NAMES: tuple[str, ...] = (
     "Self-Feeding",
     "Functional Mobility",
@@ -32,35 +35,12 @@ ADL_NAMES: tuple[str, ...] = (
 # Instance counts of the source corpus, in canonical ADL order.
 PAPER_CLASS_COUNTS: tuple[int, ...] = (257, 207, 172, 428, 407, 625, 165)
 
-
-@dataclass(frozen=True)
-class AdlLabel:
-    """One activity class: a dense stable index plus its canonical name."""
-
-    id: int
-    name: str
+NUM_ADL_CLASSES = len(ADL_NAMES)
 
 
-ADL_LABELS: tuple[AdlLabel, ...] = tuple(
-    AdlLabel(i, name) for i, name in enumerate(ADL_NAMES)
-)
-
-NUM_ADL_CLASSES = len(ADL_LABELS)
-
-_ADL_BY_NAME = {label.name: label for label in ADL_LABELS}
-
-
-def adl_by_name(name: str) -> AdlLabel:
-    """Resolve an ADL name against the closed canonical set."""
-    try:
-        return _ADL_BY_NAME[name]
-    except KeyError:
-        raise TaxonomyError(f"unknown ADL name: {name!r}") from None
-
-
-@dataclass(frozen=True)
-class ClassCounts:
-    """Per-ADL nonnegative instance counts, canonical order."""
+class ClassCounts(NamedTuple):
+    """Per-ADL nonnegative instance counts, canonical order; kept, with
+    paper_class_counts, for tests/test_acceptance.py (src reads PAPER_CLASS_COUNTS)."""
 
     counts: tuple[int, ...]
 
@@ -69,7 +49,7 @@ class ClassCounts:
 
 
 def paper_class_counts() -> ClassCounts:
-    """The source-corpus class mix fixture (sums to 2261)."""
+    """The source-corpus class mix fixture (sums to 2261); see ClassCounts."""
     return ClassCounts(PAPER_CLASS_COUNTS)
 
 

@@ -20,7 +20,6 @@ from adlrec.records import (
     SegmentKey,
 )
 from adlrec.synthgen import CANVAS_H, CANVAS_W
-from adlrec.taxonomy import ADL_LABELS
 
 
 def box(x1=0, y1=0, x2=10, y2=10):
@@ -41,7 +40,7 @@ def frame(index=0, objects=(), hois=()):
     return FrameObservation(frame_index=index, objects=tuple(objects), hoi_objects=tuple(hois))
 
 
-def segment(frames, participant="p1", video="v1", index=0, label=ADL_LABELS[0]):
+def segment(frames, participant="p1", video="v1", index=0, label=0):
     return Segment(SegmentKey(participant, video, index), tuple(frames), label)
 
 

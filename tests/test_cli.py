@@ -198,6 +198,10 @@ def test_featurize_column_counts(synth_dir, tmp_path):
     table = default_category_table()
     assert f"taxonomy={table.content_hash}" in meta
     assert len(rows) == 3 * 14
+    # each row's label cell is its manifest row's, Self-Feeding (ADL id 0) among them
+    manifest = (synth_dir / "manifest.csv").read_text().splitlines()[1:]
+    assert [",".join(row.split(",")[:4]) for row in rows] == manifest
+    assert {line.rsplit(",", 1)[1] for line in manifest} == set(ADL_NAMES)
 
     out2 = tmp_path / "bothact"
     assert main(base + ["--representation", "both", "--active", "--out", str(out2)]) == 0

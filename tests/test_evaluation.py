@@ -24,7 +24,7 @@ from adlrec.features import FeatureConfig
 from adlrec.models import TrainConfig
 from adlrec.rng import make_generator
 from adlrec.synthgen import clean_genspec, distractor_genspec, generate
-from adlrec.taxonomy import ADL_LABELS, NUM_ADL_CLASSES
+from adlrec.taxonomy import NUM_ADL_CLASSES
 
 from helpers import config_label, frame, segment
 
@@ -53,7 +53,7 @@ def make_corpus(participant_classes):
     for pid, class_ids in participant_classes.items():
         for i, c in enumerate(class_ids):
             segments.append(
-                segment([frame(0)], participant=pid, index=i, label=ADL_LABELS[c])
+                segment([frame(0)], participant=pid, index=i, label=c)
             )
     return segments
 

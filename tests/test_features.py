@@ -1,7 +1,6 @@
 import hashlib
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from adlrec.features import (
     feature_matrix,
     feature_names,
     featurize,
-    raw_block,
     raw_matrix,
 )
 from adlrec.evaluation import run_loso
@@ -33,6 +31,11 @@ def cat(table, name):
     return table.categories.index(name)
 
 
+def block_of(segment, table):
+    """One segment's integer (4, K) block of raw_matrix."""
+    return raw_matrix([segment], table)[0][0]
+
+
 def test_raw_counts_hand_summed(table):
     seg = segment(
         [
@@ -40,7 +43,7 @@ def test_raw_counts_hand_summed(table):
             frame(1, objects=[det("cup"), det("spoon"), det("spoon"), det("spoon")]),
         ]
     )
-    vec = raw_block(seg, table)[0]
+    vec = block_of(seg, table)[0]
     assert vec.shape == (29,)
     assert vec[cat(table, "drinkware")] == 3
     assert vec[cat(table, "kitchen_utensils")] == 3
@@ -49,8 +52,8 @@ def test_raw_counts_hand_summed(table):
 
 def test_raw_counts_empty_frames(table):
     seg = segment([frame(0), frame(1)])
-    assert raw_block(seg, table)[0].sum() == 0
-    assert raw_block(seg, table)[[2, 3]].ravel().sum() == 0
+    assert block_of(seg, table)[0].sum() == 0
+    assert block_of(seg, table)[[2, 3]].ravel().sum() == 0
 
 
 def test_active_block_counts_subset(table):
@@ -61,7 +64,7 @@ def test_active_block_counts_subset(table):
             frame(1, objects=[det("cup", b=b)], hois=[hoi(b=b)]),
         ]
     )
-    vec = raw_block(seg, table)[[0, 1]].ravel()
+    vec = block_of(seg, table)[[0, 1]].ravel()
     assert vec.shape == (58,)
     drink = cat(table, "drinkware")
     assert vec[drink] == 3  # base block counts every detection
@@ -76,7 +79,7 @@ def test_raw_binary_per_frame_presence(table):
             frame(2),
         ]
     )
-    vec = raw_block(seg, table)[2]
+    vec = block_of(seg, table)[2]
     assert vec[cat(table, "drinkware")] == 2
     assert vec[cat(table, "kitchen_utensils")] == 1
     assert vec.sum() == 3
@@ -88,7 +91,7 @@ def test_raw_binary_thirteen_frame_presence_scales_to_one(table):
         for i in range(13)
     ]
     seg = segment(frames)
-    vec = raw_block(seg, table)[2]
+    vec = block_of(seg, table)[2]
     assert vec[cat(table, "cleaning_product")] == 13
     scaled = minmax_scale_row(vec)
     assert scaled[cat(table, "cleaning_product")] == 1.0
@@ -97,7 +100,7 @@ def test_raw_binary_thirteen_frame_presence_scales_to_one(table):
 
 def test_active_block_zero_without_hoi(table):
     seg = segment([frame(0, objects=[det("cup")])])
-    vec = raw_block(seg, table)[[2, 3]].ravel()
+    vec = block_of(seg, table)[[2, 3]].ravel()
     assert vec[29:].sum() == 0
 
 
@@ -146,7 +149,7 @@ def test_dimensions_across_configurations(table):
 def test_passive_subblock_identical_with_and_without_active(table):
     b = box(0, 0, 10, 10)
     seg = segment([frame(0, objects=[det("cup", b=b), det("spoon")], hois=[hoi(b=b)])])
-    block = raw_block(seg, table)
+    block = block_of(seg, table)
     assert block[1].any()  # active rows are populated; the no-active view must not read them
     without = featurize(seg, table, FeatureConfig("counts", False, table.content_hash)).values
     assert np.array_equal(without, minmax_scale_row(block[0]))
@@ -196,7 +199,7 @@ def test_scaled_values_in_unit_interval_with_max_one(table):
 
 def test_binary_bounded_by_counts_and_frames(table):
     for seg in _generated_segments(table, seed=5):
-        block = raw_block(seg, table)
+        block = block_of(seg, table)
         counts = block[[0, 1]].ravel()
         binary = block[[2, 3]].ravel()
         assert np.all(binary <= counts)
@@ -213,7 +216,7 @@ def test_frame_order_permutation_invariance(table):
         participant=seg.key.participant_id,
         label=seg.label,
     )
-    assert np.array_equal(raw_block(seg, table), raw_block(reversed_seg, table))
+    assert np.array_equal(block_of(seg, table), block_of(reversed_seg, table))
 
 
 def test_feature_matrix_ordering(table):
@@ -231,8 +234,8 @@ def test_feature_matrix_of_no_segments_is_empty(table):
         assert keys == []
 
 
-# First raw_block row of each independently scaled block, spelled out here so
-# that the oracle does not read the layout it checks.
+# First row of each independently scaled block in a segment's raw_matrix
+# block, spelled out here so that the oracle does not read the layout it checks.
 _BLOCK_ROWS = {"counts": (0,), "binary": (2,), "both": (0, 2)}
 _BOXES = (box(0, 0, 10, 10), box(20, 20, 30, 30), box(5, 5, 15, 15))
 # three categories, so that rows where every category appears (a nonzero
@@ -319,7 +322,7 @@ def test_raw_matrix_equals_per_frame_oracle_across_batches(table):
     assert raw.tobytes() == expected.tobytes()
     assert raw[1].any() and raw[:, 1].any()  # active detections were counted
     for s in built:
-        assert raw_block(s, table).tobytes() == reference_raw_block(s, table).tobytes()
+        assert block_of(s, table).tobytes() == reference_raw_block(s, table).tobytes()
 
 
 def test_raw_matrix_of_no_segments_is_empty(table):
@@ -335,7 +338,7 @@ def test_raw_matrix_memory_does_not_grow_with_the_corpus(table):
     small = generate(spec, table).segments
     # four copies under new participant ids: an 8x50x60 corpus
     large = [
-        replace(s, key=SegmentKey(f"{copy}{s.key.participant_id}", *s.key[1:]))
+        s._replace(key=SegmentKey(f"{copy}{s.key.participant_id}", *s.key[1:]))
         for copy in "abcd"
         for s in small
     ]

@@ -22,7 +22,6 @@ from adlrec.models import (
     train_matrix,
 )
 from adlrec.models.logreg import LogisticModel, loss_and_grad
-from adlrec.models.weights import WeightError
 from adlrec.rng import make_generator
 from adlrec.synthgen import distractor_genspec, generate
 from adlrec.taxonomy import PAPER_CLASS_COUNTS
@@ -67,12 +66,15 @@ def test_balanced_weights_by_hand():
 def test_balanced_weights_paper_counts():
     cw = balanced_weights(PAPER_CLASS_COUNTS)
     assert abs(cw.values[0] - 1.2569) < 1e-4  # Self-Feeding: 2261 / (7 * 257)
-    assert math.fsum(n * w for n, w in zip(cw.counts, cw.values)) == sum(cw.counts)
+    total = math.fsum(n * w for n, w in zip(PAPER_CLASS_COUNTS, cw.values))
+    assert total == sum(PAPER_CLASS_COUNTS)
 
 
 def test_balanced_weights_zero_count_rejected():
-    with pytest.raises(WeightError):
+    with pytest.raises(TrainingError, match=r"zero-count class in \(5, 0, 3\)"):
         balanced_weights((5, 0, 3))
+    with pytest.raises(TrainingError, match="no classes"):
+        balanced_weights(())
 
 
 def test_logreg_separates_two_clusters():
@@ -280,7 +282,7 @@ def distractor_fold(table):
     )
     segments = generate(spec, table).segments
     X, keys = feature_matrix(segments, table, FeatureConfig("binary", False, table.content_hash))
-    label_of = {s.key: s.label.id for s in segments}
+    label_of = {s.key: s.label for s in segments}
     train = np.array([k.participant_id != keys[0].participant_id for k in keys])
     _, y = np.unique([label_of[k] for k in keys], return_inverse=True)
     class_weight = balanced_weights(np.bincount(y[train])).values

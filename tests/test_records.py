@@ -24,6 +24,7 @@ from adlrec.records import (
     write_manifest,
 )
 from adlrec.synthgen import clean_genspec, generate
+from adlrec.taxonomy import ADL_NAMES, NUM_ADL_CLASSES
 
 from helpers import frame, record_line, reference_serialize_frame, segment
 
@@ -166,10 +167,9 @@ def test_unreadable_numbers_and_nesting_reject_only_their_line():
 def test_manifest_lookup_and_errors():
     text = "participant_id,video_id,segment_index,adl_label\np1,v1,0,Self-Feeding\n"
     labels = load_manifest(text)
-    assert labels[SegmentKey("p1", "v1", 0)].name == "Self-Feeding"
-    assert labels[SegmentKey("p1", "v1", 0)].id == 0
+    assert labels == {SegmentKey("p1", "v1", 0): 0}
 
-    with pytest.raises(RecordError, match="unknown ADL"):
+    with pytest.raises(RecordError, match=r"^manifest line 2: unknown ADL 'Sleeping'$"):
         load_manifest(
             "participant_id,video_id,segment_index,adl_label\np1,v1,0,Sleeping\n"
         )
@@ -284,10 +284,16 @@ def test_segment_count_matches_distinct_keys(table):
 
 
 def test_write_manifest_roundtrip():
-    seg = segment([frame(0)], participant="pA", video="v2", index=3)
-    text = write_manifest([seg])
-    labels = load_manifest(text)
-    assert labels[SegmentKey("pA", "v2", 3)] == seg.label
+    # every ADL id, Self-Feeding's 0 among them, is written by name and read back
+    segments = [
+        segment([frame(0)], participant="pA", video="v2", index=i, label=i)
+        for i in range(NUM_ADL_CLASSES)
+    ]
+    text = write_manifest(segments)
+    assert text.splitlines()[1:] == [f"pA,v2,{i},{name}" for i, name in enumerate(ADL_NAMES)]
+    assert load_manifest(text) == {s.key: s.label for s in segments}
+    with pytest.raises(RecordError, match="has no label to write"):
+        write_manifest([segment([frame(0)], label=None)])
 
 
 def test_serialize_segments_matches_frames():

@@ -220,7 +220,7 @@ def test_nearest_centroid_oracle_on_clean_corpus(table):
     for train, test in loso_split(segments):
         X_train, keys_train = feature_matrix(train, table, config)
         X_test, keys_test = feature_matrix(test, table, config)
-        label_of = {s.key: s.label.id for s in segments}
+        label_of = {s.key: s.label for s in segments}
         y_train = np.array([label_of[k] for k in keys_train])
         y_test = [label_of[k] for k in keys_test]
         centroids = np.stack(
@@ -240,7 +240,7 @@ def test_participant_effect_never_moves_core_assignment(table):
     )
     corpus = generate(spec, table)
     for seg in corpus.truth_segments:
-        core = set(CORE_CATEGORIES[seg.label.id])
+        core = set(CORE_CATEGORIES[seg.label])
         for f in seg.frames:
             marks = mark_active(f)
             for mark in marks:

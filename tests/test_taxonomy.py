@@ -5,10 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adlrec.taxonomy import (
-    ADL_LABELS,
     ADL_NAMES,
+    NUM_ADL_CLASSES,
     TaxonomyError,
-    adl_by_name,
     default_category_table,
     default_category_table_text,
     load_category_table,
@@ -28,20 +27,16 @@ EXPECTED_ADL_NAMES = (
 
 def test_canonical_adl_set():
     assert ADL_NAMES == EXPECTED_ADL_NAMES
-    assert len(ADL_LABELS) == 7
-    assert [label.id for label in ADL_LABELS] == list(range(7))
-    assert adl_by_name("Self-Feeding").id == 0
-    with pytest.raises(TaxonomyError):
-        adl_by_name("Sleeping")
+    assert NUM_ADL_CLASSES == 7
 
 
 def test_paper_class_counts_fixture():
     counts = paper_class_counts()
     assert counts.counts == (257, 207, 172, 428, 407, 625, 165)
     assert counts.total() == 2261
-    assert counts.counts[adl_by_name("Meal Preparation and Cleanup").id] == 625
-    assert counts.counts[adl_by_name("Leisure & Other Activities").id] == 165
-    assert counts.counts[adl_by_name("Self-Feeding").id] == 257
+    assert counts.counts[ADL_NAMES.index("Meal Preparation and Cleanup")] == 625
+    assert counts.counts[ADL_NAMES.index("Leisure & Other Activities")] == 165
+    assert counts.counts[ADL_NAMES.index("Self-Feeding")] == 257
 
 
 def test_default_table_has_29_categories(table):
