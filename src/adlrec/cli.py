@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import __version__
+from . import __version__, models
 from .documents import csv_lines, from_document, read_csv, read_object, to_document
 from .evaluation import (
     EvaluationError,
@@ -35,15 +35,12 @@ from .evaluation import (
 )
 from .features import REPRESENTATIONS, FeatureConfig, FeatureError, feature_matrix, feature_names
 from .models import (
-    KINDS,
-    ModelFormatError,
     TrainConfig,
     TrainingError,
-    load_model,
     resolve_kind,
-    save_model,
     train_matrix,
 )
+from .models.store import ModelFormatError, load_model, save_model
 from .parallel import fork_map
 from .records import MANIFEST_HEADER, RecordError, load_corpus, serialize_segments, write_manifest
 from .synthgen import (
@@ -94,7 +91,7 @@ _ERRORS = (
 def _names_model_file(model: str) -> bool:
     """Whether a --model value is a saved model's path; a model kind never
     is, even where a file has its name."""
-    return not any(model in (k.NAME, *k.ALIASES) for k in KINDS) and Path(model).is_file()
+    return not any(model in (k.NAME, *k.ALIASES) for k in models.KINDS) and Path(model).is_file()
 
 
 def _refuse(flags: dict[str, object], reason: str, error: type[Exception]) -> None:
@@ -381,7 +378,7 @@ def _render_report(report: EvaluationReport | ScoredReport) -> str:
         cells = " ".join(f"{v:.2f}" for v in row)
         out.append(f"  {name:<32} {cells}")
     # empty for a kind with no convergence test, or one this version lacks
-    converged_reasons = next((k.CONVERGED_REASONS for k in KINDS if k.NAME == kind), ())
+    converged_reasons = next((k.CONVERGED_REASONS for k in models.KINDS if k.NAME == kind), ())
     if converged_reasons:
         converged = sum(fold.stopping_reason in converged_reasons for fold in folds)
         out.append(f"converged folds: {converged}/{len(folds)}")
@@ -445,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"adlrec {__version__}")
     # each kind as its name, then its aliases: "NAME|ALIAS, ..."
-    kind_names = ", ".join("|".join((k.NAME, *k.ALIASES)) for k in KINDS)
+    kind_names = ", ".join("|".join((k.NAME, *k.ALIASES)) for k in models.KINDS)
     commands = parser.add_subparsers(dest="command", required=True)
 
     synth = commands.add_parser("synth", help="generate a synthetic labeled corpus")
@@ -477,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = commands.add_parser("train", help="train one classifier on all segments")
     _add_common_io(train)
     _add_feature_flags(train)
-    train.add_argument("--model", default=KINDS[0].NAME, help=kind_names)
+    train.add_argument("--model", default=models.KINDS[0].NAME, help=kind_names)
     train.set_defaults(func=cmd_train)
 
     evaluate = commands.add_parser(
@@ -487,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_feature_flags(evaluate)
     evaluate.add_argument(
         "--model",
-        default=KINDS[0].NAME,
+        default=models.KINDS[0].NAME,
         help=f"model kind ({kind_names}) for LOSO, or a saved model.json path",
     )
     # seed None where not given, so that a saved model file can refuse it; LOSO resolves it
@@ -497,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(ablate)
     ablate.add_argument(
         "--models",
-        default=",".join(k.NAME for k in KINDS),
+        default=",".join(k.NAME for k in models.KINDS),
         help=f"comma-separated model kinds ({kind_names})",
     )
     ablate.set_defaults(func=cmd_ablate)

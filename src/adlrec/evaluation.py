@@ -13,7 +13,7 @@ mean +/- std uses the population (N-denominator) std; the convention is
 recorded in report provenance.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -166,7 +166,7 @@ def run_loso_matrix(
     for participant in np.unique(owners).tolist():
         # seeded by (seed, participant id), so fold order is irrelevant
         fold_seed = derive_seed(train_config.seed, "fold", participant)
-        fold_cfg = replace(train_config, seed=fold_seed)
+        fold_cfg = train_config._replace(seed=fold_seed)
         test = owners == participant
         try:
             model = train_matrix(X[~test], y[~test], fold_cfg, feature_config)

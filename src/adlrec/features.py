@@ -98,7 +98,7 @@ def raw_matrix(
     marked and counted a batch of up to _BATCH_FRAMES frames at a time.
     """
     ordered = sorted(segments, key=lambda s: s.key)
-    raw = np.empty((len(ordered), 4, len(table)), dtype=np.int64)
+    raw = np.empty((len(ordered), 4, len(table.categories)), dtype=np.int64)
     category: dict[str, int] = {}  # raw label -> category index, for this call
     first = 0
     while first < len(ordered):
@@ -118,7 +118,7 @@ def _count_batch(
 ) -> np.ndarray:
     """The (len(lengths), 4, K) blocks of consecutive segments whose frames,
     concatenated, are `frames`; segment i has lengths[i] of them."""
-    n, k, m = len(frames), len(table), len(lengths)
+    n, k, m = len(frames), len(table.categories), len(lengths)
     labels = [d.raw_label for f in frames for d in f.objects]
     for label in set(labels).difference(category):
         category[label] = table.map_label(label)

@@ -29,7 +29,6 @@ import numpy as np
 from ..features import FeatureConfig
 from ..taxonomy import ADL_NAMES
 from . import boosting, forest, logreg, mlp
-from .store import ModelFormatError, load_model, save_model
 
 KINDS = (logreg, forest, boosting, mlp)
 
@@ -64,8 +63,7 @@ def resolve_kind(name: str):
     raise TrainingError(f"unknown model kind {name!r} (choose from {names})")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(NamedTuple):
     """What to train, and the seed of its fit. A kind's hyperparameters are
     its module's DEFAULTS, copied afresh by each `resolved()`."""
 

@@ -8,6 +8,7 @@ named only in its dataclass."""
 import hashlib
 import json
 
+from .. import models  # KINDS read at call time, so a kind added to it is seen here
 from ..documents import from_document, read_object, to_document
 from ..taxonomy import NUM_ADL_CLASSES
 
@@ -40,8 +41,6 @@ def save_model(model) -> str:
 
 
 def load_model(text: str):
-    from . import KINDS, TrainedModel  # local import: __init__ builds on this module
-
     doc = read_object(text, ModelFormatError, "corrupted model document")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -57,10 +56,10 @@ def load_model(text: str):
         raise ModelFormatError("model digest mismatch: document corrupted or tampered")
     # a document can be self-consistent and still not describe a model
     try:
-        params = next((kind.PARAMS for kind in KINDS if kind.NAME == doc["kind"]), None)
+        params = next((kind.PARAMS for kind in models.KINDS if kind.NAME == doc["kind"]), None)
         if params is None:
             raise ValueError(f"unknown model kind {doc['kind']!r}")
-        model = from_document(TrainedModel, {k: v for k, v in body.items() if k not in ENVELOPE})
+        model = from_document(models.TrainedModel, {k: v for k, v in body.items() if k not in ENVELOPE})
         model.parameters = from_document(params, model.parameters)
         model.parameters.check(model.feature_dim, len(model.classes))
         # predictions index classes, and are scored and named as ADL labels

@@ -238,7 +238,7 @@ def _raw_labels_by_category(table: CategoryTable) -> dict[str, list[str]]:
 
 def _participant_bias(spec: GenSpec, participant_id: str, table: CategoryTable) -> dict[str, float]:
     rng = make_generator(spec.seed, "bias", participant_id)
-    draws = rng.uniform(-1.0, 1.0, size=len(table))
+    draws = rng.uniform(-1.0, 1.0, size=len(table.categories))
     return {
         cat: 1.0 + spec.participant_effect * draws[i]
         for i, cat in enumerate(table.categories)
@@ -328,7 +328,7 @@ def perturb(
             if noise.spurious_rate > 0:
                 for _ in range(int(rng.poisson(noise.spurious_rate))):
                     # drawn label, score, box: another order gives another corpus
-                    label = table.categories[int(rng.integers(0, len(table)))]
+                    label = table.categories[int(rng.integers(0, len(table.categories)))]
                     score = 0.05 + (0.95 - 0.05) * random()
                     objects.append(ObjectDetection(label, score, _random_box(random)))
             frames.append(FrameObservation(frame.frame_index, tuple(objects), frame.hoi_objects))
@@ -344,7 +344,7 @@ class GeneratedCorpus(NamedTuple):
 def check_spec(spec: GenSpec, table: CategoryTable) -> None:
     """Raise GenError unless `spec` is valid and names only categories of `table`."""
     spec.validate()
-    if spec.noise.label_confusion_rate > 0 and len(table) < 2:
+    if spec.noise.label_confusion_rate > 0 and len(table.categories) < 2:
         # a confused label is redrawn from the other categories
         raise GenError("label_confusion_rate > 0 needs a category table of at least 2 categories")
     for profile in spec.adl_profiles:

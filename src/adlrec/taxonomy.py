@@ -9,7 +9,6 @@ marked placeholders.
 
 import hashlib
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
@@ -53,14 +52,14 @@ def paper_class_counts() -> ClassCounts:
     return ClassCounts(PAPER_CLASS_COUNTS)
 
 
-@dataclass(frozen=True)
-class CategoryTable:
+class CategoryTable(NamedTuple):
     """Ordered functional-category list plus the raw-label routing map.
 
     Category order is the order of appearance in the config document and
     fixes the feature dimension layout; `content_hash` versions that layout.
     Raw labels route through `raw_map`, then by identity if the raw string
-    is itself a category name, then to `fallback`.
+    is itself a category name, then to `fallback`. The table's size is the
+    length of `categories`; a named tuple's own length is its field count.
     """
 
     categories: tuple[str, ...]
@@ -69,20 +68,12 @@ class CategoryTable:
     content_hash: str
     placeholders: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {name: i for i, name in enumerate(self.categories)}
-        )
-
-    def __len__(self) -> int:
-        return len(self.categories)
-
     def map_label(self, raw: str) -> int:
         """Map a raw detector label to a category index. Total by design."""
         category = self.raw_map.get(raw)
         if category is None:
-            category = raw if raw in self._index else self.fallback
-        return self._index[category]
+            category = raw if raw in self.categories else self.fallback
+        return self.categories.index(category)
 
 
 def _table_hash(fallback: str, categories: dict[str, list[str]]) -> str:

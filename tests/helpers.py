@@ -124,7 +124,7 @@ def reference_best_ious(frame):
 def reference_raw_block(segment, table):
     """Integer (4, K) block of one segment, counted one frame at a time: the
     oracle for `features.raw_matrix`, which counts batches of segments."""
-    n, k = len(segment.frames), len(table)
+    n, k = len(segment.frames), len(table.categories)
     cells = []
     for row, frame in enumerate(segment.frames):
         for best, detection in zip(reference_best_ious(frame), frame.objects):

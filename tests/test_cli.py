@@ -24,7 +24,7 @@ from adlrec.cli import main
 from adlrec.documents import from_document, to_document
 from adlrec.evaluation import GRID_HEADER, AblationCell, EvaluationReport, ScoredReport
 from adlrec.features import FeatureConfig, feature_matrix
-from adlrec.models import load_model, save_model
+from adlrec.models.store import load_model, save_model
 from adlrec.records import RecordError, SegmentKey, load_corpus
 from adlrec.synthgen import NoiseSpec, clean_genspec, generate, genspec_to_json
 from adlrec.taxonomy import ADL_NAMES, default_category_table
@@ -660,7 +660,6 @@ def test_model_kind_is_never_read_as_a_file(synth_dir, tmp_path, monkeypatch, ca
 def test_a_fifth_kind_is_one_module_and_one_entry_in_kinds(synth_dir, tmp_path, monkeypatch, capsys):
     kinds = (*models.KINDS, PRIOR_KIND)
     monkeypatch.setattr(models, "KINDS", kinds)
-    monkeypatch.setattr(cli, "KINDS", kinds)
     data = ["--records", str(synth_dir / "records.jsonl"),
             "--manifest", str(synth_dir / "manifest.csv")]
     assert main(["train", *data, "--model", "prior", "--out", str(tmp_path / "m")]) == 0

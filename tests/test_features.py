@@ -327,7 +327,7 @@ def test_raw_matrix_equals_per_frame_oracle_across_batches(table):
 
 def test_raw_matrix_of_no_segments_is_empty(table):
     raw, keys = raw_matrix([], table)
-    assert raw.shape == (0, 4, len(table)) and raw.dtype == np.int64
+    assert raw.shape == (0, 4, len(table.categories)) and raw.dtype == np.int64
     assert keys == []
 
 

@@ -7,21 +7,19 @@ import pytest
 from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.models import (
     KINDS,
-    ModelFormatError,
     TrainConfig,
     TrainedModel,
     TrainingError,
     balanced_weights,
     boosting,
     forest,
-    load_model,
     logreg,
     mlp,
     resolve_kind,
-    save_model,
     train_matrix,
 )
 from adlrec.models.logreg import LogisticModel, loss_and_grad
+from adlrec.models.store import ModelFormatError, load_model, save_model
 from adlrec.rng import make_generator
 from adlrec.synthgen import distractor_genspec, generate
 from adlrec.taxonomy import PAPER_CLASS_COUNTS

@@ -40,7 +40,7 @@ def test_paper_class_counts_fixture():
 
 
 def test_default_table_has_29_categories(table):
-    assert len(table) == 29
+    assert len(table.categories) == 29
     for name in ("kitchen_utensils", "electronics", "wheelchair_walker"):
         assert name in table.categories
     assert table.fallback == "other"
@@ -111,5 +111,5 @@ def test_category_order_is_document_order():
 def test_map_label_is_total_and_deterministic(raw):
     t = default_category_table()
     idx = t.map_label(raw)
-    assert 0 <= idx < len(t)
+    assert 0 <= idx < len(t.categories)
     assert t.map_label(raw) == idx

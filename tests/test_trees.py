@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from adlrec.cli import main
 from adlrec.features import FeatureConfig
-from adlrec.models import TrainConfig, boosting, forest, save_model, train_matrix, tree as tree_module
+from adlrec.models import TrainConfig, boosting, forest, train_matrix, tree as tree_module
+from adlrec.models.store import save_model
 from adlrec.models.tree import CutCache, Tree, build_classification_tree, build_regression_tree
 from adlrec.rng import make_generator
 from adlrec.taxonomy import default_category_table
