@@ -15,13 +15,12 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__, models
-from .documents import csv_lines, from_document, read_csv, read_object, to_document
+from .documents import InputError, csv_lines, from_document, read_csv, read_object, to_document
 from .evaluation import (
     EvaluationError,
     EvaluationReport,
@@ -75,18 +74,6 @@ _PRESET_DEFAULTS = {
     "box_jitter": 0.0,
     "seed": DEFAULT_SEED,
 }
-
-_ERRORS = (
-    TaxonomyError,
-    RecordError,
-    FeatureError,
-    TrainingError,
-    EvaluationError,
-    GenError,
-    ModelFormatError,
-    OSError,
-)
-
 
 def _names_model_file(model: str) -> bool:
     """Whether a --model value is a saved model's path; a model kind never
@@ -245,12 +232,12 @@ def _features_csv(segments, table, config) -> Iterator[str]:
     """features.csv as its header and then one piece per row of Python floats.
     The matrix is built at the call, so a featurization error comes first."""
     X, keys = feature_matrix(segments, table, config)
-    labels = {s.key: "" if s.label is None else ADL_NAMES[s.label] for s in segments}
+    labels = ("" if label is None else ADL_NAMES[label] for label in label_ids(segments, keys))
     comment = (
         f"# adlrec-features representation={config.representation} "
         f"active={str(config.use_active).lower()} taxonomy={config.taxonomy_hash}\n"
     )
-    rows = ([*key, labels[key], *row.tolist()] for row, key in zip(X, keys))
+    rows = ([*key, label, *row.tolist()] for row, key, label in zip(X, keys, labels))
     header = [*MANIFEST_HEADER, *feature_names(table, config)]
     return itertools.chain((comment,), csv_lines(itertools.chain((header,), rows)))
 
@@ -260,7 +247,7 @@ def cmd_featurize(args) -> int:
     result, diagnostics = _load_segments(args, needs_manifest=False)
     config = _feature_config(args, table)
     outputs = zip(itertools.repeat("features.csv"), _features_csv(result.segments, table, config))
-    _write_run(args, {**asdict(config), "rejected_records": len(diagnostics)}, None, outputs)
+    _write_run(args, {**to_document(config), "rejected_records": len(diagnostics)}, None, outputs)
     print(
         f"featurized {len(result.segments)} segments -> "
         f"{len(feature_names(table, config))} columns"
@@ -278,7 +265,8 @@ def cmd_train(args) -> int:
     config = _feature_config(args, table)
     X, keys = feature_matrix(result.segments, table, config)
     model = train_matrix(X, label_ids(result.segments, keys), cfg, feature_config=config)
-    run_config = {"model": model.kind, **asdict(config), "hyperparameters": model.hyperparameters}
+    run_config = {"model": model.kind, **to_document(config),
+                  "hyperparameters": model.hyperparameters}
     _write_run(args, run_config, args.seed, [("model.json", save_model(model) + "\n")])
     print(
         f"trained {model.kind} on {X.shape[0]} segments "
@@ -321,7 +309,7 @@ def cmd_evaluate(args) -> int:
     config = _feature_config(args, table)
     report = run_loso(result.segments, table, config, cfg)
     outputs = [("report.json", json.dumps(to_document(report), indent=2) + "\n")]
-    _write_run(args, {"model": cfg.kind, **asdict(config)}, seed, outputs)
+    _write_run(args, {"model": cfg.kind, **to_document(config)}, seed, outputs)
     print(_render_report(report), end="")
     return 1 if diagnostics else 0
 
@@ -350,9 +338,7 @@ def _render_grid(grid_csv: str) -> str:
         f"{'representation':<16}{'active':<8}{'model':<20}"
         f"{'mean wF1':<12}{'std':<8}{'% > 0.5':<8}"
     ]
-    for n, row in read_csv(grid_csv, GRID_HEADER, ValueError, "grid"):
-        if len(row) != len(GRID_HEADER):
-            raise ValueError(f"grid line {n}: expected {len(GRID_HEADER)} fields, got {len(row)}")
+    for _, row in read_csv(grid_csv, GRID_HEADER, ValueError, "grid"):
         rep, active, model, mean, std, pct, _ = row
         out.append(
             f"{rep:<16}{active:<8}{model:<20}"
@@ -510,6 +496,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ERRORS as exc:
+    except (InputError, OSError) as exc:  # ChildProcessError is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 1

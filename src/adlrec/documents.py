@@ -38,6 +38,10 @@ _JSON_TYPES = {int: ("an integer", {int}), float: ("a number", NUMBER_TYPES),
                dict: ("an object", {dict}), list: ("a list", {list})}
 
 
+class InputError(ValueError):
+    """Outside input that a command refuses; every error class of adlrec derives from it."""
+
+
 def read_object(text: str, error: type[Exception], what: str, **options) -> dict:
     """The JSON object in `text`, else `error` with a message that starts with
     `what`; `options` go to json.loads, and an `error` from one of its hooks
@@ -152,9 +156,9 @@ def read_csv(
 ) -> Iterator[tuple[int, list[str]]]:
     """The rows of CSV `lines` after `header`, each with its last line number
     (a quoted field may span lines); blank rows are skipped. A missing or
-    different header (compared cell by cell, stripped) or a csv.Error, such
-    as a field over the csv module's limit, raises `error`, its message
-    starting with `what`."""
+    different header (compared cell by cell, stripped), a row of another
+    width than the header or a csv.Error, such as a field over the csv
+    module's limit, raises `error`, its message starting with `what`."""
     reader = csv.reader(io.StringIO(lines) if isinstance(lines, str) else lines)
     try:
         first = next(reader, None)
@@ -164,6 +168,9 @@ def read_csv(
             raise error(f"{what} header must be {','.join(header)}, got {reprlib.repr(first)}")
         for row in reader:
             if row:
+                if len(row) != len(header):
+                    raise error(f"{what} line {reader.line_num}: "
+                                f"expected {len(header)} fields, got {len(row)}")
                 yield reader.line_num, row
     except csv.Error as exc:
         raise error(f"{what} line {reader.line_num}: {exc}") from None

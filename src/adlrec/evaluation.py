@@ -13,13 +13,13 @@ mean +/- std uses the population (N-denominator) std; the convention is
 recorded in report provenance.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .documents import csv_lines
+from .documents import InputError, csv_lines, to_document
 from .features import FeatureConfig, all_feature_configs, feature_matrix, feature_view, raw_matrix
 from .models import TrainConfig, TrainedModel, train_matrix
 from .parallel import fork_map
@@ -28,7 +28,7 @@ from .rng import derive_seed
 from .taxonomy import ADL_NAMES, NUM_ADL_CLASSES, CategoryTable
 
 
-class EvaluationError(ValueError):
+class EvaluationError(InputError):
     pass
 
 
@@ -153,7 +153,7 @@ def _aggregate(folds: list[FoldResult], provenance: dict) -> EvaluationReport:
 
 def label_ids(segments: list[Segment], keys: list[SegmentKey]) -> np.ndarray:
     """The label id of each key's segment, in the order of `keys` (those of
-    `feature_matrix`); every segment must be labeled."""
+    `feature_matrix`); an unlabeled segment gives None."""
     labels = {s.key: s.label for s in segments}
     return np.array([labels[key] for key in keys])
 
@@ -184,7 +184,7 @@ def run_loso_matrix(
         )
     kind, hp = train_config.resolved()
     provenance = {
-        "feature_config": asdict(feature_config),
+        "feature_config": to_document(feature_config),
         "train_config": {"kind": kind.NAME, "seed": int(train_config.seed), "hyperparameters": hp},
         "fold_seeds": {f.participant_id: f.train_seed for f in folds},
         "std_convention": "population",

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .documents import InputError
 # mark_active is not called here, but the benchmark's tracer
 # (perfbench/tracing.py) hooks the name `adlrec.features.mark_active` and
 # fails with KeyError when it is missing
@@ -49,7 +50,7 @@ REPRESENTATIONS = tuple(_LAYOUT)
 _BATCH_FRAMES = 256
 
 
-class FeatureError(ValueError):
+class FeatureError(InputError):
     """Raised for invalid feature configs or mismatched taxonomy versions."""
 
 

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..documents import InputError
 from ..features import FeatureConfig
 from ..taxonomy import ADL_NAMES
 from . import boosting, forest, logreg, mlp
@@ -33,7 +34,7 @@ from . import boosting, forest, logreg, mlp
 KINDS = (logreg, forest, boosting, mlp)
 
 
-class TrainingError(ValueError):
+class TrainingError(InputError):
     pass
 
 

@@ -9,7 +9,7 @@ import hashlib
 import json
 
 from .. import models  # KINDS read at call time, so a kind added to it is seen here
-from ..documents import from_document, read_object, to_document
+from ..documents import InputError, from_document, read_object, to_document
 from ..taxonomy import NUM_ADL_CLASSES
 
 SCHEMA_VERSION = 1
@@ -17,7 +17,7 @@ SCHEMA_VERSION = 1
 ENVELOPE = ("schema_version", "taxonomy_hash")
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     pass
 
 

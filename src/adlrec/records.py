@@ -26,7 +26,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .documents import NUMBER_TYPES, csv_lines, read_csv, read_object
+from .documents import NUMBER_TYPES, InputError, csv_lines, read_csv, read_object
 from .taxonomy import ADL_NAMES
 
 MAX_FRAMES_PER_SEGMENT = 60
@@ -34,7 +34,7 @@ MAX_FRAMES_PER_SEGMENT = 60
 HAND_SIDES = ("left", "right", "unknown")
 
 
-class RecordError(ValueError):
+class RecordError(InputError):
     """Raised for structurally invalid records, manifests, or segments."""
 
 
@@ -286,15 +286,16 @@ def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, int]:
     """Read the per-segment label manifest into ADL ids; duplicate keys are an error."""
     labels: dict[SegmentKey, int] = {}
     for lineno, row in read_csv(stream, MANIFEST_HEADER, RecordError, "manifest"):
-        if len(row) != 4:
-            raise RecordError(f"manifest line {lineno}: expected 4 fields, got {len(row)}")
         participant, video, seg_idx_text, adl_name = (f.strip() for f in row)
         try:
-            seg_idx = int(seg_idx_text)
+            # ASCII digits, the only digits of a record's JSON integer: int() would
+            # also take a sign, "1_0" or another script's digits; "05" reads as 5
+            if not (seg_idx_text.isascii() and seg_idx_text.isdigit()):
+                raise ValueError
+            seg_idx = int(seg_idx_text)  # ValueError past int's digit limit too
         except ValueError:
-            raise RecordError(
-                f"manifest line {lineno}: segment_index {seg_idx_text!r} is not an integer"
-            ) from None
+            raise RecordError(f"manifest line {lineno}: segment_index {seg_idx_text!r} "
+                              "is not a nonnegative integer") from None
         try:
             label = ADL_NAMES.index(adl_name)
         except ValueError:

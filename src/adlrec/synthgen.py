@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .documents import from_document, read_object, to_document
+from .documents import InputError, from_document, read_object, to_document
 from .records import (
     MAX_FRAMES_PER_SEGMENT,
     Box2D,
@@ -47,7 +47,7 @@ PARTICIPANT_EFFECT = 0.3
 DISTRACTOR_PROB = 0.45
 
 
-class GenError(ValueError):
+class GenError(InputError):
     pass
 
 

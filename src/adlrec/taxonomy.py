@@ -12,10 +12,10 @@ import json
 from importlib import resources
 from typing import NamedTuple
 
-from .documents import read_object
+from .documents import InputError, read_object
 
 
-class TaxonomyError(ValueError):
+class TaxonomyError(InputError):
     """Raised for malformed category-table documents."""
 
 
@@ -150,10 +150,7 @@ def load_category_table(config_text: str) -> CategoryTable:
     )
 
 
-def default_category_table_text() -> str:
-    """The packaged default table document (29 reconstructed categories)."""
-    return resources.files("adlrec.data").joinpath("categories.json").read_text("utf-8")
-
-
 def default_category_table() -> CategoryTable:
-    return load_category_table(default_category_table_text())
+    """The packaged default table (29 reconstructed categories)."""
+    text = resources.files("adlrec.data").joinpath("categories.json").read_text("utf-8")
+    return load_category_table(text)

@@ -97,6 +97,23 @@ def test_synth_refuses_label_confusion_over_a_one_category_table(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_refuses_a_negative_segment_count(tmp_path, capsys):
+    assert main(["synth", "--segments", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: total must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_manifest_segment_index_is_refused(synth_dir, tmp_path, capsys):
+    # no record can have this key, so it was once a manifest row without frames
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text((synth_dir / "manifest.csv").read_text() + "p01,v01,-1,Self-Feeding\n")
+    assert main(["ingest-validate", "--records", str(synth_dir / "records.jsonl"),
+                 "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err == (
+        "error: manifest line 44: segment_index '-1' is not a nonnegative integer\n"
+    )
+
+
 def test_ingest_validate(synth_dir, tmp_path, capsys):
     code = main(
         [

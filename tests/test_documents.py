@@ -1,6 +1,9 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from adlrec.documents import read_csv
+from adlrec.documents import InputError, read_csv
 
 HEADER = ("a", "b")
 
@@ -29,3 +32,27 @@ def test_read_csv_refuses_a_document_with_its_error(text, message):
     with pytest.raises(Refused) as caught:
         list(read_csv(text, HEADER, Refused, "table"))
     assert str(caught.value) == message
+
+
+def test_read_csv_refuses_a_row_of_another_width():
+    for row, width in (("x\n", 1), ("x,y,z\n", 3)):
+        with pytest.raises(Refused) as caught:
+            list(read_csv("a,b\n\nv,w\n" + row, HEADER, Refused, "table"))
+        assert str(caught.value) == f"table line 4: expected 2 fields, got {width}"
+
+
+def test_every_error_class_is_input_error():
+    """Every exception class adlrec defines derives from InputError, so that
+    the command line reports each as one error line, never a traceback."""
+    package = importlib.import_module("adlrec")
+    names = [info.name for info in pkgutil.walk_packages(package.__path__, "adlrec.")]
+    assert len(names) > 10
+    defined = [
+        cls
+        for name in names
+        for cls in vars(importlib.import_module(name)).values()
+        if isinstance(cls, type) and issubclass(cls, Exception) and cls.__module__ == name
+    ]
+    assert len(defined) >= 8
+    assert [cls.__qualname__ for cls in defined if not issubclass(cls, InputError)] == []
+    assert issubclass(InputError, ValueError)

@@ -18,7 +18,7 @@ from adlrec.models import (
     resolve_kind,
     train_matrix,
 )
-from adlrec.models.logreg import LogisticModel, loss_and_grad
+from adlrec.models.logreg import LogisticModel, _line_search, loss_and_grad
 from adlrec.models.store import ModelFormatError, load_model, save_model
 from adlrec.rng import make_generator
 from adlrec.synthgen import distractor_genspec, generate
@@ -307,3 +307,12 @@ def test_logreg_fit_is_byte_identical(distractor_fold):
     second, _ = logreg.fit(X, y, len(class_weight), class_weight, 0, hp)
     assert first.weights.tobytes() == second.weights.tobytes()
     assert first.bias.tobytes() == second.bias.tobytes()
+
+
+def test_line_search_refuses_a_direction_that_does_not_descend():
+    def objective(theta):
+        raise AssertionError("no step is tried along a direction that does not descend")
+
+    theta, grad = np.zeros(2), np.array([1.0, -2.0])
+    for direction in ([1.0, 0.0], [2.0, 1.0], [math.nan, 0.0]):  # uphill, flat, no slope
+        assert _line_search(objective, theta, 1.0, grad, np.array(direction)) is None

@@ -380,3 +380,45 @@ def test_serialize_frame_refuses_what_json_dumps_refuses(key, frame, data):
         refused(TypeError, slot, data.draw(st.sampled_from([np.float32(0.5), np.int64(1)])))
     slot = data.draw(st.sampled_from([0, 1]))
     refused(TypeError, slot, data.draw(st.sampled_from([np.int64(3), np.float32(3.0)])))
+
+
+@pytest.mark.parametrize("text", ["1_0", "٣", "+4", "-1"])
+def test_manifest_segment_index_is_ascii_digits(text):
+    with pytest.raises(RecordError) as caught:
+        load_manifest(f"participant_id,video_id,segment_index,adl_label\np1,v1,{text},Self-Feeding\n")
+    assert str(caught.value) == (
+        f"manifest line 2: segment_index {text!r} is not a nonnegative integer"
+    )
+
+
+def test_manifest_segment_index_takes_leading_zeros_and_spaces():
+    labels = load_manifest(
+        "participant_id,video_id,segment_index,adl_label\n"
+        "p1,v1,05,Self-Feeding\np1,v1, 7 ,Home Management\n"
+    )
+    assert labels == {SegmentKey("p1", "v1", 5): 0, SegmentKey("p1", "v1", 7): 4}
+    with pytest.raises(RecordError, match="^manifest line 3: duplicate segment key"):
+        load_manifest(
+            "participant_id,video_id,segment_index,adl_label\n"
+            "p1,v1,05,Self-Feeding\np1,v1,5,Self-Feeding\n"
+        )
+
+
+def test_manifest_segment_index_beyond_int_digit_limit_is_refused():
+    digits = "1" * 5000  # ASCII digits, but more than int() reads by default
+    with pytest.raises(RecordError) as caught:
+        load_manifest(f"participant_id,video_id,segment_index,adl_label\np1,v1,{digits},Self-Feeding\n")
+    assert str(caught.value) == f"manifest line 2: segment_index '{digits}' is not a nonnegative integer"
+
+
+def test_contact_state_must_be_a_string():
+    line = record_line(hois=[((0, 0, 1, 1), "left", 5, 0.5)])
+    assert parse_records(line) == ({}, [Diagnostic(1, "contact_state must be a string")])
+
+
+def test_blank_record_lines_are_skipped_and_keep_later_line_numbers():
+    good = record_line(frame_idx=0)
+    text = "\n".join(["", good, "   ", "\t", record_line(frame_idx=70), ""])
+    groups, diags = parse_records(text)
+    assert [f.frame_index for f in groups[SegmentKey("p1", "v1", 0)]] == [0]
+    assert diags == [Diagnostic(5, "frame_index 70 outside [0, 60)")]

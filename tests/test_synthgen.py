@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from adlrec.evaluation import loso_split, weighted_f1
 from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.interaction import mark_active
-from adlrec.records import load_corpus, parse_records, serialize_segments, write_manifest
+from adlrec.records import Box2D, load_corpus, parse_records, serialize_segments, write_manifest
 from adlrec.rng import derive_seed, make_generator
 from adlrec.synthgen import (
     _hoi,
@@ -347,3 +348,58 @@ def test_clean_profile_cores_pairwise_disjoint():
     for core in CORE_CATEGORIES:
         assert not seen & set(core)
         seen |= set(core)
+
+
+def _small_spec() -> GenSpec:
+    return clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"segments_per_participant": (1, 2)}, "segments_per_participant needs 7 per-ADL counts"),
+        ({"segments_per_participant": (1, 1, 1, 1, 1, 3, -1)}, "negative segment count"),
+        ({"segments_per_participant": (0,) * 7}, "spec generates zero segments"),
+        ({"noise": NoiseSpec(box_jitter_px=-0.5)}, "box_jitter_px must be >= 0"),
+    ],
+    ids=["count-list-length", "negative-count", "zero-segments", "negative-jitter"],
+)
+def test_spec_validation_refuses_each_bad_field(change, message):
+    with pytest.raises(GenError) as caught:
+        replace(_small_spec(), **change).validate()
+    assert str(caught.value) == message
+
+
+def test_spec_validation_refuses_an_empty_core():
+    spec = _small_spec()
+    profiles = (replace(spec.adl_profiles[0], core=()), *spec.adl_profiles[1:])
+    with pytest.raises(GenError) as caught:
+        replace(spec, adl_profiles=profiles).validate()
+    assert str(caught.value) == "profile with empty core category set"
+
+
+def test_genspec_context_pair_of_three_is_refused():
+    doc = json.loads(genspec_to_json(_small_spec()))
+    doc["adl_profiles"][0]["context"][0].append(0.5)
+    with pytest.raises(GenError) as caught:
+        genspec_from_json(json.dumps(doc))
+    assert str(caught.value) == "invalid generator spec: expected 2 values, got 3"
+
+
+def _fixed_uniforms(*values):
+    """A stand-in for a generator's random(4) that returns `values`."""
+    return lambda size: np.array(values)
+
+
+@pytest.mark.parametrize(
+    "uniforms, expected",
+    [
+        # x1 + 5 and x2 - 4.6875 leave a width of 0.3125, widened to 1
+        ((0.75, 0.265625, 0.5, 0.5), Box2D(5.0, 0.0, 6.0, 10.0)),
+        # y1 + 7.5 and y2 - 2.8125 cross, 0.3125 px apart: sorted, then widened
+        ((0.5, 0.5, 0.875, 0.359375), Box2D(0.0, 7.1875, 10.0, 8.1875)),
+    ],
+    ids=["x-shrunk", "y-crossed"],
+)
+def test_jitter_box_widens_a_side_shrunk_below_one_pixel(uniforms, expected):
+    assert _jitter_box(_fixed_uniforms(*uniforms), Box2D(0.0, 0.0, 10.0, 10.0), 10.0) == expected

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,6 @@ from adlrec.taxonomy import (
     NUM_ADL_CLASSES,
     TaxonomyError,
     default_category_table,
-    default_category_table_text,
     load_category_table,
     paper_class_counts,
 )
@@ -91,7 +91,7 @@ def test_empty_and_malformed_documents():
 
 
 def test_reload_gives_identical_hash(table):
-    text = default_category_table_text()
+    text = resources.files("adlrec.data").joinpath("categories.json").read_text("utf-8")
     assert load_category_table(text).content_hash == table.content_hash
     # any semantic change moves the hash
     doc = json.loads(text)
@@ -113,3 +113,9 @@ def test_map_label_is_total_and_deterministic(raw):
     idx = t.map_label(raw)
     assert 0 <= idx < len(t.categories)
     assert t.map_label(raw) == idx
+
+
+def test_an_empty_category_name_is_refused():
+    with pytest.raises(TaxonomyError) as caught:
+        load_category_table('{"fallback": "other", "categories": {"other": [], "": ["cup"]}}')
+    assert str(caught.value) == "field 'categories': bad category name ''"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 from adlrec.cli import main
 from adlrec.features import FeatureConfig
 from adlrec.models import TrainConfig, boosting, forest, train_matrix, tree as tree_module
-from adlrec.models.store import save_model
+from adlrec.models.store import ModelFormatError, load_model, save_model
 from adlrec.models.tree import CutCache, Tree, build_classification_tree, build_regression_tree
 from adlrec.rng import make_generator
 from adlrec.taxonomy import default_category_table
 
 from helpers import (
+    redigest,
     reference_apply,
     reference_classification_tree,
     reference_matrix_pick,
@@ -493,3 +495,29 @@ def test_tree_document_rejects_unwalkable_trees(field, bad, message):
     doc[field] = bad
     with pytest.raises(ValueError, match=message):
         Tree.from_document(doc)
+
+
+SINGLE_LEAF = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda tree: dict(tree, value=[v + [0.0] if v else [] for v in tree["value"]]),
+         "tree leaf value width is not 3"),
+        (lambda tree: {key: [] for key in tree}, "tree has no nodes"),
+        (lambda tree: dict(SINGLE_LEAF, value=[[[1.0], [0.0], [0.0]]]),
+         "tree leaf values must be lists of numbers"),
+    ],
+    ids=["leaf-width", "no-nodes", "nested-leaf-values"],
+)
+def test_load_model_refuses_a_forest_tree_it_could_not_apply(edit, message, monkeypatch):
+    # a three-class forest whose first tree `edit` rewrites, re-digested
+    monkeypatch.setitem(forest.DEFAULTS, "n_trees", 3)
+    X, y = make_generator(0, "forest-doc").normal(size=(30, 4)), np.arange(30) % 3
+    doc = json.loads(save_model(train_matrix(X, y, TrainConfig(kind="random_forest", seed=0), FC)))
+    trees = doc["parameters"]["trees"]
+    trees[0] = edit(trees[0])
+    with pytest.raises(ModelFormatError) as caught:
+        load_model(redigest(doc))
+    assert str(caught.value) == f"malformed model document: {message}"
