@@ -10,7 +10,6 @@ to 2 decimals; files keep full precision.
 
 import argparse
 import contextlib
-import gc
 import hashlib
 import itertools
 import json
@@ -153,15 +152,7 @@ def _load_segments(args, needs_manifest=True):
             raise RecordError("--manifest names no file")
         elif needs_manifest:
             raise RecordError(f"{args.command} needs --manifest")
-        # the parser builds no reference cycle, so a collection during the
-        # load frees nothing and only rescans the growing corpus
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            result, diagnostics = load_corpus(record_stream, manifest)
-        finally:
-            if enabled:
-                gc.enable()
+        result, diagnostics = load_corpus(record_stream, manifest)
     for diag in diagnostics:
         print(f"{args.records}:{diag.line}: rejected record: {diag.message}", file=sys.stderr)
     for key in result.labels_without_frames:

@@ -1,4 +1,4 @@
-"""Detection/interaction record parsing, the segment manifest, and assembly.
+"""Detection/interaction record parsing, the segment manifest, and load_corpus.
 
 One frame record per line (UTF-8 JSON object)::
 
@@ -16,12 +16,14 @@ Records, segments and diagnostics check nothing when built: outside input is
 validated once, by the parser. A number is a JSON int or float, never a bool.
 A malformed line is rejected on its own, as a diagnostic. A frame_index that
 repeats within a segment leaves its frames ambiguous, so that segment is
-dropped, with one diagnostic per repeated line. So every parsed group holds 1
-to 60 frames in strictly increasing frame_index order.
+dropped, with one diagnostic per repeated line. So every loaded segment holds
+1 to 60 frames in strictly increasing frame_index order.
 """
 
+import gc
 import io
 import math
+import reprlib
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -42,6 +44,12 @@ class SegmentKey(NamedTuple):
     participant_id: str
     video_id: str
     segment_index: int
+
+    def __repr__(self) -> str:
+        """The named tuple's repr with each field shortened by reprlib, so that
+        every message showing a key stays short whatever the input holds."""
+        fields = ", ".join(map("{}={}".format, self._fields, map(reprlib.repr, self)))
+        return f"SegmentKey({fields})"
 
 
 class Box2D(NamedTuple):
@@ -191,54 +199,10 @@ def parse_record_line(line: str, strings: dict[str, str]) -> tuple[SegmentKey, F
     detections = tuple(map(_parse_object, objects, repeat(strings)))
     hois = tuple(map(_parse_hoi, hoi_objects, repeat(strings)))
     if not 0 <= frame_idx < MAX_FRAMES_PER_SEGMENT:
-        raise RecordError(f"frame_index {frame_idx} outside [0, {MAX_FRAMES_PER_SEGMENT})")
+        raise RecordError(f"frame_index {reprlib.repr(frame_idx)} outside "
+                          f"[0, {MAX_FRAMES_PER_SEGMENT})")
     key = _new(SegmentKey, (participant, video, seg_idx))
     return key, _new(FrameObservation, (frame_idx, detections, hois))
-
-
-def parse_records(
-    stream: Iterable[str] | TextIO,
-) -> tuple[dict[SegmentKey, list[FrameObservation]], list[Diagnostic]]:
-    """Group frame records by (participant, video, segment).
-
-    Groups are ordered by key and frames by frame_index. Malformed lines are
-    collected as diagnostics with 1-based line numbers; valid lines are kept.
-    A group in which a frame_index repeats is left out, and each repeated
-    line becomes a diagnostic that names the segment. Repeated strings are
-    held once, through a memo that lives only as long as this call.
-    """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    strings: dict[str, str] = {}
-    groups: dict[SegmentKey, dict[int, FrameObservation]] = {}
-    duplicated: set[SegmentKey] = set()
-    diagnostics: list[Diagnostic] = []
-    for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            key, observation = parse_record_line(line, strings)
-        except RecordError as exc:
-            diagnostics.append(Diagnostic(lineno, str(exc)))
-            continue
-        group = groups.setdefault(key, {})
-        if observation.frame_index in group:
-            duplicated.add(key)
-            diagnostics.append(
-                Diagnostic(
-                    lineno,
-                    f"segment {key}: frame_index {observation.frame_index} repeated; "
-                    "segment dropped",
-                )
-            )
-            continue
-        group[observation.frame_index] = observation
-    ordered = {
-        key: [groups[key][index] for index in sorted(groups[key])]
-        for key in sorted(groups)
-        if key not in duplicated
-    }
-    return ordered, diagnostics
 
 
 def serialize_frame(key: SegmentKey, frame: FrameObservation) -> str:
@@ -294,12 +258,13 @@ def load_manifest(stream: Iterable[str] | TextIO) -> dict[SegmentKey, int]:
                 raise ValueError
             seg_idx = int(seg_idx_text)  # ValueError past int's digit limit too
         except ValueError:
-            raise RecordError(f"manifest line {lineno}: segment_index {seg_idx_text!r} "
+            raise RecordError(f"manifest line {lineno}: segment_index {reprlib.repr(seg_idx_text)} "
                               "is not a nonnegative integer") from None
         try:
             label = ADL_NAMES.index(adl_name)
         except ValueError:
-            raise RecordError(f"manifest line {lineno}: unknown ADL {adl_name!r}") from None
+            raise RecordError(f"manifest line {lineno}: "
+                              f"unknown ADL {reprlib.repr(adl_name)}") from None
         key = SegmentKey(participant, video, seg_idx)
         if key in labels:
             raise RecordError(f"manifest line {lineno}: duplicate segment key {key}")
@@ -321,30 +286,65 @@ class AssemblyResult(NamedTuple):
     labels_without_frames: list[SegmentKey]
 
 
-def assemble_segments(
-    groups: dict[SegmentKey, list[FrameObservation]],
-    labels: dict[SegmentKey, int] | None,
-) -> AssemblyResult:
-    """Join frame groups with manifest labels into Segments.
-
-    The manifest alone decides labels: without one (labels None) every
-    segment is unlabeled; with one, every group must have an entry.
-    Manifest entries with no frames are reported, not fatal.
-    """
-    if labels is None:
-        return AssemblyResult([Segment(key, tuple(frames)) for key, frames in groups.items()], [])
-    missing = [key for key in groups if key not in labels]
-    if missing:
-        raise RecordError(f"{len(missing)} segment(s) have no manifest row, first {missing[0]}")
-    segments = [Segment(key, tuple(frames), labels[key]) for key, frames in groups.items()]
-    return AssemblyResult(segments, sorted(k for k in labels if k not in groups))
-
-
 def load_corpus(
     record_stream: Iterable[str] | TextIO,
     manifest_stream: Iterable[str] | TextIO | None,
 ) -> tuple[AssemblyResult, list[Diagnostic]]:
-    """Convenience: parse records + manifest and assemble in one step."""
-    groups, diagnostics = parse_records(record_stream)
-    labels = load_manifest(manifest_stream) if manifest_stream is not None else None
-    return assemble_segments(groups, labels), diagnostics
+    """Parse frame records, read the manifest, and join them into Segments.
+
+    Segments are ordered by key and frames by frame_index. Malformed lines are
+    collected as diagnostics with 1-based line numbers; valid lines are kept.
+    A segment in which a frame_index repeats is left out, and each repeated
+    line becomes a diagnostic that names the segment. Repeated strings are
+    held once, through a memo that lives only as long as this call.
+
+    The manifest alone decides labels: without one (manifest_stream None)
+    every segment is unlabeled; with one, every segment must have an entry.
+    Manifest entries with no frames are reported, not fatal.
+    """
+    if isinstance(record_stream, str):
+        record_stream = io.StringIO(record_stream)
+    # the parser builds no reference cycle, so a collection during the
+    # load frees nothing and only rescans the growing corpus
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        strings: dict[str, str] = {}
+        groups: dict[SegmentKey, dict[int, FrameObservation]] = {}
+        duplicated: set[SegmentKey] = set()
+        diagnostics: list[Diagnostic] = []
+        for lineno, line in enumerate(record_stream, start=1):
+            if not line.strip():
+                continue
+            try:
+                key, observation = parse_record_line(line, strings)
+            except RecordError as exc:
+                diagnostics.append(Diagnostic(lineno, str(exc)))
+                continue
+            group = groups.setdefault(key, {})
+            if observation.frame_index in group:
+                duplicated.add(key)
+                diagnostics.append(
+                    Diagnostic(
+                        lineno,
+                        f"segment {key}: frame_index {observation.frame_index} repeated; "
+                        "segment dropped",
+                    )
+                )
+                continue
+            group[observation.frame_index] = observation
+        labels = load_manifest(manifest_stream) if manifest_stream is not None else None
+        keys = sorted(groups.keys() - duplicated)
+        missing = [key for key in keys if key not in labels] if labels is not None else []
+        if missing:
+            raise RecordError(f"{len(missing)} segment(s) have no manifest row, first {missing[0]}")
+        without_frames = sorted(labels.keys() - set(keys)) if labels is not None else []
+        label_of = (labels or {}).get
+        segments = []
+        for key in keys:
+            group = groups.pop(key)  # each frame group is freed as its segment is built
+            segments.append(Segment(key, tuple(group[i] for i in sorted(group)), label_of(key)))
+        return AssemblyResult(segments, without_frames), diagnostics
+    finally:
+        if enabled:
+            gc.enable()

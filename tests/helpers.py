@@ -12,12 +12,18 @@ import numpy as np
 from adlrec.interaction import IOU_ACTIVE_THRESHOLD, iou
 from adlrec.models.tree import _grow
 from adlrec.records import (
+    AssemblyResult,
     Box2D,
+    Diagnostic,
     FrameObservation,
     HoiObject,
     ObjectDetection,
+    RecordError,
     Segment,
     SegmentKey,
+    load_corpus,
+    load_manifest,
+    parse_record_line,
 )
 from adlrec.synthgen import CANVAS_H, CANVAS_W
 
@@ -67,6 +73,52 @@ def record_line(
     }
     doc.update(overrides)
     return json.dumps(doc)
+
+
+def loaded_groups(records):
+    """Each loaded segment's frames by key, and the diagnostics, of records
+    loaded without a manifest."""
+    result, diagnostics = load_corpus(records, None)
+    return {s.key: s.frames for s in result.segments}, diagnostics
+
+
+def reference_load_corpus(lines, manifest):
+    """`records.load_corpus` by brute force: the oracle for its one-pass
+    grouping. Each line is parsed on its own, a repeat is found by looking
+    back over every earlier line, and each segment's frames are gathered by a
+    scan over all lines. Returns what load_corpus returns for the same lines
+    and manifest text (or None), or raises the RecordError it raises."""
+    parsed, repeated, diagnostics = [], set(), []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            key, frame = parse_record_line(line, {})
+        except RecordError as exc:
+            diagnostics.append(Diagnostic(lineno, str(exc)))
+            continue
+        if any(k == key and f.frame_index == frame.frame_index for k, f in parsed):
+            repeated.add(key)
+            diagnostics.append(Diagnostic(
+                lineno, f"segment {key}: frame_index {frame.frame_index} repeated; segment dropped"
+            ))
+        parsed.append((key, frame))
+    keys = sorted({key for key, _ in parsed} - repeated)
+    labels = load_manifest(manifest) if manifest is not None else None
+    if labels is not None:
+        missing = [key for key in keys if key not in labels]
+        if missing:
+            raise RecordError(f"{len(missing)} segment(s) have no manifest row, first {min(missing)}")
+    segments = [
+        Segment(
+            key,
+            tuple(sorted((f for k, f in parsed if k == key), key=lambda f: f.frame_index)),
+            None if labels is None else labels[key],
+        )
+        for key in keys
+    ]
+    without_frames = [] if labels is None else sorted(k for k in labels if k not in keys)
+    return AssemblyResult(segments, without_frames), diagnostics
 
 
 def reference_serialize_frame(key, frame):

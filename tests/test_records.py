@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,26 +15,31 @@ from adlrec.records import (
     ObjectDetection,
     RecordError,
     SegmentKey,
-    assemble_segments,
     load_corpus,
     load_manifest,
     parse_record_line,
-    parse_records,
     serialize_frame,
     serialize_segments,
     write_manifest,
 )
-from adlrec.synthgen import clean_genspec, generate
-from adlrec.taxonomy import ADL_NAMES, NUM_ADL_CLASSES
+from adlrec.synthgen import clean_genspec, distractor_genspec, generate
+from adlrec.taxonomy import ADL_NAMES, NUM_ADL_CLASSES, default_category_table
 
-from helpers import frame, record_line, reference_serialize_frame, segment
+from helpers import (
+    frame,
+    loaded_groups,
+    record_line,
+    reference_load_corpus,
+    reference_serialize_frame,
+    segment,
+)
 
 
 def test_grouping_three_frames():
     lines = "\n".join(
         record_line(frame_idx=i, objects=[("cup", 0.9, (0, 0, 10, 10))]) for i in range(3)
     )
-    groups, diagnostics = parse_records(lines)
+    groups, diagnostics = loaded_groups(lines)
     assert not diagnostics
     assert list(groups) == [SegmentKey("p1", "v1", 0)]
     assert [f.frame_index for f in groups[SegmentKey("p1", "v1", 0)]] == [0, 1, 2]
@@ -46,7 +52,7 @@ def test_invalid_box_rejected_per_record():
             record_line(frame_idx=1, objects=[("cup", 0.9, (0, 0, 5, 20))]),
         ]
     )
-    groups, diagnostics = parse_records(lines)
+    groups, diagnostics = loaded_groups(lines)
     assert len(diagnostics) == 1
     assert diagnostics[0].line == 1
     assert "x1 < x2" in diagnostics[0].message
@@ -59,24 +65,24 @@ def test_rejection_never_alters_other_records():
         record_line(frame_idx=i, objects=[("cup", 0.5, (0, 0, 4, 4))]) for i in range(4)
     ]
     mixed = good[:2] + ['{"broken', record_line(frame_idx=9, objects=[("x", 2.0, (0, 0, 1, 1))])] + good[2:]
-    clean_groups, _ = parse_records("\n".join(good))
-    mixed_groups, diagnostics = parse_records("\n".join(mixed))
+    clean_groups, _ = loaded_groups("\n".join(good))
+    mixed_groups, diagnostics = loaded_groups("\n".join(mixed))
     assert len(diagnostics) == 2
     assert mixed_groups == clean_groups
 
 
 def test_empty_stream():
-    groups, diagnostics = parse_records("")
+    groups, diagnostics = loaded_groups("")
     assert groups == {}
     assert diagnostics == []
 
 
 def test_frame_index_bounds_and_score_bounds():
-    _, diags = parse_records(record_line(frame_idx=60))
+    _, diags = loaded_groups(record_line(frame_idx=60))
     assert len(diags) == 1 and "frame_index" in diags[0].message
-    _, diags = parse_records(record_line(objects=[("cup", 1.5, (0, 0, 1, 1))]))
+    _, diags = loaded_groups(record_line(objects=[("cup", 1.5, (0, 0, 1, 1))]))
     assert len(diags) == 1 and "score" in diags[0].message
-    _, diags = parse_records(record_line(hois=[((0, 0, 1, 1), "up", "contact", 0.5)]))
+    _, diags = loaded_groups(record_line(hois=[((0, 0, 1, 1), "up", "contact", 0.5)]))
     assert len(diags) == 1 and "hand_side" in diags[0].message
 
 
@@ -86,7 +92,7 @@ def test_box_invariants():
         ((0, 5, 10, 5), "box violates y1 < y2"),
         ((0, 0, float("inf"), 5), "box coordinates must be finite"),  # JSON token Infinity
     ]:
-        groups, diags = parse_records(record_line(objects=[("cup", 0.9, bad)]))
+        groups, diags = loaded_groups(record_line(objects=[("cup", 0.9, bad)]))
         assert groups == {}
         assert diags == [Diagnostic(1, message)]
     assert Box2D(0, 0, 4, 5).area() == 20
@@ -140,7 +146,7 @@ def _bad_box(box: str) -> str:
     ],
 )
 def test_rejected_record_messages(line, message):
-    groups, diags = parse_records(line)
+    groups, diags = loaded_groups(line)
     assert groups == {}
     assert diags == [Diagnostic(1, message)]
 
@@ -154,7 +160,7 @@ def test_unreadable_numbers_and_nesting_reject_only_their_line():
         "[" * 100_000,
         record_line(seg="SEG").replace('"SEG"', "1" * 5000),  # beyond int's digit limit
     ]
-    groups, diags = parse_records("\n".join([good, *bad]))
+    groups, diags = loaded_groups("\n".join([good, *bad]))
     assert [f.frame_index for f in groups[SegmentKey("p1", "v1", 0)]] == [0]
     assert diags == [
         Diagnostic(2, "box coordinates must be numbers"),
@@ -190,11 +196,9 @@ def test_manifest_lookup_and_errors():
 
 def test_assemble_full_minute():
     lines = "\n".join(record_line(frame_idx=i) for i in range(60))
-    groups, _ = parse_records(lines)
-    labels = load_manifest(
-        "participant_id,video_id,segment_index,adl_label\np1,v1,0,Self-Feeding\n"
+    result, _ = load_corpus(
+        lines, "participant_id,video_id,segment_index,adl_label\np1,v1,0,Self-Feeding\n"
     )
-    result = assemble_segments(groups, labels)
     assert len(result.segments) == 1
     assert len(result.segments[0].frames) == 60
 
@@ -203,7 +207,7 @@ def test_assemble_duplicate_frame_index():
     # parsing drops a group whose frame_index repeats, with a diagnostic, and
     # keeps its neighbours
     lines = [record_line(frame_idx=i) for i in (0, 0, 1)] + [record_line(seg=1)]
-    parsed, diagnostics = parse_records("\n".join(lines))
+    parsed, diagnostics = loaded_groups("\n".join(lines))
     assert list(parsed) == [SegmentKey("p1", "v1", 1)]
     assert [d.line for d in diagnostics] == [2]
     assert diagnostics[0].message == (
@@ -212,20 +216,18 @@ def test_assemble_duplicate_frame_index():
 
 
 def test_assemble_training_mode_requires_labels():
-    groups, _ = parse_records(record_line())
     with pytest.raises(RecordError, match="1 segment\\(s\\) have no manifest row"):
-        assemble_segments(groups, {})
-    result = assemble_segments(groups, None)
+        load_corpus(record_line(), "participant_id,video_id,segment_index,adl_label\n")
+    result, _ = load_corpus(record_line(), None)
     assert result.segments[0].label is None
 
 
 def test_labels_without_frames_reported():
-    groups, _ = parse_records(record_line())
-    labels = load_manifest(
+    result, _ = load_corpus(
+        record_line(),
         "participant_id,video_id,segment_index,adl_label\n"
-        "p1,v1,0,Self-Feeding\np9,v1,0,Home Management\n"
+        "p1,v1,0,Self-Feeding\np9,v1,0,Home Management\n",
     )
-    result = assemble_segments(groups, labels)
     assert result.labels_without_frames == [SegmentKey("p9", "v1", 0)]
 
 
@@ -245,20 +247,20 @@ def test_roundtrip_parse_serialize_parse(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=5, seed=11)
     corpus = generate(spec, table)
     lines = list(serialize_segments(corpus.segments))
-    groups1, d1 = parse_records("\n".join(lines))
+    groups1, d1 = loaded_groups("\n".join(lines))
     relines = [
         serialize_frame(key, f) for key, frames in groups1.items() for f in frames
     ]
-    groups2, d2 = parse_records("\n".join(relines))
+    groups2, d2 = loaded_groups("\n".join(relines))
     assert not d1 and not d2
     assert groups1 == groups2
     assert relines == lines  # generator emits in canonical order already
 
 
-def test_parse_records_shares_repeated_strings(table):
+def test_load_corpus_shares_repeated_strings(table):
     spec = clean_genspec(participants=2, segments_per_participant=7, frames_per_segment=5, seed=11)
     corpus = generate(spec, table)
-    groups, diagnostics = parse_records("\n".join(serialize_segments(corpus.segments)))
+    groups, diagnostics = loaded_groups("\n".join(serialize_segments(corpus.segments)))
     assert not diagnostics
     frames = [f for frames in groups.values() for f in frames]
     columns = {
@@ -276,7 +278,7 @@ def test_parse_records_shares_repeated_strings(table):
 def test_segment_count_matches_distinct_keys(table):
     spec = clean_genspec(participants=3, segments_per_participant=10, frames_per_segment=3, seed=4)
     corpus = generate(spec, table)
-    groups, _ = parse_records("\n".join(serialize_segments(corpus.segments)))
+    groups, _ = loaded_groups("\n".join(serialize_segments(corpus.segments)))
     result, _ = load_corpus(
         "\n".join(serialize_segments(corpus.segments)), write_manifest(corpus.truth_segments)
     )
@@ -408,17 +410,110 @@ def test_manifest_segment_index_beyond_int_digit_limit_is_refused():
     digits = "1" * 5000  # ASCII digits, but more than int() reads by default
     with pytest.raises(RecordError) as caught:
         load_manifest(f"participant_id,video_id,segment_index,adl_label\np1,v1,{digits},Self-Feeding\n")
-    assert str(caught.value) == f"manifest line 2: segment_index '{digits}' is not a nonnegative integer"
+    assert str(caught.value) == (
+        "manifest line 2: segment_index '111111111111...1111111111111' is not a nonnegative integer"
+    )
 
 
 def test_contact_state_must_be_a_string():
     line = record_line(hois=[((0, 0, 1, 1), "left", 5, 0.5)])
-    assert parse_records(line) == ({}, [Diagnostic(1, "contact_state must be a string")])
+    assert loaded_groups(line) == ({}, [Diagnostic(1, "contact_state must be a string")])
 
 
 def test_blank_record_lines_are_skipped_and_keep_later_line_numbers():
     good = record_line(frame_idx=0)
     text = "\n".join(["", good, "   ", "\t", record_line(frame_idx=70), ""])
-    groups, diags = parse_records(text)
+    groups, diags = loaded_groups(text)
     assert [f.frame_index for f in groups[SegmentKey("p1", "v1", 0)]] == [0]
     assert diags == [Diagnostic(5, "frame_index 70 outside [0, 60)")]
+
+
+_HEADER = "participant_id,video_id,segment_index,adl_label\n"
+_LONG = "p" * 100_000
+
+
+def _refusal(call):
+    with pytest.raises(RecordError) as caught:
+        call()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        lambda: loaded_groups(record_line(frame_idx=10**3999))[1][0].message,
+        lambda: loaded_groups("\n".join([record_line(participant=_LONG)] * 2))[1][0].message,
+        lambda: _refusal(lambda: load_manifest(f"{_HEADER}p1,v1,0,{_LONG}\n")),
+        lambda: _refusal(lambda: load_manifest(f"{_HEADER}p1,v1,{_LONG},Self-Feeding\n")),
+        lambda: _refusal(lambda: load_manifest(_HEADER + f"{_LONG},v1,0,Self-Feeding\n" * 2)),
+        lambda: _refusal(lambda: load_corpus(record_line(participant=_LONG), _HEADER)),
+        # the CLI prints each such key as "manifest label without frames: {key}"
+        lambda: str(load_corpus(record_line(), f"{_HEADER}p1,v1,0,Self-Feeding\n"
+                                               f"p1,{_LONG},0,Self-Feeding\n")[0].labels_without_frames[0]),
+        lambda: _refusal(lambda: write_manifest([segment([frame(0)], video=_LONG, label=None)])),
+    ],
+    ids=[
+        "frame-index",
+        "repeated-frame",
+        "unknown-adl",
+        "manifest-segment-index",
+        "duplicate-manifest-key",
+        "missing-manifest-row",
+        "label-without-frames",
+        "no-label-to-write",
+    ],
+)
+def test_messages_shorten_long_values(message):
+    text = message()
+    assert "..." in text
+    assert len(text) < 200, len(text)
+
+
+@functools.cache
+def _oracle_corpus():
+    spec = distractor_genspec(participants=2, segments_per_participant=7, frames_per_segment=3, seed=5)
+    return generate(spec, default_category_table()).segments
+
+
+_MALFORMED = [
+    '{"broken', "[1]", record_line(frame_idx=70), record_line(objects=[("cup", 1.5, (0, 0, 1, 1))])
+]
+
+
+@st.composite
+def _loader_inputs(draw):
+    """Shuffled record lines of a small corpus with repeated frames, blank and
+    malformed lines put in, and its manifest with rows left out or added."""
+    segments = _oracle_corpus()
+    lines = draw(st.permutations(list(serialize_segments(segments))))
+    repeats = st.sampled_from([(s.key, f) for s in segments for f in s.frames]).map(
+        lambda pair: serialize_frame(pair[0], pair[1]._replace(objects=()))
+    )
+    extras = st.one_of(repeats, st.sampled_from(["", "  ", "\t"]), st.sampled_from(_MALFORMED))
+    for extra in draw(st.lists(extras, max_size=6)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if draw(st.booleans()):
+        return lines, None
+    rows = write_manifest(segments, header=False).splitlines(keepends=True)
+    if draw(st.integers(0, 3)) == 0:  # now and then a manifest that lacks rows
+        rows = [row for row in rows if draw(st.booleans())]
+    added = draw(st.lists(st.tuples(st.sampled_from(["p0", "p9"]), st.integers(50, 52)),
+                          unique=True, max_size=3))
+    rows += [f"{p},v9,{i},{ADL_NAMES[i % NUM_ADL_CLASSES]}\n" for p, i in added]
+    return lines, _HEADER + "".join(rows)
+
+
+@given(inputs=_loader_inputs(), as_text=st.booleans())
+def test_load_corpus_matches_the_brute_force_oracle(inputs, as_text):
+    lines, manifest = inputs
+    # a line's "\n" reaches the parser, and a JSON error message can show it
+    lines = [line + "\n" for line in lines]
+    records = "".join(lines) if as_text else lines
+    try:
+        expected = reference_load_corpus(lines, manifest)
+    except RecordError as exc:
+        with pytest.raises(RecordError) as caught:
+            load_corpus(records, manifest)
+        assert str(caught.value) == str(exc)
+    else:
+        assert load_corpus(records, manifest) == expected

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from adlrec.evaluation import loso_split, weighted_f1
 from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.interaction import mark_active
-from adlrec.records import Box2D, load_corpus, parse_records, serialize_segments, write_manifest
+from adlrec.records import Box2D, load_corpus, serialize_segments, write_manifest
 from adlrec.rng import derive_seed, make_generator
 from adlrec.synthgen import (
     _hoi,
@@ -31,7 +31,7 @@ from adlrec.synthgen import (
 )
 from adlrec.taxonomy import ADL_NAMES, NUM_ADL_CLASSES, load_category_table
 
-from helpers import reference_jitter_box, reference_random_box
+from helpers import loaded_groups, reference_jitter_box, reference_random_box
 
 
 def test_manifest_row_count(table):
@@ -196,7 +196,7 @@ def test_spurious_and_jitter(table):
     n_after = sum(len(f.objects) for s in noisy for f in s.frames)
     assert n_after > n_before  # spurious detections injected
     # jittered and spurious boxes still pass the parser's record checks
-    groups, diagnostics = parse_records("\n".join(serialize_segments(noisy)))
+    groups, diagnostics = loaded_groups("\n".join(serialize_segments(noisy)))
     assert diagnostics == []
     assert sum(len(f.objects) for frames in groups.values() for f in frames) == n_after
 
