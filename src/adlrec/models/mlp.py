@@ -1,8 +1,9 @@
 """Single-hidden-layer perceptron: 100 rectified units, softmax output.
 
 Mini-batch Adam (Kingma & Ba, ICLR 2015) on unweighted cross-entropy, with
-step size `lr_init` and Adam's default moment decays. Training stops early when
-the held-out stratified validation loss stalls for `patience` epochs (the best
+step size `lr_init` and Adam's default moment decays: every row counts once,
+and `class_weight` is ignored. Training stops early when the held-out
+stratified validation loss stalls for `patience` epochs (the best
 validation-loss parameters are restored). The output layer starts at zero;
 hidden-layer symmetry is broken by the seeded Glorot draw.
 """

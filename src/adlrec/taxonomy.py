@@ -9,6 +9,7 @@ marked placeholders.
 
 import hashlib
 import json
+import reprlib
 from importlib import resources
 from typing import NamedTuple
 
@@ -92,9 +93,16 @@ def _reject_duplicate_keys(pairs):
     seen = {}
     for key, value in pairs:
         if key in seen:
-            raise TaxonomyError(f"duplicate category: {key!r}")
+            raise TaxonomyError(f"duplicate category: {reprlib.repr(key)}")
         seen[key] = value
     return seen
+
+
+def _field(name: str) -> str:
+    """The field path of category `name`; a name too long for reprlib shows
+    as reprlib shortens its repr."""
+    shown = name if len(name) <= reprlib.aRepr.maxstring else reprlib.repr(name)
+    return f"field 'categories.{shown}'"
 
 
 def load_category_table(config_text: str) -> CategoryTable:
@@ -107,7 +115,8 @@ def load_category_table(config_text: str) -> CategoryTable:
          "categories": {"<category>": ["raw_label", ...], ...}}
 
     Raises TaxonomyError with line/field context on parse failure,
-    duplicate categories, duplicate raw labels, or an empty table.
+    duplicate categories, duplicate raw labels, or an empty table. Values
+    from the document are echoed shortened by reprlib.
     """
     doc = read_object(config_text, TaxonomyError, "category table parse failure",
                       object_pairs_hook=_reject_duplicate_keys)
@@ -116,28 +125,28 @@ def load_category_table(config_text: str) -> CategoryTable:
         raise TaxonomyError("field 'categories': must be a nonempty object")
     for name, raws in categories.items():
         if not isinstance(name, str) or not name:
-            raise TaxonomyError(f"field 'categories': bad category name {name!r}")
+            raise TaxonomyError(f"field 'categories': bad category name {reprlib.repr(name)}")
         if not isinstance(raws, list) or not all(isinstance(r, str) for r in raws):
-            raise TaxonomyError(
-                f"field 'categories.{name}': raw labels must be a list of strings"
-            )
+            raise TaxonomyError(f"{_field(name)}: raw labels must be a list of strings")
     fallback = doc.get("fallback", "other")
     if not isinstance(fallback, str) or fallback not in categories:
-        raise TaxonomyError(f"field 'fallback': {fallback!r} is not a listed category")
+        raise TaxonomyError(f"field 'fallback': {reprlib.repr(fallback)} is not a listed category")
     placeholders = doc.get("placeholders", [])
     if not isinstance(placeholders, list):
         raise TaxonomyError("field 'placeholders': must be a list of category names")
     for name in placeholders:
         if not isinstance(name, str) or name not in categories:
-            raise TaxonomyError(f"field 'placeholders': {name!r} is not a listed category")
+            raise TaxonomyError(
+                f"field 'placeholders': {reprlib.repr(name)} is not a listed category"
+            )
 
     raw_map: dict[str, str] = {}
     for name, raws in categories.items():
         for raw in raws:
             if raw in raw_map and raw_map[raw] != name:
                 raise TaxonomyError(
-                    f"field 'categories.{name}': raw label {raw!r} already maps to "
-                    f"{raw_map[raw]!r}"
+                    f"{_field(name)}: raw label {reprlib.repr(raw)} already maps to "
+                    f"{reprlib.repr(raw_map[raw])}"
                 )
             raw_map[raw] = name
 

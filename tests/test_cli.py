@@ -24,6 +24,7 @@ from adlrec.cli import main
 from adlrec.documents import from_document, to_document
 from adlrec.evaluation import GRID_HEADER, AblationCell, EvaluationReport, ScoredReport
 from adlrec.features import FeatureConfig, feature_matrix
+from adlrec.models import boosting
 from adlrec.models.store import load_model, save_model
 from adlrec.records import RecordError, SegmentKey, load_corpus
 from adlrec.synthgen import NoiseSpec, clean_genspec, generate, genspec_to_json
@@ -503,6 +504,12 @@ def test_report_documents_rewrite_to_their_own_bytes(synth_dir, tmp_path):
 # trained on one noisy distractor corpus scores another: any change to the
 # scoring path, the report fields or their order moves these bytes.
 SCORED_PINS = {
+    "report.json": "5068e2a2b1fbcfd467abe40e3e036dd2192f2c1a1ad77bdd5716ff2b457e73c6",
+    "predictions.csv": "0eba383b1c98f9405a3e8c439605e5a39fa419caea889a57bf86753904a2397a",
+}
+# as above with boosting.TOL at 0.0, where the gb fit builds all 100 stages:
+# the bytes from before the deviance stop
+FULL_FIT_SCORED_PINS = {
     "report.json": "5e9cafbd851581cfefeda8749114d4486c332971b7e53e732c8b75ab972a1e36",
     "predictions.csv": "0eba383b1c98f9405a3e8c439605e5a39fa419caea889a57bf86753904a2397a",
 }
@@ -639,7 +646,7 @@ def test_synth_spec_refuses_the_preset_flags(tmp_path, capsys):
     assert (out / "records.jsonl").read_bytes() == (out / "truth_records.jsonl").read_bytes()
 
 
-def test_saved_model_scoring_bytes_are_pinned(tmp_path):
+def _scored_digests(tmp_path) -> dict[str, str]:
     data = {}
     for name, seed in (("train", "12"), ("score", "13")):
         corpus = tmp_path / name
@@ -653,8 +660,13 @@ def test_saved_model_scoring_bytes_are_pinned(tmp_path):
     out = tmp_path / "e"
     assert main(["evaluate", "--model", str(tmp_path / "m" / "model.json"), *data["score"],
                  "--out", str(out)]) == 0
-    for name, digest in SCORED_PINS.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SCORED_PINS}
+
+
+def test_saved_model_scoring_bytes_are_pinned(tmp_path, monkeypatch):
+    assert _scored_digests(tmp_path / "stopped") == SCORED_PINS
+    monkeypatch.setattr(boosting, "TOL", 0.0)
+    assert _scored_digests(tmp_path / "full") == FULL_FIT_SCORED_PINS
 
 
 def test_model_kind_is_never_read_as_a_file(synth_dir, tmp_path, monkeypatch, capsys):
@@ -1045,6 +1057,30 @@ def test_deeply_nested_json_inputs_fail_legibly(tmp_path, args, content, message
 def _n_test(fold: dict) -> int:
     """A report.json fold's test segments: its confusion matrix's sum."""
     return sum(map(sum, fold["confusion"]))
+
+
+def test_report_counts_gb_folds_that_reached_the_deviance_tol(synth_dir, tmp_path, capsys, monkeypatch):
+    data = ["--records", str(synth_dir / "records.jsonl"),
+            "--manifest", str(synth_dir / "manifest.csv")]
+    assert main(["evaluate", *data, "--model", "gb", "--out", str(tmp_path / "stopped")]) == 0
+    doc = json.loads((tmp_path / "stopped" / "report.json").read_text())
+    assert {fold["stopping_reason"] for fold in doc["folds"]} == {"converged"}
+    assert all(fold["iterations"] < 100 for fold in doc["folds"])
+    capsys.readouterr()
+    assert main(["report", "--in", str(tmp_path / "stopped" / "report.json")]) == 0
+    text = capsys.readouterr().out
+    assert "converged folds: 3/3" in text and "not converged" not in text
+    # with the stop off every fold builds all 100 stages
+    monkeypatch.setattr(boosting, "TOL", 0.0)
+    assert main(["evaluate", *data, "--model", "gb", "--out", str(tmp_path / "full")]) == 0
+    capsys.readouterr()
+    assert main(["report", "--in", str(tmp_path / "full" / "report.json")]) == 0
+    text = capsys.readouterr().out
+    assert "converged folds: 0/3" in text
+    doc = json.loads((tmp_path / "full" / "report.json").read_text())
+    for fold in doc["folds"]:
+        line = f"{fold['participant_id']}: F1 {fold['weighted_f1']:.2f} (n={_n_test(fold)})"
+        assert line + "  not converged: max-iterations after 100 iterations\n" in text
 
 
 def test_report_counts_early_stopped_folds_as_converged(tmp_path, capsys):

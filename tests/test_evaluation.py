@@ -21,7 +21,7 @@ from adlrec.evaluation import (
     weighted_f1,
 )
 from adlrec.features import FeatureConfig
-from adlrec.models import TrainConfig
+from adlrec.models import TrainConfig, boosting
 from adlrec.rng import make_generator
 from adlrec.synthgen import clean_genspec, distractor_genspec, generate
 from adlrec.taxonomy import NUM_ADL_CLASSES
@@ -281,13 +281,26 @@ def test_ablation_pool_gives_the_serial_bytes(table, serial_ablation, cpus):
 # featurization, fold selection, training or scoring of a cell shows up here.
 ABLATION_PINS = (
     "f5b69f73cf86f7ce0f537f876f1b3f0923bec914641f4e3ab7005086e33bcb65",
-    "438486693c28b61d333808920a25cdfbd2325aed4a5736bfb2f4ef628f48c5ee",
+    "c184a49ccc91785ab54248ef8dc5c8ef7216ce114a6da4e953d60b8d29b812b2",
 )
 
 
+def _digests(texts) -> tuple[str, ...]:
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
+
+
 def test_ablation_bytes_are_pinned(serial_ablation):
-    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in serial_ablation)
-    assert digests == ABLATION_PINS
+    assert _digests(serial_ablation) == ABLATION_PINS
+
+
+def test_ablation_bytes_without_the_gb_stop_are_pinned(table, monkeypatch):
+    # with boosting.TOL at 0.0 every gb fit builds all its stages, and the
+    # grid is byte for byte the grid from before the deviance stop
+    monkeypatch.setattr(boosting, "TOL", 0.0)
+    assert _digests(_ablation_bytes(table, {0})) == (
+        "f5b69f73cf86f7ce0f537f876f1b3f0923bec914641f4e3ab7005086e33bcb65",
+        "438486693c28b61d333808920a25cdfbd2325aed4a5736bfb2f4ef628f48c5ee",
+    )
 
 
 def test_ablation_marks_each_frame_once(table, monkeypatch):

@@ -119,3 +119,42 @@ def test_an_empty_category_name_is_refused():
     with pytest.raises(TaxonomyError) as caught:
         load_category_table('{"fallback": "other", "categories": {"other": [], "": ["cup"]}}')
     assert str(caught.value) == "field 'categories': bad category name ''"
+
+
+_LONG = "c" * 100_000
+
+
+def _refusal(text: str) -> str:
+    with pytest.raises(TaxonomyError) as caught:
+        load_category_table(text)
+    return str(caught.value)
+
+
+# each document echoes the value v back in its refusal: "cup" keeps the
+# message's text, and a 100,000-character v is shortened by reprlib
+@pytest.mark.parametrize(
+    "document, short_message",
+    [
+        (lambda v: json.dumps({"fallback": v, "categories": {"other": []}}),
+         "field 'fallback': 'cup' is not a listed category"),
+        (lambda v: json.dumps({"fallback": [v], "categories": {"other": []}}),
+         "field 'fallback': ['cup'] is not a listed category"),
+        (lambda v: '{"categories": {%s: [], %s: []}}' % (json.dumps(v), json.dumps(v)),
+         "duplicate category: 'cup'"),
+        (lambda v: json.dumps({"placeholders": [v], "categories": {"other": []}}),
+         "field 'placeholders': 'cup' is not a listed category"),
+        (lambda v: json.dumps({"categories": {"other": [], v: "mug"}}),
+         "field 'categories.cup': raw labels must be a list of strings"),
+        (lambda v: json.dumps({"categories": {"other": [v], "a": [v]}}),
+         "field 'categories.a': raw label 'cup' already maps to 'other'"),
+        (lambda v: json.dumps({"categories": {"other": [], v: ["mug"], v + "!": ["mug"]}}),
+         "field 'categories.cup!': raw label 'mug' already maps to 'cup'"),
+    ],
+    ids=["fallback", "fallback-list", "duplicate-category", "placeholder", "raw-labels-not-a-list",
+         "repeated-raw-label", "repeated-raw-label-in-long-categories"],
+)
+def test_refusals_shorten_long_values(document, short_message):
+    assert _refusal(document("cup")) == short_message
+    text = _refusal(document(_LONG))
+    assert "..." in text
+    assert len(text) < 200, len(text)

@@ -95,11 +95,15 @@ def test_single_tree_no_bootstrap_perfect_fit(monkeypatch):
     assert (model.predict_labels(X) == y).mean() == 1.0
 
 
-def test_forest_and_boosting_fit_blobs():
+def blob_data():
     rng = make_generator(5, "blobs")
     centers = rng.normal(size=(3, 8)) * 4
     X = np.vstack([c + 0.3 * rng.normal(size=(20, 8)) for c in centers])
-    y = np.repeat(np.arange(3), 20)
+    return X, np.repeat(np.arange(3), 20)
+
+
+def test_forest_and_boosting_fit_blobs():
+    X, y = blob_data()
     for kind, module, name in (
         ("random_forest", forest, "n_trees"),
         ("gradient_boosting", boosting, "n_stages"),
@@ -184,46 +188,104 @@ def assert_saved_models_pinned(tmp_path, synth_args, pinned):
         assert hashlib.sha256((out / "model.json").read_bytes()).hexdigest() == digest, kind
 
 
-def test_saved_tree_models_are_pinned(tmp_path):
+def test_saved_tree_models_are_pinned(tmp_path, monkeypatch):
     # sha256 of model.json as written by `adlrec train`; any change to what
     # the split search picks, or to how trees serialize, moves these bytes.
     # Pinned with numpy 2.4 on x86-64 Linux; a different numpy or libm may
     # round exp/log differently and move them without a code change.
+    synth = ["--preset", "distractor", "--participants", "3", "--segments", "14", "--frames", "6"]
     assert_saved_models_pinned(
-        tmp_path,
-        ["--preset", "distractor", "--participants", "3", "--segments", "14", "--frames", "6"],
+        tmp_path / "stopped",
+        synth,
         {
-            "gb": "a300869db0c24c5bfff8f68e8f60f3fa59e5b01ce21e73d2e39aceb19290b9b2",
+            "gb": "94225b6bfad298a7117a3ded0e91b4147e14c899aa94999e8ce21deb1c8e610a",
             "rf": "a4211158916168ea2dcd562c4df6ce9cb3bd2fb64c3126431324239acdeb91ce",
         },
     )
-
-
-def test_saved_tree_models_on_larger_nodes_are_pinned(tmp_path):
-    # as above, on a clean corpus whose nodes hold tens of rows with many
-    # tied values
+    # with the deviance stop off, gb builds all 100 stages and its bytes
+    # are those of every fit before the stop
+    monkeypatch.setattr(boosting, "TOL", 0.0)
     assert_saved_models_pinned(
-        tmp_path,
-        ["--preset", "clean", "--participants", "2", "--segments", "40", "--frames", "13"],
-        {
-            "gb": "c8910f9b48853514df480be54617c71998fc577cd19b450fd214ed191f344239",
-            "rf": "45e23a6b42633b04ea4308b3c086e82f6379e01366c90308d36e6d05f15af923",
-        },
+        tmp_path / "full",
+        synth,
+        {"gb": "a300869db0c24c5bfff8f68e8f60f3fa59e5b01ce21e73d2e39aceb19290b9b2"},
     )
 
 
-def test_gb_model_whose_fit_mostly_misses_the_cut_cache_is_pinned():
-    # continuous columns, so node row sets seldom repeat: most of the fit's
-    # cut requests filter the one sort afresh (1,786 of 2,338), where the
-    # pins above mostly reuse cached cuts
+def test_saved_tree_models_on_larger_nodes_are_pinned(tmp_path, monkeypatch):
+    # as above, on a clean corpus whose nodes hold tens of rows with many
+    # tied values
+    synth = ["--preset", "clean", "--participants", "2", "--segments", "40", "--frames", "13"]
+    assert_saved_models_pinned(
+        tmp_path / "stopped",
+        synth,
+        {
+            "gb": "f4f544009809596ca24d93cd75fce75af087802bd8822e553409328fc9649b36",
+            "rf": "45e23a6b42633b04ea4308b3c086e82f6379e01366c90308d36e6d05f15af923",
+        },
+    )
+    monkeypatch.setattr(boosting, "TOL", 0.0)
+    assert_saved_models_pinned(
+        tmp_path / "full",
+        synth,
+        {"gb": "c8910f9b48853514df480be54617c71998fc577cd19b450fd214ed191f344239"},
+    )
+
+
+def miss_heavy_data():
+    # continuous columns of noise labelled at random: node row sets seldom
+    # repeat, and the training deviance stays far above boosting.TOL
     rng = make_generator(5, "miss-heavy")
-    X = rng.normal(size=(90, 6))
-    y = rng.integers(0, 4, size=90)
+    return rng.normal(size=(90, 6)), rng.integers(0, 4, size=90)
+
+
+def test_gb_model_whose_fit_mostly_misses_the_cut_cache_is_pinned():
+    # most of the fit's cut requests filter the one sort afresh (1,786 of
+    # 2,338), where the pins above mostly reuse cached cuts
+    X, y = miss_heavy_data()
     fc = FeatureConfig("binary", True, default_category_table().content_hash)
     text = save_model(train_matrix(X, y, TrainConfig("gb", 0), fc))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "058e36fed18715d957f39c383a3366e29909568d9272d8d342097d86651e5b48"
     )
+
+
+def tree_bytes(tree: Tree) -> tuple:
+    return (tree.depth, *(getattr(tree, name).tobytes()
+                          for name in ("feature", "threshold", "left", "right", "value")))
+
+
+def mean_deviance(model, X, y, stages: int) -> float:
+    """-mean log p(y) of the model cut to its first `stages` stages."""
+    params = model.parameters
+    cut = boosting.BoostingModel(params.init_raw, params.stages[:stages], params.learning_rate)
+    return -np.log(cut.predict_proba(X)[np.arange(len(y)), y]).mean()
+
+
+def test_gb_stop_only_truncates_the_full_fit(monkeypatch):
+    X, y = blob_data()
+    stopped = train_matrix(X, y, TrainConfig("gb", 2), FC)
+    monkeypatch.setattr(boosting, "TOL", 0.0)
+    full = train_matrix(X, y, TrainConfig("gb", 2), FC)
+    m = len(stopped.parameters.stages)
+    assert 0 < m < boosting.DEFAULTS["n_stages"]
+    assert (stopped.metadata["stopping_reason"], stopped.metadata["iterations"]) == ("converged", m)
+    assert (full.metadata["stopping_reason"], full.metadata["iterations"]) == ("max-iterations", 100)
+    assert stopped.parameters.init_raw.tobytes() == full.parameters.init_raw.tobytes()
+    assert [list(map(tree_bytes, stage)) for stage in stopped.parameters.stages] == [
+        list(map(tree_bytes, stage)) for stage in full.parameters.stages[:m]
+    ]
+    # the fit stopped at the first stage whose deviance is below the default TOL
+    monkeypatch.undo()
+    assert mean_deviance(full, X, y, m) < boosting.TOL <= mean_deviance(full, X, y, m - 1)
+
+
+def test_gb_fit_that_never_reaches_tol_builds_every_stage():
+    X, y = miss_heavy_data()
+    model = train_matrix(X, y, TrainConfig("gb", 0), FC)
+    assert len(model.parameters.stages) == boosting.DEFAULTS["n_stages"] == 100
+    assert (model.metadata["stopping_reason"], model.metadata["iterations"]) == ("max-iterations", 100)
+    assert mean_deviance(model, X, y, 100) >= boosting.TOL
 
 
 def test_saved_logreg_and_mlp_models_are_pinned(tmp_path):
