@@ -20,6 +20,8 @@ per segment for the counts and one for the presence), so its working arrays
 stay the size of one batch however large the corpus.
 """
 
+import reprlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,10 +86,15 @@ class FeatureVector(NamedTuple):
 
 
 def feature_names(table: CategoryTable, config: FeatureConfig) -> list[str]:
-    """Column names in feature_matrix() column order."""
+    """Column names in feature_matrix() column order. FeatureError if two
+    coincide, as the active column of cup and the column of active_cup do."""
     channels = ("", "active_") if config.use_active else ("",)
     layout = _LAYOUT[config.representation]
-    return [p + ch + c for p, _ in layout for ch in channels for c in table.categories]
+    names = [p + ch + c for p, _ in layout for ch in channels for c in table.categories]
+    twice = [name for name, count in Counter(names).items() if count > 1]
+    if twice:
+        raise FeatureError(f"category table gives two feature columns the name {reprlib.repr(twice[0])}")
+    return names
 
 
 def raw_matrix(

@@ -5,7 +5,7 @@ module declares:
 
 * ``NAME``, the kind's name in documents and reports, and ``ALIASES``, the
   other names the command line accepts for it;
-* ``DEFAULTS``, its hyperparameters;
+* ``DEFAULTS``, its hyperparameters, each of which can change a fit;
 * ``PARAMS``, the dataclass of a fitted model's parameters, with
   ``predict_proba(X)`` and ``check(d, k)``, which raises ValueError unless
   the parameters fit d features and k classes, so that prediction cannot
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..documents import InputError
 from ..features import FeatureConfig
-from ..taxonomy import ADL_NAMES
+from ..taxonomy import ADL_NAMES, NUM_ADL_CLASSES
 from . import boosting, forest, logreg, mlp
 
 KINDS = (logreg, forest, boosting, mlp)
@@ -120,13 +120,17 @@ def train_matrix(
     if not np.all(np.isfinite(X)):
         raise TrainingError("non-finite feature value in training data")
     classes = np.unique(y)
+    # a model's classes are ADL label ids, which load_model requires
+    outside = classes[(classes < 0) | (classes >= NUM_ADL_CLASSES)]
+    if outside.size:
+        raise TrainingError(f"label {outside[0]} is not an ADL label id (0 to {NUM_ADL_CLASSES - 1})")
     if classes.size < 2:
         raise TrainingError("training data contains a single class")
     y_local = np.searchsorted(classes, y)
     weights = balanced_weights(np.bincount(y_local, minlength=classes.size)).values
     kind, hp = cfg.resolved()
     params, meta = kind.fit(X, y_local, classes.size, weights, cfg.seed, hp)
-    names = tuple(ADL_NAMES[c] if 0 <= c < len(ADL_NAMES) else str(c) for c in classes)
+    names = tuple(ADL_NAMES[c] for c in classes)
     meta = dict(meta)
     meta["seed"] = int(cfg.seed)
     return TrainedModel(

@@ -19,12 +19,7 @@ from .tree import CutCache, Tree, build_regression_tree
 
 NAME = "gradient_boosting"
 ALIASES = ("gb",)
-DEFAULTS = {
-    "n_stages": 100,
-    "learning_rate": 0.1,
-    "max_depth": 3,
-    "min_samples_split": 2,
-}
+DEFAULTS = {"n_stages": 100, "learning_rate": 0.1, "max_depth": 3}
 CONVERGED_REASONS = ("converged",)  # the training deviance fell below TOL
 
 # The mean training deviance, -mean log p(y), below which a fit builds no
@@ -77,7 +72,6 @@ def fit(
     lr = float(hp["learning_rate"])
     n_stages = int(hp["n_stages"])
     max_depth = int(hp["max_depth"])
-    min_split = int(hp["min_samples_split"])
     factor = (n_classes - 1) / n_classes
 
     # every tree of the fit grows on X: its columns are sorted once, and
@@ -102,9 +96,7 @@ def fit(
                 denom = denom_terms[member].sum()
                 return 0.0 if denom < 1e-150 else factor * r[member].sum() / denom
 
-            tree, leaf_of = build_regression_tree(
-                X, r, cache, newton_step, max_depth=max_depth, min_samples_split=min_split
-            )
+            tree, leaf_of = build_regression_tree(X, r, cache, newton_step, max_depth=max_depth)
             raw[:, c] += lr * tree.value[leaf_of, 0]
             stage.append(tree)
         stages.append(stage)

@@ -10,7 +10,7 @@ from .tree import Tree, build_classification_tree
 
 NAME = "random_forest"
 ALIASES = ("rf",)
-DEFAULTS = {"n_trees": 100, "min_samples_split": 2, "bootstrap": True}
+DEFAULTS = {"n_trees": 100}
 CONVERGED_REASONS = ()  # a fixed number of trees: nothing to converge
 
 
@@ -49,20 +49,10 @@ def fit(
     # per-tree substreams keep the ensemble independent of build order
     for t in range(n_trees):
         rng = make_generator(seed, "forest-tree", t)
-        if hp["bootstrap"]:
-            sample = rng.integers(0, n, size=n)
-        else:
-            sample = np.arange(n)
-        trees.append(
-            build_classification_tree(
-                X[sample],
-                y[sample],
-                sample_weight[sample],
-                n_classes,
-                rng,
-                max_features=max_features,
-                min_samples_split=int(hp["min_samples_split"]),
-            )
+        sample = rng.integers(0, n, size=n)
+        tree = build_classification_tree(
+            X[sample], y[sample], sample_weight[sample], n_classes, rng, max_features=max_features
         )
+        trees.append(tree)
     meta = {"iterations": n_trees, "stopping_reason": "max-iterations"}
     return ForestModel(trees=trees, n_classes=n_classes), meta

@@ -309,7 +309,6 @@ def build_classification_tree(
     n_classes: int,
     rng: np.random.Generator,
     max_features: int,
-    min_samples_split: int = 2,
 ) -> Tree:
     """Grow an unpruned tree on weighted Gini impurity.
 
@@ -330,7 +329,7 @@ def build_classification_tree(
         nonlocal class_totals
         idx = member.nonzero()[0]
         class_totals = weighted_onehot[idx].sum(axis=0)
-        if np.count_nonzero(class_totals) <= 1 or idx.size < min_samples_split:
+        if np.count_nonzero(class_totals) <= 1:
             return None
         Xn = X[idx]
         perm = rng.permutation(d)
@@ -359,7 +358,6 @@ def build_regression_tree(
     cache: CutCache,
     leaf_value: Callable[[np.ndarray], float],
     max_depth: int,
-    min_samples_split: int = 2,
 ) -> tuple[Tree, np.ndarray]:
     """Depth-capped tree over all features, split on squared error of `target`.
 
@@ -372,7 +370,7 @@ def build_regression_tree(
 
     def split(member: np.ndarray, depth: int) -> tuple[int, float] | None:
         values = target[member]
-        if depth < max_depth and values.size >= min_samples_split and values.min() != values.max():
+        if depth < max_depth and values.min() != values.max():
             return _best_split(cache.cuts(member), stats, _sse_scores)
         return None
 

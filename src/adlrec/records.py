@@ -338,7 +338,8 @@ def load_corpus(
         missing = [key for key in keys if key not in labels] if labels is not None else []
         if missing:
             raise RecordError(f"{len(missing)} segment(s) have no manifest row, first {missing[0]}")
-        without_frames = sorted(labels.keys() - set(keys)) if labels is not None else []
+        # a segment dropped for a repeated frame_index had frames
+        without_frames = sorted(labels.keys() - groups.keys()) if labels is not None else []
         label_of = (labels or {}).get
         segments = []
         for key in keys:

@@ -67,7 +67,6 @@ class CategoryTable(NamedTuple):
     raw_map: dict[str, str]
     fallback: str
     content_hash: str
-    placeholders: tuple[str, ...] = ()
 
     def map_label(self, raw: str) -> int:
         """Map a raw detector label to a category index. Total by design."""
@@ -111,7 +110,7 @@ def load_category_table(config_text: str) -> CategoryTable:
     Expected shape::
 
         {"fallback": "other",
-         "placeholders": ["..."],          # optional, informational
+         "placeholders": ["..."],          # optional: checked, then not kept
          "categories": {"<category>": ["raw_label", ...], ...}}
 
     Raises TaxonomyError with line/field context on parse failure,
@@ -155,7 +154,6 @@ def load_category_table(config_text: str) -> CategoryTable:
         raw_map=raw_map,
         fallback=fallback,
         content_hash=_table_hash(fallback, categories),
-        placeholders=tuple(placeholders),
     )
 
 

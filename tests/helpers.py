@@ -103,7 +103,8 @@ def reference_load_corpus(lines, manifest):
                 lineno, f"segment {key}: frame_index {frame.frame_index} repeated; segment dropped"
             ))
         parsed.append((key, frame))
-    keys = sorted({key for key, _ in parsed} - repeated)
+    grouped = {key for key, _ in parsed}
+    keys = sorted(grouped - repeated)
     labels = load_manifest(manifest) if manifest is not None else None
     if labels is not None:
         missing = [key for key in keys if key not in labels]
@@ -117,7 +118,8 @@ def reference_load_corpus(lines, manifest):
         )
         for key in keys
     ]
-    without_frames = [] if labels is None else sorted(k for k in labels if k not in keys)
+    # a dropped segment had frames, so it is not listed
+    without_frames = [] if labels is None else sorted(k for k in labels if k not in grouped)
     return AssemblyResult(segments, without_frames), diagnostics
 
 
@@ -338,7 +340,7 @@ def _reference_sse_scores(csum, csqr):
     return sse_l + sse_r
 
 
-def reference_classification_tree(X, y, sample_weight, n_classes, rng, max_features, min_samples_split=2):
+def reference_classification_tree(X, y, sample_weight, n_classes, rng, max_features):
     """`build_classification_tree` on the sort kernel: each node sorts its
     candidate columns, in the random order drawn, and scores every position."""
     n, d = X.shape
@@ -349,7 +351,7 @@ def reference_classification_tree(X, y, sample_weight, n_classes, rng, max_featu
     def split(member, depth):
         idx = np.flatnonzero(member)
         class_totals = weighted_onehot[idx].sum(axis=0)
-        if np.count_nonzero(class_totals) <= 1 or idx.size < min_samples_split:
+        if np.count_nonzero(class_totals) <= 1:
             return None
         Xn = X[idx]
         perm = rng.permutation(d)
@@ -373,7 +375,7 @@ def reference_classification_tree(X, y, sample_weight, n_classes, rng, max_featu
     return _grow(X, n_classes, split, proportions)[0]
 
 
-def reference_regression_tree(X, target, leaf_value, max_depth, min_samples_split=2):
+def reference_regression_tree(X, target, leaf_value, max_depth):
     """`build_regression_tree` on the sort kernel: every node filters one
     presort of X, and every position is scored."""
     features = np.arange(X.shape[1])
@@ -382,7 +384,7 @@ def reference_regression_tree(X, target, leaf_value, max_depth, min_samples_spli
 
     def split(member, depth):
         values = target[member]
-        if depth < max_depth and values.size >= min_samples_split and values.min() != values.max():
+        if depth < max_depth and values.min() != values.max():
             return _reference_best_split(presort.subset(member), features, stats, _reference_sse_scores)
         return None
 

@@ -312,6 +312,21 @@ def test_saved_model_under_another_taxonomy_is_refused(synth_dir, tmp_path, caps
     ]
 
 
+def test_featurize_refuses_a_table_that_names_two_columns_alike(synth_dir, tmp_path, capsys):
+    doc = json.loads((ROOT / "src" / "adlrec" / "data" / "categories.json").read_text())
+    doc["categories"]["active_drinkware"] = []
+    taxonomy = tmp_path / "tax.json"
+    taxonomy.write_text(json.dumps(doc))
+    out = tmp_path / "f"
+    capsys.readouterr()
+    assert main(["featurize", "--records", str(synth_dir / "records.jsonl"), "--taxonomy", str(taxonomy),
+                 "--representation", "both", "--active", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: category table gives two feature columns the name 'counts_active_drinkware'"
+    ]
+    assert not (out / "features.csv").exists()
+
+
 def test_ablate_with_no_models_fails(tmp_path, capsys):
     # the kinds are resolved before any input is read
     assert main(["ablate", "--records", str(tmp_path / "missing.jsonl"),

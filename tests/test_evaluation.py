@@ -281,7 +281,7 @@ def test_ablation_pool_gives_the_serial_bytes(table, serial_ablation, cpus):
 # featurization, fold selection, training or scoring of a cell shows up here.
 ABLATION_PINS = (
     "f5b69f73cf86f7ce0f537f876f1b3f0923bec914641f4e3ab7005086e33bcb65",
-    "c184a49ccc91785ab54248ef8dc5c8ef7216ce114a6da4e953d60b8d29b812b2",
+    "b55a32169c02088e3489698a81e07b185bdcf2aab8c953810d55b78494e1e0fb",
 )
 
 
@@ -294,12 +294,13 @@ def test_ablation_bytes_are_pinned(serial_ablation):
 
 
 def test_ablation_bytes_without_the_gb_stop_are_pinned(table, monkeypatch):
-    # with boosting.TOL at 0.0 every gb fit builds all its stages, and the
-    # grid is byte for byte the grid from before the deviance stop
+    # with boosting.TOL at 0.0 every gb fit builds all its stages: grid.csv
+    # is byte for byte the grid from before the deviance stop, and
+    # ablation.json its folds with the current hyperparameters objects
     monkeypatch.setattr(boosting, "TOL", 0.0)
     assert _digests(_ablation_bytes(table, {0})) == (
         "f5b69f73cf86f7ce0f537f876f1b3f0923bec914641f4e3ab7005086e33bcb65",
-        "438486693c28b61d333808920a25cdfbd2325aed4a5736bfb2f4ef628f48c5ee",
+        "355bb57caa83154840c50c91e9c22bd1e961c9ca6e8c737569f8b864b2039741",
     )
 
 

@@ -146,6 +146,20 @@ def test_dimensions_across_configurations(table):
     assert len(all_feature_configs(table)) == 6
 
 
+@pytest.mark.parametrize("representation, twice", [
+    ("counts", "active_cup"), ("binary", "active_cup"), ("both", "counts_active_cup"),
+])
+def test_feature_names_refuse_a_table_that_names_two_columns_alike(representation, twice):
+    # "active_" plus the name of the category cup names cup's active column
+    table = load_category_table(json.dumps({"categories": {"other": [], "cup": [], "active_cup": []}}))
+    with pytest.raises(FeatureError) as raised:
+        feature_names(table, FeatureConfig(representation, True, table.content_hash))
+    assert str(raised.value) == f"category table gives two feature columns the name '{twice}'"
+    # without the active channel every column keeps its own name
+    names = feature_names(table, FeatureConfig(representation, False, table.content_hash))
+    assert len(set(names)) == len(names) == len(table.categories) * (2 if representation == "both" else 1)
+
+
 def test_passive_subblock_identical_with_and_without_active(table):
     b = box(0, 0, 10, 10)
     seg = segment([frame(0, objects=[det("cup", b=b), det("spoon")], hois=[hoi(b=b)])])

@@ -242,6 +242,19 @@ def test_training_input_validation():
         resolve_kind("svm")
 
 
+@pytest.mark.parametrize("ids, outside", [([0, 9], 9), ([-1, 0], -1), ([0, 7], 7)])
+def test_training_refuses_labels_that_are_not_adl_ids(ids, outside):
+    # load_model reads classes only as ADL label ids, so a model of other
+    # labels would save and then not load
+    X, y, _ = blobs(n_classes=2, per_class=5, seed=0)
+    with pytest.raises(TrainingError) as raised:
+        train_matrix(X, np.array(ids)[y], TrainConfig(kind="logreg"), FC)
+    assert str(raised.value) == f"label {outside} is not an ADL label id (0 to 6)"
+    # the first and the last ADL ids train a model that loads
+    model = load_model(save_model(train_matrix(X, np.array([0, 6])[y], TrainConfig(kind="logreg"), FC)))
+    assert model.class_names == ("Self-Feeding", "Leisure & Other Activities")
+
+
 def test_stopping_reason_recorded():
     X, y, _ = blobs(n_classes=2, per_class=15, seed=8)
     with pytest.MonkeyPatch.context() as patch:

@@ -231,6 +231,16 @@ def test_labels_without_frames_reported():
     assert result.labels_without_frames == [SegmentKey("p9", "v1", 0)]
 
 
+def test_a_segment_dropped_for_a_repeated_frame_is_not_reported_as_without_frames():
+    # two copies of one record line: the segment had frames, but is dropped
+    result, diagnostics = load_corpus(
+        [record_line(), record_line()],
+        "participant_id,video_id,segment_index,adl_label\np1,v1,0,Self-Feeding\n",
+    )
+    assert result.segments == [] and result.labels_without_frames == []
+    assert [d.line for d in diagnostics] == [2]
+
+
 def test_sixteen_participants_partition():
     lines = []
     manifest = ["participant_id,video_id,segment_index,adl_label"]

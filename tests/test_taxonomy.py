@@ -44,9 +44,10 @@ def test_default_table_has_29_categories(table):
     for name in ("kitchen_utensils", "electronics", "wheelchair_walker"):
         assert name in table.categories
     assert table.fallback == "other"
-    # placeholders are marked and real entries are not
-    assert set(table.placeholders) < set(table.categories)
-    assert "drinkware" not in table.placeholders
+    # the packaged document marks its placeholders, and no real entry
+    doc = json.loads(resources.files("adlrec.data").joinpath("categories.json").read_text("utf-8"))
+    assert set(doc["placeholders"]) < set(table.categories)
+    assert "drinkware" not in doc["placeholders"]
 
 
 def test_mapping_examples(table):

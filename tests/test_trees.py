@@ -85,14 +85,16 @@ def test_classification_tree_weighted_split_choice():
     assert np.array_equal(np.argmax(tree.predict_value(X), axis=1), y)
 
 
-def test_single_tree_no_bootstrap_perfect_fit(monkeypatch):
+def test_single_tree_no_bootstrap_perfect_fit():
+    # an unpruned tree grown on every row, not on a bootstrap sample, splits
+    # until each leaf holds one class, so it fits distinct rows exactly
     rng = make_generator(0, "uniq")
     X = np.unique(rng.normal(size=(80, 6)).round(2), axis=0)
     y = rng.integers(0, 3, size=X.shape[0])
-    monkeypatch.setitem(forest.DEFAULTS, "n_trees", 1)
-    monkeypatch.setitem(forest.DEFAULTS, "bootstrap", False)
-    model = train_matrix(X, y, TrainConfig(kind="random_forest", seed=1), FC)
-    assert (model.predict_labels(X) == y).mean() == 1.0
+    tree = build_classification_tree(
+        X, y, np.ones(X.shape[0]), n_classes=3, rng=make_generator(1, "every-row"), max_features=3
+    )
+    assert np.array_equal(np.argmax(tree.predict_value(X), axis=1), y)
 
 
 def blob_data():
@@ -198,18 +200,39 @@ def test_saved_tree_models_are_pinned(tmp_path, monkeypatch):
         tmp_path / "stopped",
         synth,
         {
-            "gb": "94225b6bfad298a7117a3ded0e91b4147e14c899aa94999e8ce21deb1c8e610a",
-            "rf": "a4211158916168ea2dcd562c4df6ce9cb3bd2fb64c3126431324239acdeb91ce",
+            "gb": "c60458aa7224ba7423546fc3b5e679bdb2c9d46bf16d39db8b513a576517fee5",
+            "rf": "9d6e30ee251e7a98ecf3d2f40491aa1d7c2d99d8754924559af31dc1dd95ddc0",
         },
     )
-    # with the deviance stop off, gb builds all 100 stages and its bytes
-    # are those of every fit before the stop
+    # with the deviance stop off, gb builds all 100 stages: the trees of
+    # every fit before the stop, saved with the current hyperparameters object
     monkeypatch.setattr(boosting, "TOL", 0.0)
     assert_saved_models_pinned(
         tmp_path / "full",
         synth,
-        {"gb": "a300869db0c24c5bfff8f68e8f60f3fa59e5b01ce21e73d2e39aceb19290b9b2"},
+        {"gb": "2e30583aa928b1c6f34156649a62fbb8320fa7ee35018e0ad64308b653ff3192"},
     )
+
+
+@pytest.mark.parametrize(
+    "kind, removed",
+    [
+        ("random_forest", {"min_samples_split": 2, "bootstrap": True}),
+        ("gradient_boosting", {"min_samples_split": 2}),
+    ],
+)
+def test_model_saved_with_the_removed_tree_settings_loads_and_predicts_alike(kind, removed):
+    # a model.json written while rf and gb still recorded these settings,
+    # which changed no tree, loads and predicts as the current model of the same fit
+    X, y = blob_data()
+    model = train_matrix(X, y, TrainConfig(kind, seed=4), FC)
+    assert not removed.keys() & model.hyperparameters.keys()
+    doc = json.loads(save_model(model))
+    doc["hyperparameters"].update(removed)
+    loaded = load_model(redigest(doc))
+    assert loaded.hyperparameters == {**model.hyperparameters, **removed}
+    probe = np.vstack([X, make_generator(4, "old-keys").normal(size=(20, X.shape[1])) * 4])
+    assert loaded.predict_proba_matrix(probe).tobytes() == model.predict_proba_matrix(probe).tobytes()
 
 
 def test_saved_tree_models_on_larger_nodes_are_pinned(tmp_path, monkeypatch):
@@ -220,15 +243,15 @@ def test_saved_tree_models_on_larger_nodes_are_pinned(tmp_path, monkeypatch):
         tmp_path / "stopped",
         synth,
         {
-            "gb": "f4f544009809596ca24d93cd75fce75af087802bd8822e553409328fc9649b36",
-            "rf": "45e23a6b42633b04ea4308b3c086e82f6379e01366c90308d36e6d05f15af923",
+            "gb": "dc9d4936c09187574a54245dfe91b1612a0d5ef941f647dd80ae5769ea5bac77",
+            "rf": "5d294ee96e034f6be8e0797296a2c3dcf453b8bd8d6bf04fd7faf1c51e0d4c4b",
         },
     )
     monkeypatch.setattr(boosting, "TOL", 0.0)
     assert_saved_models_pinned(
         tmp_path / "full",
         synth,
-        {"gb": "c8910f9b48853514df480be54617c71998fc577cd19b450fd214ed191f344239"},
+        {"gb": "f15942bf66758355314298d57e4d94a992886ecfc4f786e21765bc27e8cf5768"},
     )
 
 
@@ -246,7 +269,7 @@ def test_gb_model_whose_fit_mostly_misses_the_cut_cache_is_pinned():
     fc = FeatureConfig("binary", True, default_category_table().content_hash)
     text = save_model(train_matrix(X, y, TrainConfig("gb", 0), fc))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "058e36fed18715d957f39c383a3366e29909568d9272d8d342097d86651e5b48"
+        "deb4d07a932a138ef04564da64a62bebdcdbe8bdfdecef61ef775cccb5f41e36"
     )
 
 
@@ -392,8 +415,8 @@ HUGE_TARGETS = [-1.0, 0.0, 0.5, 9e153, -9e153, 1e200]
 
 
 @ORACLE
-@given(tree_inputs(), st.integers(1, 4), st.integers(2, 4), st.data())
-def test_regression_tree_matches_reference_kernel(inputs, max_depth, min_split, data):
+@given(tree_inputs(), st.integers(1, 4), st.data())
+def test_regression_tree_matches_reference_kernel(inputs, max_depth, data):
     # several targets share one X and one cut cache over three stages, as a
     # boosting fit's trees do, so row sets hit, miss and are evicted
     X, seed = inputs
@@ -408,12 +431,8 @@ def test_regression_tree_matches_reference_kernel(inputs, max_depth, min_split, 
         for t in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)):
             target = targets[t]
             with np.errstate(over="ignore", invalid="ignore"):
-                tree, leaf_of = build_regression_tree(
-                    X, target, cache, mean_of(target), max_depth=max_depth, min_samples_split=min_split
-                )
-                want, want_leaf_of = reference_regression_tree(
-                    X, target, mean_of(target), max_depth, min_samples_split=min_split
-                )
+                tree, leaf_of = build_regression_tree(X, target, cache, mean_of(target), max_depth=max_depth)
+                want, want_leaf_of = reference_regression_tree(X, target, mean_of(target), max_depth)
             assert_same_tree(tree, want)
             assert_grown_well(tree)
             assert np.array_equal(leaf_of, want_leaf_of)
@@ -450,20 +469,16 @@ def test_cut_cache_keeps_only_the_last_two_stages(monkeypatch):
 
 
 @ORACLE
-@given(tree_inputs(), st.integers(2, 4), st.integers(2, 4))
-def test_classification_tree_matches_reference_kernel(inputs, n_classes, min_split):
+@given(tree_inputs(), st.integers(2, 4))
+def test_classification_tree_matches_reference_kernel(inputs, n_classes):
     X, seed = inputs
     rng = make_generator(seed, "oracle-labels")
     y = rng.integers(0, n_classes, size=X.shape[0])
     weight = rng.choice([0.5, 1.0, 3.0], size=X.shape[0])
     max_features = int(rng.integers(1, X.shape[1] + 1))
     args = (X, y, weight, n_classes)
-    tree = build_classification_tree(
-        *args, make_generator(seed, "oracle-tree"), max_features, min_samples_split=min_split
-    )
-    want = reference_classification_tree(
-        *args, make_generator(seed, "oracle-tree"), max_features, min_samples_split=min_split
-    )
+    tree = build_classification_tree(*args, make_generator(seed, "oracle-tree"), max_features)
+    want = reference_classification_tree(*args, make_generator(seed, "oracle-tree"), max_features)
     assert_same_tree(tree, want)
     assert_grown_well(tree)
 
