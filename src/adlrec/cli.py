@@ -230,6 +230,8 @@ def _features_csv(segments, table, config) -> Iterator[str]:
     )
     rows = ([*key, label, *row.tolist()] for row, key, label in zip(X, keys, labels))
     header = [*MANIFEST_HEADER, *feature_names(table, config)]
+    if clash := [name for name in MANIFEST_HEADER if header.count(name) > 1]:
+        raise FeatureError(f"category table gives a feature column the manifest column name {clash[0]!r}")
     return itertools.chain((comment,), csv_lines(itertools.chain((header,), rows)))
 
 

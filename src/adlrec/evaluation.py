@@ -163,7 +163,7 @@ def run_loso_matrix(
 ) -> EvaluationReport:
     """One fold per participant id in `owners` (one per row), in id order."""
     folds = []
-    for participant in np.unique(owners).tolist():
+    for participant in sorted(set(owners.tolist())):
         # seeded by (seed, participant id), so fold order is irrelevant
         fold_seed = derive_seed(train_config.seed, "fold", participant)
         fold_cfg = train_config._replace(seed=fold_seed)

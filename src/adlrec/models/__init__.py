@@ -119,7 +119,7 @@ def train_matrix(
         raise TrainingError("labels do not match feature rows")
     if not np.all(np.isfinite(X)):
         raise TrainingError("non-finite feature value in training data")
-    classes = np.unique(y)
+    classes = np.array(sorted(set(y.tolist())), dtype=np.int64)
     # a model's classes are ADL label ids, which load_model requires
     outside = classes[(classes < 0) | (classes >= NUM_ADL_CLASSES)]
     if outside.size:

@@ -59,7 +59,7 @@ class MlpModel:
 PARAMS = MlpModel
 
 
-def init_params(d: int, hidden: int, n_classes: int, rng: np.random.Generator) -> MlpModel:
+def init_params(d: int, hidden: int, n_classes: int, rng: "np.random.Generator") -> MlpModel:
     bound = np.sqrt(6.0 / (d + hidden))
     w1 = rng.uniform(-bound, bound, size=(d, hidden))
     return MlpModel(

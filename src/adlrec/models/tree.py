@@ -307,7 +307,7 @@ def build_classification_tree(
     y: np.ndarray,
     sample_weight: np.ndarray,
     n_classes: int,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     max_features: int,
 ) -> Tree:
     """Grow an unpruned tree on weighted Gini impurity.

@@ -21,7 +21,7 @@ def _digest(prefix: bytes, parts) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
-def make_generator(seed: int, *parts) -> np.random.Generator:
+def make_generator(seed: int, *parts) -> "np.random.Generator":
     """Philox keyed by the seed (high 64 bits) and the stream label's digest."""
     key = ((int(seed) & MASK64) << 64) | _digest(b"", parts)
     return np.random.Generator(np.random.Philox(key=key))

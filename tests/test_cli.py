@@ -327,6 +327,24 @@ def test_featurize_refuses_a_table_that_names_two_columns_alike(synth_dir, tmp_p
     assert not (out / "features.csv").exists()
 
 
+@pytest.mark.parametrize("name, representation", [("adl_label", "counts"), ("participant_id", "binary"),
+                                                  ("video_id", "counts"), ("segment_index", "binary")])
+def test_featurize_refuses_a_category_named_like_a_manifest_column(synth_dir, tmp_path, capsys,
+                                                                    name, representation):
+    doc = json.loads((ROOT / "src" / "adlrec" / "data" / "categories.json").read_text())
+    doc["categories"][name] = []
+    taxonomy = tmp_path / "tax.json"
+    taxonomy.write_text(json.dumps(doc))
+    out = tmp_path / "f"
+    capsys.readouterr()
+    assert main(["featurize", "--records", str(synth_dir / "records.jsonl"), "--taxonomy", str(taxonomy),
+                 "--representation", representation, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: category table gives a feature column the manifest column name {name!r}"
+    ]
+    assert not (out / "features.csv").exists()
+
+
 def test_ablate_with_no_models_fails(tmp_path, capsys):
     # the kinds are resolved before any input is read
     assert main(["ablate", "--records", str(tmp_path / "missing.jsonl"),

@@ -1,8 +1,19 @@
-"""The import rule of the source tree: every import sits at module level, and
-each name comes from the module that defines it, not one that re-exports it."""
+"""The import rules of the source tree: every import sits at module level, and
+each name comes from the module that defines it, not one that re-exports it;
+a command that draws no random number loads no `numpy.random`, and no
+command loads `numpy.ma`."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy
+import pytest
+
+from adlrec.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,3 +76,53 @@ def test_imports_sit_at_module_level_and_name_the_defining_module():
     paths = sorted((SRC / "adlrec").rglob("*.py"))
     assert len(paths) > 10
     assert [fault for path in paths for fault in _import_faults(path)] == []
+
+
+# Run in a fresh interpreter: each adlrec argument list of the JSON list in
+# argv[1] through cli.main, then print which of the watched numpy packages a
+# bare `import numpy` loaded and which the commands added.
+_WATCH_SCRIPT = """
+import contextlib, io, json, sys
+import numpy
+watched = ("numpy.random", "numpy.ma")
+baseline = [name for name in watched if name in sys.modules]
+from adlrec.cli import main
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    if code != 0:
+        sys.exit(f"{args[0]} exited {code}")
+added = [name for name in watched if name in sys.modules and name not in baseline]
+print(json.dumps({"baseline": baseline, "added": added}))
+"""
+
+
+def _watched_modules(commands: list[list[str]]) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _WATCH_SCRIPT, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_commands_that_draw_no_random_number_load_neither_numpy_random_nor_numpy_ma(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--participants", "3", "--segments", "14", "--frames", "6",
+                 "--seed", "5", "--out", str(corpus)]) == 0
+    data = ["--records", str(corpus / "records.jsonl"), "--manifest", str(corpus / "manifest.csv")]
+    gb = tmp_path / "gb"
+    found = _watched_modules([
+        ["featurize", *data, "--out", str(tmp_path / "features")],
+        ["train", *data, "--model", "gb", "--out", str(gb)],
+        ["train", *data, "--model", "logreg", "--out", str(tmp_path / "logreg")],
+        ["evaluate", *data, "--model", "logreg", "--representation", "both", "--active",
+         "--out", str(tmp_path / "loso")],
+        ["evaluate", *data, "--model", str(gb / "model.json"), "--out", str(tmp_path / "scored")],
+    ])
+    if found["baseline"]:
+        pytest.skip(f"a bare `import numpy` already loads {', '.join(found['baseline'])} "
+                    f"with numpy {numpy.__version__}")
+    assert found["added"] == []
+    # a command that draws does load numpy.random, so the check above can fail
+    drawing = _watched_modules([["train", *data, "--model", "rf", "--out", str(tmp_path / "rf")]])
+    assert drawing["added"] == ["numpy.random"]
