@@ -97,9 +97,14 @@ def _digest_file(path: str | Path) -> str:
 def _write_run(args, config: dict, seed: int | None,
                outputs: Iterable[tuple[str, str | bytes]]) -> None:
     """Write --out's files from one stream of (file name, str or bytes) pairs, in
-    order, then run_manifest.json with the digests of the command's path arguments
-    and of each output, read back once all are closed. A name's first pair unlinks
-    any old file and creates a new one, so a link there is never written through."""
+    order, then run_manifest.json with the digests of the command's path arguments,
+    read before the first output is opened, and of each output, read back once all
+    are closed. A name's first pair unlinks any old file and creates a new one, so a
+    link there is never written through."""
+    paths = [getattr(args, name, None) for name in ("spec", "records", "manifest", "taxonomy")]
+    if hasattr(args, "model") and _names_model_file(args.model):
+        paths.append(args.model)
+    inputs = {str(Path(p)): _digest_file(p) for p in paths if p}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # a run that fails part-way leaves no manifest describing other files
@@ -111,13 +116,10 @@ def _write_run(args, config: dict, seed: int | None,
                 (out_dir / name).unlink(missing_ok=True)
                 files[name] = stack.enter_context(open(out_dir / name, "xb"))
             files[name].write(piece.encode() if isinstance(piece, str) else piece)
-    paths = [getattr(args, name, None) for name in ("spec", "records", "manifest", "taxonomy")]
-    if hasattr(args, "model") and _names_model_file(args.model):
-        paths.append(args.model)
     manifest = json.dumps({
         "command": args.command,
         "config": config,
-        "inputs": {str(Path(p)): _digest_file(p) for p in paths if p},
+        "inputs": inputs,
         "outputs": {name: _digest_file(out_dir / name) for name in files},
         "seed": seed,
         "tool_version": __version__,

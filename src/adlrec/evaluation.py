@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 
 from .documents import InputError, csv_lines, to_document
 from .features import FeatureConfig, all_feature_configs, feature_matrix, feature_view, raw_matrix
-from .models import TrainConfig, TrainedModel, train_matrix
+from .models import TrainConfig, TrainedModel, resolve_kind, train_matrix
 from .parallel import fork_map
 from .records import Segment, SegmentKey
 from .rng import derive_seed
@@ -182,10 +182,11 @@ def run_loso_matrix(
                 stopping_reason=model.metadata["stopping_reason"],
             )
         )
-    kind, hp = train_config.resolved()
+    kind = resolve_kind(train_config.kind)
     provenance = {
         "feature_config": to_document(feature_config),
-        "train_config": {"kind": kind.NAME, "seed": int(train_config.seed), "hyperparameters": hp},
+        "train_config": {"kind": kind.NAME, "seed": int(train_config.seed),
+                         "hyperparameters": dict(kind.DEFAULTS)},
         "fold_seeds": {f.participant_id: f.train_seed for f in folds},
         "std_convention": "population",
         "threshold_rule": "weighted_f1 > 0.5 (strict)",
@@ -276,7 +277,7 @@ def run_ablation(
     def cell(task: tuple[FeatureConfig, TrainConfig]) -> AblationCell:
         fc, cfg = task
         report = run_loso_matrix(feature_view(raw, fc), y, owners, fc, cfg)
-        return AblationCell(fc.representation, fc.use_active, cfg.resolved()[0].NAME, report)
+        return AblationCell(fc.representation, fc.use_active, resolve_kind(cfg.kind).NAME, report)
 
     tasks = [(fc, TrainConfig(kind, seed)) for fc in all_feature_configs(table) for kind in kinds]
     return list(fork_map(cell, tasks))

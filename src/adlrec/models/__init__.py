@@ -13,9 +13,9 @@ module declares:
   fields and read back into them;
 * ``CONVERGED_REASONS``, the stopping reasons of a fit whose convergence
   test passed, empty for a kind that has no such test;
-* ``fit(X, y, n_classes, class_weight, seed, hp)``, returning the PARAMS
-  instance and metadata with "iterations" and "stopping_reason". A kind
-  ignores the arguments it does not use.
+* ``fit(X, y, n_classes, class_weight, seed)``, which reads its settings
+  from DEFAULTS and returns the PARAMS instance and metadata with
+  "iterations" and "stopping_reason"; it ignores the arguments it does not use.
 
 Every kind trains through ``train_matrix``. Training is bit-reproducible for
 a fixed seed, and models round-trip through a digest-protected JSON document.
@@ -65,16 +65,10 @@ def resolve_kind(name: str):
 
 
 class TrainConfig(NamedTuple):
-    """What to train, and the seed of its fit. A kind's hyperparameters are
-    its module's DEFAULTS, copied afresh by each `resolved()`."""
+    """What to train, and the seed of its fit."""
 
     kind: str
     seed: int = 0
-
-    def resolved(self) -> tuple:
-        """The kind module and a copy of its hyperparameters."""
-        kind = resolve_kind(self.kind)
-        return kind, dict(kind.DEFAULTS)
 
 
 @dataclass
@@ -128,8 +122,8 @@ def train_matrix(
         raise TrainingError("training data contains a single class")
     y_local = np.searchsorted(classes, y)
     weights = balanced_weights(np.bincount(y_local, minlength=classes.size)).values
-    kind, hp = cfg.resolved()
-    params, meta = kind.fit(X, y_local, classes.size, weights, cfg.seed, hp)
+    kind = resolve_kind(cfg.kind)
+    params, meta = kind.fit(X, y_local, classes.size, weights, cfg.seed)
     names = tuple(ADL_NAMES[c] for c in classes)
     meta = dict(meta)
     meta["seed"] = int(cfg.seed)
@@ -139,7 +133,7 @@ def train_matrix(
         class_names=names,
         feature_dim=X.shape[1],
         feature_config=feature_config,
-        hyperparameters=hp,
+        hyperparameters=dict(kind.DEFAULTS),
         parameters=params,
         metadata=meta,
     )

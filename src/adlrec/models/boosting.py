@@ -60,8 +60,11 @@ PARAMS = BoostingModel
 
 
 def fit(
-    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int, hp: dict
+    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int
 ) -> tuple[BoostingModel, dict]:
+    lr = DEFAULTS["learning_rate"]
+    n_stages = DEFAULTS["n_stages"]
+    max_depth = DEFAULTS["max_depth"]
     n = X.shape[0]
     rows = np.arange(n)
     onehot = np.zeros((n, n_classes))
@@ -69,9 +72,6 @@ def fit(
     priors = onehot.mean(axis=0)
     init_raw = np.log(np.clip(priors, 1e-12, None))
     raw = np.tile(init_raw, (n, 1))
-    lr = float(hp["learning_rate"])
-    n_stages = int(hp["n_stages"])
-    max_depth = int(hp["max_depth"])
     factor = (n_classes - 1) / n_classes
 
     # every tree of the fit grows on X: its columns are sorted once, and

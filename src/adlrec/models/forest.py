@@ -39,11 +39,11 @@ PARAMS = ForestModel
 
 
 def fit(
-    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int, hp: dict
+    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int
 ) -> tuple[ForestModel, dict]:
+    n_trees = DEFAULTS["n_trees"]
     n, d = X.shape
     sample_weight = class_weight[y]
-    n_trees = int(hp["n_trees"])
     max_features = max(1, math.ceil(math.sqrt(d)))
     trees = []
     # per-tree substreams keep the ensemble independent of build order

@@ -123,13 +123,13 @@ def _line_search(objective, theta, loss, grad, direction):
 
 
 def fit(
-    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int, hp: dict
+    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int
 ) -> tuple[LogisticModel, dict]:
+    l2 = DEFAULTS["l2"]
+    grad_tol = DEFAULTS["grad_tol"]
+    max_iter = DEFAULTS["max_iter"]
     d = X.shape[1]
     sample_weight = class_weight[y]
-    l2 = float(hp["l2"])
-    grad_tol = float(hp["grad_tol"])
-    max_iter = int(hp["max_iter"])
 
     # theta = (W flattened row-major, b); W and b are views into it
     def unpack(theta):

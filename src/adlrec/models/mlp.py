@@ -109,14 +109,21 @@ def _validation_split(y: np.ndarray, n_classes: int, fraction: float) -> np.ndar
 
 
 def fit(
-    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int, hp: dict
+    X: np.ndarray, y: np.ndarray, n_classes: int, class_weight: np.ndarray, seed: int
 ) -> tuple[MlpModel, dict]:
+    hidden = DEFAULTS["hidden"]
+    batch_size = DEFAULTS["batch_size"]
+    lr = DEFAULTS["lr_init"]
+    tol = DEFAULTS["tol"]
+    patience = DEFAULTS["patience"]
+    max_epochs = DEFAULTS["max_epochs"]
+    validation_fraction = DEFAULTS["validation_fraction"]
     rng = make_generator(seed, "mlp")
-    model = init_params(X.shape[1], int(hp["hidden"]), n_classes, rng)
+    model = init_params(X.shape[1], hidden, n_classes, rng)
 
     use_validation = X.shape[0] >= MIN_SAMPLES_FOR_VALIDATION
     if use_validation:
-        val_mask = _validation_split(y, n_classes, float(hp["validation_fraction"]))
+        val_mask = _validation_split(y, n_classes, validation_fraction)
         use_validation = bool(val_mask.any())
     if use_validation:
         X_train, y_train = X[~val_mask], y[~val_mask]
@@ -124,12 +131,6 @@ def fit(
     else:
         X_train, y_train = X, y
         X_val, y_val = X, y
-
-    lr = float(hp["lr_init"])
-    tol = float(hp["tol"])
-    batch_size = int(hp["batch_size"])
-    patience = int(hp["patience"])
-    max_epochs = int(hp["max_epochs"])
 
     best_val_loss = np.inf
     epochs_since_best = 0

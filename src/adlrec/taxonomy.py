@@ -59,7 +59,8 @@ class CategoryTable(NamedTuple):
     Category order is the order of appearance in the config document and
     fixes the feature dimension layout; `content_hash` versions that layout.
     Raw labels route through `raw_map`, then by identity if the raw string
-    is itself a category name, then to `fallback`. The table's size is the
+    is itself a category name, then to `fallback`; no raw label names another
+    category, so a category's name always maps to it. The table's size is the
     length of `categories`; a named tuple's own length is its field count.
     """
 
@@ -114,8 +115,9 @@ def load_category_table(config_text: str) -> CategoryTable:
          "categories": {"<category>": ["raw_label", ...], ...}}
 
     Raises TaxonomyError with line/field context on parse failure,
-    duplicate categories, duplicate raw labels, or an empty table. Values
-    from the document are echoed shortened by reprlib.
+    duplicate categories, duplicate raw labels, a raw label that names
+    another category, or an empty table. Values from the document are
+    echoed shortened by reprlib.
     """
     doc = read_object(config_text, TaxonomyError, "category table parse failure",
                       object_pairs_hook=_reject_duplicate_keys)
@@ -142,6 +144,10 @@ def load_category_table(config_text: str) -> CategoryTable:
     raw_map: dict[str, str] = {}
     for name, raws in categories.items():
         for raw in raws:
+            if raw in categories and raw != name:
+                raise TaxonomyError(
+                    f"{_field(name)}: raw label {reprlib.repr(raw)} is the name of another category"
+                )
             if raw in raw_map and raw_map[raw] != name:
                 raise TaxonomyError(
                     f"{_field(name)}: raw label {reprlib.repr(raw)} already maps to "

@@ -427,7 +427,7 @@ class PriorModel:
             raise ValueError(f"prior proba has shape {self.proba.shape}, not {(k,)}")
 
 
-def fit_prior(X, y, n_classes, class_weight, seed, hp):
+def fit_prior(X, y, n_classes, class_weight, seed):
     proba = np.bincount(y, minlength=n_classes) / y.size
     return PriorModel(proba=proba), {"iterations": 0, "stopping_reason": "converged"}
 

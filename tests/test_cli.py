@@ -1376,6 +1376,30 @@ def test_run_manifest_inputs_are_the_path_arguments(tmp_path, monkeypatch):
         }, argv
 
 
+def test_an_output_named_like_an_input_is_digested_as_it_was_read(tmp_path):
+    # a rerun into its own --out replaces the spec it read, after reading it
+    out = tmp_path / "d"
+    args = ["synth", "--participants", "2", "--segments", "7", "--frames", "2", "--seed", "1"]
+    assert main([*args, "--out", str(out)]) == 0
+    spec = out / "genspec.json"
+    canonical = spec.read_bytes()
+    spec.write_text(json.dumps(json.loads(canonical)))  # the same spec, compact
+    compact = hashlib.sha256(spec.read_bytes()).hexdigest()
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+    assert spec.read_bytes() == canonical
+    doc = json.loads((out / "run_manifest.json").read_text())
+    assert doc["inputs"] == {str(spec): compact}
+    # featurize reading records saved as features.csv replaces them too
+    records = out / "features.csv"
+    shutil.copyfile(out / "records.jsonl", records)
+    digest = hashlib.sha256(records.read_bytes()).hexdigest()
+    argv = ["featurize", "--records", str(records), "--manifest", str(out / "manifest.csv")]
+    assert main([*argv, "--out", str(out)]) == 0
+    doc = json.loads((out / "run_manifest.json").read_text())
+    assert doc["inputs"][str(records)] == digest
+    assert doc["outputs"]["features.csv"] != digest
+
+
 def test_write_run_holds_no_whole_input_or_output(tmp_path, monkeypatch):
     records = tmp_path / "records.jsonl"
     records.write_bytes(bytes(range(256)) * (1 << 15))  # 8 MiB

@@ -1,9 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+from adlrec.evaluation import run_loso_matrix
 from adlrec.features import FeatureConfig, feature_matrix
 from adlrec.models import (
     KINDS,
@@ -24,7 +26,7 @@ from adlrec.rng import make_generator
 from adlrec.synthgen import distractor_genspec, generate
 from adlrec.taxonomy import PAPER_CLASS_COUNTS
 
-from helpers import redigest
+from helpers import PRIOR_KIND, redigest
 
 FC = FeatureConfig("binary", True, "f" * 64)
 
@@ -269,6 +271,28 @@ def test_stopping_reason_recorded():
     assert wide.metadata["stopping_reason"] == "converged"
 
 
+@pytest.mark.parametrize("kind", [*KINDS, PRIOR_KIND], ids=lambda kind: kind.NAME)
+def test_every_kind_fits_from_five_arguments(kind):
+    # a kind's hyperparameters reach its fit only through its DEFAULTS
+    params = tuple(inspect.signature(kind.fit).parameters)
+    assert params == ("X", "y", "n_classes", "class_weight", "seed")
+
+
+def test_a_patched_default_reaches_the_fit_and_the_recorded_hyperparameters():
+    X, y, _ = blobs(n_classes=2, per_class=15, seed=8)
+    owners = np.array(["p1", "p2", "p3"] * 10)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(logreg.DEFAULTS, "max_iter", 3)
+        model = train_matrix(X, y, TrainConfig(kind="logreg", seed=0), FC)
+        report = run_loso_matrix(X, y, owners, FC, TrainConfig(kind="logreg", seed=0))
+    assert logreg.DEFAULTS["max_iter"] == 1000
+    # each document keeps the value its fits read, not the module's current one
+    assert model.metadata["iterations"] == 3
+    assert model.hyperparameters == {**logreg.DEFAULTS, "max_iter": 3}
+    assert [fold.iterations for fold in report.folds] == [3, 3, 3]
+    assert report.provenance["train_config"]["hyperparameters"] == model.hyperparameters
+
+
 def test_failed_line_search_is_not_reported_converged(monkeypatch):
     X, y, _ = blobs(n_classes=2, per_class=15, seed=8)
     true_loss_and_grad = logreg.loss_and_grad
@@ -303,7 +327,7 @@ def distractor_fold(table):
 def test_logreg_converges_on_distractor_fold(distractor_fold):
     X, y, class_weight = distractor_fold
     hp = dict(logreg.DEFAULTS)
-    model, meta = logreg.fit(X, y, len(class_weight), class_weight, 0, hp)
+    model, meta = logreg.fit(X, y, len(class_weight), class_weight, 0)
     assert meta["stopping_reason"] == "converged"
     assert meta["iterations"] <= 100
     loss, grad_w, grad_b = loss_and_grad(
@@ -315,9 +339,8 @@ def test_logreg_converges_on_distractor_fold(distractor_fold):
 
 def test_logreg_fit_is_byte_identical(distractor_fold):
     X, y, class_weight = distractor_fold
-    hp = dict(logreg.DEFAULTS)
-    first, _ = logreg.fit(X, y, len(class_weight), class_weight, 0, hp)
-    second, _ = logreg.fit(X, y, len(class_weight), class_weight, 0, hp)
+    first, _ = logreg.fit(X, y, len(class_weight), class_weight, 0)
+    second, _ = logreg.fit(X, y, len(class_weight), class_weight, 0)
     assert first.weights.tobytes() == second.weights.tobytes()
     assert first.bias.tobytes() == second.bias.tobytes()
 

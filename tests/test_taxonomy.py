@@ -159,3 +159,18 @@ def test_refusals_shorten_long_values(document, short_message):
     text = _refusal(document(_LONG))
     assert "..." in text
     assert len(text) < 200, len(text)
+
+
+def test_a_raw_label_that_names_another_category_is_refused():
+    # synthgen emits a category without raw labels under its own name, which
+    # raw_map would send to the category listing it, leaving its column dead
+    for categories in ({"cup": ["mug"], "mug": [], "other": []},
+                       {"mug": [], "cup": ["mug"], "other": []}):
+        text = _refusal(json.dumps({"fallback": "other", "categories": categories}))
+        assert text == "field 'categories.cup': raw label 'mug' is the name of another category"
+    text = _refusal(json.dumps({"categories": {"cup": [_LONG], _LONG: [], "other": []}}))
+    assert "..." in text
+    assert len(text) < 200, len(text)
+    # a category may list its own name
+    t = load_category_table(json.dumps({"categories": {"other": ["other"], "mug": ["mug", "cup"]}}))
+    assert [t.categories[t.map_label(raw)] for raw in ("other", "mug", "cup")] == ["other", "mug", "mug"]
